@@ -6,11 +6,12 @@ from .counting import (
     admissible_count,
     bell,
     borel_sp_rank_count,
+    preimage_weight,
     rank_count_rook,
     stirling2,
     triangular_census,
 )
-from .folding import PartialMatrix, fold, preimage_count, unfold_preimages
+from .folding import PartialMatrix, fold, unfold_preimages
 from .nilpotent import NilpotentReport, nilpotent_analysis
 from .order import (
     HasseDiagram,

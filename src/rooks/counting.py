@@ -161,19 +161,15 @@ def preimage_weight(x: Rook) -> int:
     return 2 ** (a + c) * 3**b
 
 
-def borel_sp_rank_count(l: int, k: int) -> CountReport:
-    """Rank-k count of upper-triangular symplectic rooks at n = 2l, three
-    ways: direct enumeration, the per-element preimage weights summed over
-    the rank-k rooks of size l, and the printed closed form."""
-    if not 1 <= l <= 4:
-        raise ValueError(f"l out of supported range 1..4, got {l}")
-    if not 0 <= k <= l:
-        raise ValueError(f"k out of range 0..{l}")
-    oracle = len(enum_family(FamilySpec(2 * l, "borel-sp", rank=k)))
-    proof = sum(
-        preimage_weight(x)
-        for x in enum_family(FamilySpec(l, "rook", rank=k))
-    )
+def borel_sp_proof_form(l: int, k: int) -> int:
+    """Rank-k count of upper-triangular symplectic rooks at n = 2l from the
+    proof: the preimage weights summed over the rank-k rooks of size l."""
+    return sum(preimage_weight(x) for x in enum_family(FamilySpec(l, "rook", rank=k)))
+
+
+def borel_sp_paper_form(l: int, k: int) -> int:
+    """The same count by the printed closed form, summed over the
+    triangular splits k = a + b + c."""
     printed = 0
     for a in range(k + 1):
         for b in range(k + 1 - a):
@@ -185,9 +181,19 @@ def borel_sp_rank_count(l: int, k: int) -> CountReport:
                 * stirling2(l + 1, l + 1 - a)
                 * stirling2(l + 1, l + 1 - c)
             )
+    return printed
+
+
+def borel_sp_rank_count(l: int, k: int) -> CountReport:
+    """Rank-k count of upper-triangular symplectic rooks at n = 2l, three
+    ways: direct enumeration, the proof form and the printed closed form."""
+    if not 1 <= l <= 4:
+        raise ValueError(f"l out of supported range 1..4, got {l}")
+    if not 0 <= k <= l:
+        raise ValueError(f"k out of range 0..{l}")
     return CountReport(
         parameters=(("l", l), ("k", k)),
-        oracle=oracle,
-        proof_form=proof,
-        paper_form=printed,
+        oracle=len(enum_family(FamilySpec(2 * l, "borel-sp", rank=k))),
+        proof_form=borel_sp_proof_form(l, k),
+        paper_form=borel_sp_paper_form(l, k),
     )

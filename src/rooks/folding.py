@@ -19,7 +19,6 @@ from itertools import product
 
 from .rook import Rook, cells, is_permutation
 from .symplectic import FamilySpec, enum_family
-from .counting import preimage_weight
 
 DIRECTIONS = ("tb", "lr", "both")
 
@@ -151,20 +150,14 @@ def unfold_preimages_constructive(a: Rook) -> list[Rook]:
     return sorted(out)
 
 
-def unfold_preimages(a: Rook, workers=None) -> list[Rook]:
+def unfold_preimages(a: Rook) -> list[Rook]:
     """All upper-triangular symplectic rooks of doubled size folding onto
     the given rook, by exhaustive filtering."""
     l = len(a)
     out = []
-    for x in enum_family(FamilySpec(2 * l, "borel-sp"), workers):
+    for x in enum_family(FamilySpec(2 * l, "borel-sp")):
         if is_permutation(x):
             continue  # full-rank elements do not fold (cells collide)
         if fold(x, "both") == a:
             out.append(x)
     return out
-
-
-def preimage_count(a: Rook) -> int:
-    """2^(a+c) 3^b for the triangular ranks of the input; equals the number
-    of its preimages under the restricted folding map."""
-    return preimage_weight(a)

@@ -47,17 +47,17 @@ class NilpotentReport:
         )
 
 
-def nilpotent_analysis(spec: FamilySpec, workers=None) -> NilpotentReport:
+def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
     """Enumerate a nilpotent family, check product closure, and locate its
     maximal elements and longest chain inside the ambient order."""
     if spec.family not in NIL_FAMILIES:
         raise ValueError(f"family {spec.family!r} is not a nilpotent family")
-    elements = enum_family(spec, workers)
+    elements = enum_family(spec)
     members = set(elements)
     closed = all(
         multiply(x, y) in members for x in elements for y in elements
     )
-    poset = build_poset(elements, workers=workers)
+    poset = build_poset(elements)
     maximals = tuple(elements[i] for i in poset.maximals)
     longest = max(poset.rank_of[i] for i in poset.maximals)
     return NilpotentReport(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .parallel import chunk_map
 from .rook import (
     Rook,
     check_rook,
@@ -194,12 +193,11 @@ def build_poset(
     elements,
     comparator: str = "one-line",
     ctx: Optional[GroupContext] = None,
-    workers: Optional[int] = None,
 ) -> HasseDiagram:
     """Compare all pairs, reduce transitively, and grade by longest chains.
 
-    The comparability matrix is computed row by row (optionally across
-    workers); everything downstream is a deterministic function of it.
+    The comparability matrix is computed row by row; everything downstream
+    is a deterministic function of it.
     """
     elems = [tuple(x) for x in elements]
     m = len(elems)
@@ -230,7 +228,7 @@ def build_poset(
                 mask |= 1 << j
         return mask
 
-    up = chunk_map(up_row, range(m), workers)
+    up = [up_row(i) for i in range(m)]
     down = [0] * m
     for i in range(m):
         mask = up[i]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .parallel import chunk_map
 from .rook import Rook, domain, is_permutation, range_of, rank
 from .weyl import SYMPLECTIC, cross_section_chain, theta_perm
 
@@ -100,14 +99,17 @@ def _column_choices(j: int, n: int, used: set[int], family: str) -> list[int]:
     return [0] + [v for v in range(1, top + 1) if v not in used]
 
 
-def _complete(prefix: tuple[int, ...], spec: FamilySpec) -> list[Rook]:
-    """All family members extending the given one-line prefix, in
-    lexicographic order."""
+def enum_family(spec: FamilySpec) -> list[Rook]:
+    """Deterministic lexicographic list of all members of a family, by
+    backtracking over the columns."""
+    if spec.n > DESK_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration supports sizes up to {DESK_LIMIT}, got {spec.n}"
+        )
     n = spec.n
     out: list[Rook] = []
     column = [0] * n
-    column[: len(prefix)] = prefix
-    used = {v for v in prefix if v}
+    used: set[int] = set()
 
     def recurse(j: int):
         if j > n:
@@ -126,26 +128,8 @@ def _complete(prefix: tuple[int, ...], spec: FamilySpec) -> list[Rook]:
             if v:
                 used.discard(v)
 
-    recurse(len(prefix) + 1)
+    recurse(1)
     return out
-
-
-def enum_family(spec: FamilySpec, workers: Optional[int] = None) -> list[Rook]:
-    """Deterministic lexicographic list of all members of a family.
-
-    The search space is partitioned on the first column and the chunks are
-    merged in order, so the result is identical for every worker count.
-    """
-    if spec.n > DESK_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration supports sizes up to {DESK_LIMIT}, got {spec.n}"
-        )
-    prefixes = [(v,) for v in _column_choices(1, spec.n, set(), spec.family)]
-    chunks = chunk_map(lambda p: _complete(p, spec), prefixes, workers)
-    result: list[Rook] = []
-    for chunk in chunks:
-        result.extend(chunk)
-    return result
 
 
 def cross_section_lattice(n: int) -> list[Rook]:

@@ -1,21 +1,53 @@
+import hashlib
 import json
 from pathlib import Path
 
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
+import rooks.verify as verify
 from rooks.counting import CountReport
+from rooks.symplectic import FAMILIES
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
 )
 VALIDATOR = Draft7Validator(SCHEMA)
 
+# SHA-256 of the default report of every verify check and of `count` per
+# family: the report tables are frozen byte for byte.
+VERIFY_DIGESTS = {
+    "admissible": "6229ce8d255d7eb6882076e4f97d58a0247859fba4a884b480bd07cbab028c6e",
+    "rank-counts": "1da7e4a4eb061794f850445da1d5179dd06515721825fb32a65da3205ac384d8",
+    "stirling-borel": "25bd49bcc784f10bb0a40e4a433a10b0621dfc99c4b679b2ab241bea26a7e677",
+    "inrsn": "ba84e6b7852e4d4ed89958431de0813c5f49907acb7ae645be1da771760c6dcc",
+    "maxelements": "39d643bd129912f536b31b05cc5b09fb8c900d56334f98cb44789f1a8ef4f924",
+    "triangular": "6b4a3df8ef9f788d3fe5020def5d4ef1c58c08ac07e366d1a4fc70a93386d3dd",
+    "formula": "b892fa87acbaded1b6d5806d04ff36f4955006df1d38dbcec9bc1b6a0cd3ba66",
+    "folding": "3888c30038e1de813c815705bd82a0f8292ababebf0ead981c6b06e040fec2da",
+    "nilpotent": "115c39fe3b7879af042e24dbed8aee732a3a45b22637ba8fd0e986ab08379e8d",
+    "parabolic": "6902930b343fc756cdcb171ed307b874abd6bff94dc14e400e6012895152e4a4",
+    "standard-form": "fb49a6b286bb415becd13daa42b81a0e9c477b868991d31838d431eaffca120d",
+}
+COUNT_N4_DIGESTS = {
+    "rook": "f2515254dc25c544aea479448081ae547a128d0582d543b4b82968ac52f0433e",
+    "borel": "dc03e53d9abb349d5256ac26526639089cf637046f731ec27c8c04a699bf1cc3",
+    "borel-nil": "14506e85f2d1315beeb822bc84995d010a4a58a87ec90ec31c43820e8ed9284e",
+    "renner-sp": "37fd24ccc8b72e50c23c68bbaa1cb6e71efdd9dd19940ccf6945deaadde84273",
+    "borel-sp": "7ade69b270cd86a86770c36a86d154f55325e6ed4b2363443a1a79ee7e142fd9",
+    "borel-sp-nil": "fd72428b854430d6daefda3a66bd9f0a2227d9a3f425f280d66d892c8dae7cb2",
+}
+COUNT_N6_BOREL_SP_DIGEST = "c992fe2ea4775ed69ff833109bd843b1df7d52581c36414aed44172abd35b062"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def check_json(text):
@@ -178,17 +210,28 @@ def test_verify_json_schema(capsys):
 
 
 def test_every_verify_check_passes(capsys):
+    assert set(cli.VERIFY_CHECKS) == set(VERIFY_DIGESTS)
     for check in cli.VERIFY_CHECKS:
         code, out = run(capsys, "verify", "--check", check)
         assert code == 0, (check, out.splitlines()[-1:])
         assert out.splitlines()[-1] == "result: ok"
+        assert sha256(out) == VERIFY_DIGESTS[check], check
+
+
+def test_count_reports_unchanged(capsys):
+    assert set(FAMILIES) == set(COUNT_N4_DIGESTS)
+    for family in FAMILIES:
+        code, out = run(capsys, "count", "--n", "4", "--family", family)
+        assert code == 0 and sha256(out) == COUNT_N4_DIGESTS[family], family
+    code, out = run(capsys, "count", "--n", "6", "--family", "borel-sp")
+    assert code == 0 and sha256(out) == COUNT_N6_BOREL_SP_DIGEST
 
 
 def test_verify_proof_mismatch_exits_1(capsys, monkeypatch):
     def fake_check(n, l):
         return [CountReport((("n", 1),), 1, proof_form=2)]
 
-    monkeypatch.setitem(cli._CHECK_FUNCTIONS, "formula", fake_check)
+    monkeypatch.setitem(verify.CHECKS, "formula", fake_check)
     code, out = run(capsys, "verify", "--check", "formula")
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
@@ -220,6 +263,15 @@ def test_resource_bounds_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_hasse_size_limit(capsys):
+    assert cli.HASSE_LIMIT == 2500
+    assert cli.main(["hasse", "--n", "6", "--family", "rook"]) == 2
+    assert "13327" in capsys.readouterr().err  # refused before the poset build
+    code, out = run(capsys, "hasse", "--n", "6", "--family", "rook", "--rank", "1")
+    assert code == 0
+    assert len([ln for ln in out.splitlines() if ln.endswith('";') and "->" not in ln]) == 36
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code = cli.main(["enum", "--n", "4", "--family", "borel-sp", "--rank", "2",
@@ -228,18 +280,3 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert target.read_text() == "13\n"
 
-
-def test_worker_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["enum", "--n", "4", "--family", "renner-sp"]
-    monkeypatch.setenv("ROOKS_WORKERS", "1")
-    code1, out1 = run(capsys, *argv)
-    monkeypatch.setenv("ROOKS_WORKERS", "4")
-    code4, out4 = run(capsys, *argv)
-    assert code1 == code4 == 0
-    assert out1 == out4
-
-
-def test_bad_worker_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ROOKS_WORKERS", "many")
-    assert cli.main(["enum", "--n", "2", "--family", "rook"]) == 2
-    capsys.readouterr()

@@ -4,11 +4,11 @@ from rooks.folding import (
     PartialMatrix,
     fold,
     from_rook,
-    preimage_count,
     to_rook,
     unfold_preimages,
     unfold_preimages_constructive,
 )
+from rooks.counting import preimage_weight
 from rooks.rook import identity_rook, is_permutation, rank, zero_rook
 from rooks.symplectic import FamilySpec, enum_family
 
@@ -97,22 +97,22 @@ def test_unfold_j2_worked_example():
         (0, 1, 0, 2),
         (0, 1, 0, 3),
     ]
-    assert preimage_count((2, 1)) == 4
+    assert preimage_weight((2, 1)) == 4
 
 
 def test_unfold_zero_and_identity():
     assert unfold_preimages((0, 0)) == [zero_rook(4)]
-    assert preimage_count((0, 0)) == 1
+    assert preimage_weight((0, 0)) == 1
     nine = unfold_preimages((1, 2))
     assert len(nine) == 9
-    assert preimage_count((1, 2)) == 9
+    assert preimage_weight((1, 2)) == 9
 
 
 def test_unfold_routes_agree_l2():
     for a in enum_family(FamilySpec(2, "rook")):
         exhaustive = unfold_preimages(a)
         assert exhaustive == unfold_preimages_constructive(a)
-        assert len(exhaustive) == preimage_count(a)
+        assert len(exhaustive) == preimage_weight(a)
 
 
 def test_preimages_partition_singular_borel_l2():

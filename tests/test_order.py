@@ -222,8 +222,3 @@ def test_build_poset_covers_are_reduced():
                 changed = True
     for i, j in less:
         assert j in reach[i]
-
-
-def test_build_poset_worker_independence():
-    elements = enum_family(FamilySpec(4, "borel-sp"))
-    assert build_poset(elements, workers=1) == build_poset(elements, workers=4)

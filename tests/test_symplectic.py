@@ -1,10 +1,21 @@
+from itertools import product
 from math import comb
 
 import pytest
 
 from rooks.order import bcr_le
-from rooks.rook import identity_rook, multiply, rank, domain, range_of
+from rooks.rook import (
+    domain,
+    identity_rook,
+    is_strictly_upper_triangular,
+    is_upper_triangular,
+    multiply,
+    range_of,
+    rank,
+)
 from rooks.symplectic import (
+    FAMILIES,
+    SP_FAMILIES,
     FamilySpec,
     ResourceLimitError,
     cross_section_lattice,
@@ -62,12 +73,30 @@ def test_enum_family_counts():
     assert len(enum_family(FamilySpec(4, "renner-sp"))) == 57
 
 
-def test_enum_family_sorted_and_worker_independent():
-    for family in ("rook", "borel", "borel-nil", "renner-sp", "borel-sp"):
-        spec = FamilySpec(4, family)
-        one = enum_family(spec, workers=1)
-        four = enum_family(spec, workers=4)
-        assert one == four == sorted(one)
+def _in_family(x, family):
+    nonzero = [v for v in x if v]
+    if len(set(nonzero)) != len(nonzero):
+        return False
+    if family in ("borel", "borel-sp") and not is_upper_triangular(x):
+        return False
+    if family in ("borel-nil", "borel-sp-nil") and not is_strictly_upper_triangular(x):
+        return False
+    return family not in SP_FAMILIES or is_symplectic_rook(x)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in FAMILIES for n in ((2, 4) if f in SP_FAMILIES else (1, 2, 3, 4))],
+)
+def test_enum_family_matches_brute_force(family, n):
+    oracle = sorted(
+        x for x in product(range(n + 1), repeat=n) if _in_family(x, family)
+    )
+    assert enum_family(FamilySpec(n, family)) == oracle
+    for k in range(n + 1):
+        assert enum_family(FamilySpec(n, family, rank=k)) == [
+            x for x in oracle if rank(x) == k
+        ]
 
 
 def test_enum_family_rank_filter():
