@@ -9,7 +9,8 @@ identical bytes.
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors or exceeded resource bounds (including a `hasse` family of
-more than HASSE_LIMIT elements).
+more than HASSE_LIMIT elements), 3 on an internal error (a RuntimeError, such
+as a standard form that is not unique).
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from .rook import format_one_line, parse_one_line
 from .symplectic import FAMILIES, FamilySpec, ResourceLimitError, enum_family
 from .verify import VERIFY_CHECKS, count_reports, proof_agreement, run_check
 
-# Largest family `hasse` accepts.  The poset build compares all m(m-1)
-# ordered pairs: borel-sp n = 8 (2145 elements) takes about 30 s on one
-# 2-CPU machine (Python 3.11), so rook n = 6 (13327 elements) would take
-# tens of minutes.
+# Largest family `hasse` accepts.  The order rows come from rank-count
+# bitsets, so their cost is small (rook n = 6, 13327 elements: about 1 s on
+# one 2-CPU machine, Python 3.11); what grows is the transitive reduction,
+# which tests every comparable pair one by one: rook n = 6 has 29,309,738 of
+# them, and its whole poset build takes about 55 s.  Building covers from
+# local moves instead would lift this limit.
 HASSE_LIMIT = 2500
 
 
@@ -334,6 +337,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

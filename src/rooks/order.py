@@ -8,6 +8,14 @@ factorization x = a e b^{-1} with e a cross-section idempotent and (a, b)
 unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
+
+`build_poset` applies route one in its rank-matrix form: prefix dominance is
+entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
+elements above (below) x are the intersection, over the n^2 fields (i, k),
+of the elements whose count is at least (at most) c_x(i, k).  It builds
+whole order rows from those sets as integer bitsets instead of comparing
+pairs; `bcr_le` keeps the pairwise profile comparison, and the tests check
+the rows against it.
 """
 
 from __future__ import annotations
@@ -189,15 +197,77 @@ class HasseDiagram:
         return max(self.rank_of) if self.rank_of else 0
 
 
+def _rank_counts(x: Rook) -> list[int]:
+    """c_x(i, k) = #{j <= i : x_j >= k} for i, k in 1..n, flattened row by
+    row (i outer)."""
+    row = [0] * len(x)
+    counts: list[int] = []
+    for v in x:
+        for k in range(v):
+            row[k] += 1
+        counts.extend(row)
+    return counts
+
+
+def _rank_rows(elems: list[Rook]) -> tuple[list[int], list[int]]:
+    """The one-line order as bitset rows: bit j of up[i] (down[i]) is set
+    iff elems[i] < elems[j] (elems[j] < elems[i]).
+
+    For each field f of the rank counts, ge[v] is the set of elements whose
+    count at f is at least v, and le[v] the set at most v; row i is the AND
+    of ge[c_i(f)] (le[c_i(f)]) over all fields, without bit i.
+    """
+    m = len(elems)
+    counts = [_rank_counts(x) for x in elems]
+    full = (1 << m) - 1
+    up = [full ^ (1 << i) for i in range(m)]
+    down = up[:]
+    for column in zip(*counts):
+        top = max(column)
+        exact = [0] * (top + 1)
+        for i, v in enumerate(column):
+            exact[v] |= 1 << i
+        ge = exact[:]
+        le = exact[:]
+        for v in range(top - 1, -1, -1):
+            ge[v] |= ge[v + 1]
+        for v in range(1, top + 1):
+            le[v] |= le[v - 1]
+        for i, v in enumerate(column):
+            up[i] &= ge[v]
+            down[i] &= le[v]
+    return up, down
+
+
+def _pairwise_rows(elems: list[Rook], le) -> tuple[list[int], list[int]]:
+    """The same rows as `_rank_rows`, from le(x, y) on all ordered pairs."""
+    m = len(elems)
+    up = [0] * m
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if i != j and le(x, y):
+                up[i] |= 1 << j
+    down = [0] * m
+    for i in range(m):
+        mask = up[i]
+        while mask:
+            low = mask & -mask
+            down[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    return up, down
+
+
 def build_poset(
     elements,
     comparator: str = "one-line",
     ctx: Optional[GroupContext] = None,
 ) -> HasseDiagram:
-    """Compare all pairs, reduce transitively, and grade by longest chains.
+    """Build the order rows, reduce transitively, and grade by longest chains.
 
-    The comparability matrix is computed row by row; everything downstream
-    is a deterministic function of it.
+    With the one-line comparator the rows come from rank-count bitsets
+    (`_rank_rows`); with `ppr` every ordered pair goes through `bcr_le_ppr`.
+    The transitive reduction then tests each comparable pair against the
+    rows, and everything downstream is a deterministic function of them.
     """
     elems = [tuple(x) for x in elements]
     m = len(elems)
@@ -206,36 +276,13 @@ def build_poset(
     if m and len({len(x) for x in elems}) != 1:
         raise ValueError("elements must share one size")
     if comparator == "one-line":
-        profiles = [_prefix_profile(x) for x in elems]
-
-        def less(i: int, j: int) -> bool:
-            return i != j and _profile_le(profiles[i], profiles[j])
-
+        up, down = _rank_rows(elems)
     elif comparator == "ppr":
         if ctx is None:
             raise ValueError("the ppr comparator needs a group context")
-
-        def less(i: int, j: int) -> bool:
-            return i != j and bcr_le_ppr(elems[i], elems[j], ctx)
-
+        up, down = _pairwise_rows(elems, lambda x, y: bcr_le_ppr(x, y, ctx))
     else:
         raise ValueError(f"unknown comparator {comparator!r}; choose from {COMPARATORS}")
-
-    def up_row(i: int) -> int:
-        mask = 0
-        for j in range(m):
-            if less(i, j):
-                mask |= 1 << j
-        return mask
-
-    up = [up_row(i) for i in range(m)]
-    down = [0] * m
-    for i in range(m):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            down[low.bit_length() - 1] |= 1 << i
-            mask ^= low
 
     covers = []
     for i in range(m):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .rook import Rook, domain, is_permutation, range_of, rank
+from .rook import Rook, domain, is_permutation, range_of
 from .weyl import SYMPLECTIC, cross_section_chain, theta_perm
 
 DESK_LIMIT = 8
@@ -99,14 +99,35 @@ def _column_choices(j: int, n: int, used: set[int], family: str) -> list[int]:
     return [0] + [v for v in range(1, top + 1) if v not in used]
 
 
+def _slice_choices(target: int):
+    """`_column_choices` restricted to completions of rank exactly target:
+    only 0 once the rank is reached, no 0 when every remaining column must
+    be nonzero to reach it."""
+
+    def choices(j: int, n: int, used: set[int], family: str) -> list[int]:
+        values = _column_choices(j, n, used, family)
+        need = target - len(used)
+        if need == 0:
+            return values[:1]
+        if need == n - j + 1:
+            return values[1:]
+        return values
+
+    return choices
+
+
 def enum_family(spec: FamilySpec) -> list[Rook]:
     """Deterministic lexicographic list of all members of a family, by
-    backtracking over the columns."""
+    backtracking over the columns.  A rank slice is pruned during the
+    descent, so every leaf has the requested rank."""
     if spec.n > DESK_LIMIT:
         raise ResourceLimitError(
             f"enumeration supports sizes up to {DESK_LIMIT}, got {spec.n}"
         )
     n = spec.n
+    family = spec.family
+    symplectic = family in SP_FAMILIES
+    choices = _column_choices if spec.rank is None else _slice_choices(spec.rank)
     out: list[Rook] = []
     column = [0] * n
     used: set[int] = set()
@@ -114,13 +135,11 @@ def enum_family(spec: FamilySpec) -> list[Rook]:
     def recurse(j: int):
         if j > n:
             x = tuple(column)
-            if spec.rank is not None and rank(x) != spec.rank:
-                return
-            if spec.family in SP_FAMILIES and not is_symplectic_rook(x):
+            if symplectic and not is_symplectic_rook(x):
                 return
             out.append(x)
             return
-        for v in _column_choices(j, n, used, spec.family):
+        for v in choices(j, n, used, family):
             column[j - 1] = v
             if v:
                 used.add(v)

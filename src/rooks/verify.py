@@ -86,7 +86,7 @@ def count_reports(spec: FamilySpec) -> list[CountReport]:
     """One row per rank of the family (or the one rank of the spec): the
     enumerated count against the forms in RANK_FORMS."""
     n = spec.n
-    hist = _rank_histogram(FamilySpec(n, spec.family))
+    hist = _rank_histogram(spec)
     proof_form, paper_form = RANK_FORMS.get(spec.family, (None, None))
     ranks = range(n + 1) if spec.rank is None else [spec.rank]
     return [
@@ -108,9 +108,8 @@ def _zero_row(params, violations: int, label: str) -> CountReport:
 
 
 def _check_admissible(n, l) -> list:
-    l_max = l if l is not None else 6
     reports = []
-    for li in range(1, l_max + 1):
+    for li in range(1, l + 1):
         ni = 2 * li
         total = 0
         for k in range(ni + 1):
@@ -124,14 +123,12 @@ def _check_admissible(n, l) -> list:
 
 
 def _check_rank_counts(n, l) -> list:
-    n_max = n if n is not None else 6
-    return [rep for ni in range(1, n_max + 1) for rep in count_reports(FamilySpec(ni, "rook"))]
+    return [rep for ni in range(1, n + 1) for rep in count_reports(FamilySpec(ni, "rook"))]
 
 
 def _check_stirling_borel(n, l) -> list:
-    n_max = n if n is not None else 6
     reports = []
-    for ni in range(1, n_max + 1):
+    for ni in range(1, n + 1):
         hist = _rank_histogram(FamilySpec(ni, "borel"))
         for k in range(1, ni + 2):
             reports.append(
@@ -142,7 +139,7 @@ def _check_stirling_borel(n, l) -> list:
                     label=f"rank {ni + 1 - k}",
                 )
             )
-    for m in range(1, min(n_max, 6) + 2):
+    for m in range(1, min(n, 6) + 2):
         partitions = enum_partitions(m)
         bad = sum(
             1
@@ -156,10 +153,7 @@ def _check_stirling_borel(n, l) -> list:
     return reports
 
 
-def _check_inrsn(n, l) -> list:
-    ni = n if n is not None else 4
-    if ni > 4:
-        raise ResourceLimitError("comparator agreement is exhaustive only up to n = 4")
+def _check_inrsn(ni, l) -> list:
     reports = []
     rooks = enum_family(FamilySpec(ni, "rook"))
     ctx = group_context(SYMMETRIC, ni)
@@ -188,11 +182,8 @@ def _check_inrsn(n, l) -> list:
 
 
 def _check_maxelements(n, l) -> list:
-    l_max = l if l is not None else 3
-    if l_max > 3:
-        raise ResourceLimitError("maxelements check supports l up to 3")
     reports = []
-    for li in range(2, l_max + 1):
+    for li in range(2, l + 1):
         ni = 2 * li
         for k in range(1, li + 1):
             poset = build_poset(enum_family(FamilySpec(ni, "borel-sp", rank=k)))
@@ -216,8 +207,7 @@ def _check_maxelements(n, l) -> list:
     return reports
 
 
-def _check_triangular(n, l) -> list:
-    ni = n if n is not None else 4
+def _check_triangular(ni, l) -> list:
     reports = list(triangular_census(ni))
     by_k: dict[int, int] = {}
     for rep in reports:
@@ -237,9 +227,8 @@ def _check_triangular(n, l) -> list:
 
 
 def _check_formula(n, l) -> list:
-    l_max = l if l is not None else 2
     reports = []
-    for li in range(1, l_max + 1):
+    for li in range(1, l + 1):
         total = 0
         for k in range(li + 1):
             rep = borel_sp_rank_count(li, k)
@@ -254,10 +243,7 @@ def _check_formula(n, l) -> list:
     return reports
 
 
-def _check_folding(n, l) -> list:
-    l_val = l if l is not None else 2
-    if l_val > 4:
-        raise ResourceLimitError("folding check supports l up to 4")
+def _check_folding(n, l_val) -> list:
     n_val = 2 * l_val
     reports = []
     borel_sp = enum_family(FamilySpec(n_val, "borel-sp"))
@@ -306,8 +292,7 @@ def _check_folding(n, l) -> list:
 
 def _check_nilpotent(n, l) -> list:
     reports: list = []
-    n_max = n if n is not None else 5
-    for ni in range(3, n_max + 1):
+    for ni in range(3, n + 1):
         rep = nilpotent_analysis(FamilySpec(ni, "borel-nil"))
         reports.append(rep)
         params = (("n", ni),)
@@ -332,11 +317,8 @@ def _check_nilpotent(n, l) -> list:
 
 
 def _check_parabolic(n, l) -> list:
-    l_max = l if l is not None else 3
-    if l_max > 4:
-        raise ResourceLimitError("parabolic check supports l up to 4")
     reports = []
-    for li in range(2, l_max + 1):
+    for li in range(2, l + 1):
         ni = 2 * li
         ctx = group_context(SYMPLECTIC, ni)
         gens = ctx.generators
@@ -368,10 +350,7 @@ def _check_parabolic(n, l) -> list:
     return reports
 
 
-def _check_standard_form(n, l) -> list:
-    ni = n if n is not None else 4
-    if ni > 4:
-        raise ResourceLimitError("standard-form check is exhaustive only up to n = 4")
+def _check_standard_form(ni, l) -> list:
     reports = []
     ctx = group_context(SYMMETRIC, ni)
     failures = 0
@@ -417,16 +396,39 @@ CHECKS = {
 }
 VERIFY_CHECKS = tuple(CHECKS)
 
+# check -> (the one size it takes, its default, its largest accepted value).
+# The exhaustive comparator and standard-form checks stop at n = 4, the
+# borel-sp slice posets at l = 3; enumeration stops at n = 8 (l = 4).
+CHECK_SIZES = {
+    "admissible": ("l", 6, 6),
+    "rank-counts": ("n", 6, 8),
+    "stirling-borel": ("n", 6, 8),
+    "inrsn": ("n", 4, 4),
+    "maxelements": ("l", 3, 3),
+    "triangular": ("n", 4, 8),
+    "formula": ("l", 2, 4),
+    "folding": ("l", 2, 4),
+    "nilpotent": ("n", 5, 8),
+    "parabolic": ("l", 3, 4),
+    "standard-form": ("n", 4, 4),
+}
+
 
 def run_check(name: str, n=None, l=None) -> list:
-    """Run one named check within the desk-scale bounds."""
+    """Run one named check at its size (its default when none is given),
+    within that check's bound."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {VERIFY_CHECKS}")
-    if l is not None and l > 4:
-        raise ResourceLimitError("symplectic verifications support l up to 4")
-    if n is not None and n > 8:
-        raise ResourceLimitError("verifications support n up to 8")
-    return CHECKS[name](n, l)
+    flag, default, limit = CHECK_SIZES[name]
+    size, other = (n, l) if flag == "n" else (l, n)
+    if other is not None:
+        raise ValueError(f"check {name} takes --{flag} only")
+    if size is None:
+        size = default
+    if size > limit:
+        raise ResourceLimitError(f"check {name} supports {flag} up to {limit}, got {size}")
+    check = CHECKS[name]
+    return check(size, None) if flag == "n" else check(None, size)
 
 
 def proof_agreement(reports) -> bool:

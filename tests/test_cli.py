@@ -186,6 +186,9 @@ def test_count_single_rank(capsys):
     code, out = run(capsys, "count", "--n", "4", "--family", "rook", "--rank", "2")
     assert code == 0
     assert out == "n=4 k=2  oracle=72 proof=72 paper=-  proof:ok paper:-\n"
+    code, out = run(capsys, "count", "--n", "8", "--family", "rook", "--rank", "0")
+    assert code == 0
+    assert out == "n=8 k=0  oracle=1 proof=1 paper=-  proof:ok paper:-\n"
 
 
 def test_verify_folding_report(capsys):
@@ -235,6 +238,29 @@ def test_verify_proof_mismatch_exits_1(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--check", "formula")
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken_check(n, l):
+        raise RuntimeError("standard form of (1, 0) is not unique: 2 candidates")
+
+    monkeypatch.setitem(verify.CHECKS, "standard-form", broken_check)
+    assert cli.main(["verify", "--check", "standard-form"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal: standard form of (1, 0) is not unique: 2 candidates\n"
+
+
+def test_check_sizes_bound_each_check(capsys):
+    assert set(verify.CHECK_SIZES) == set(verify.CHECKS)
+    for check, (flag, default, limit) in verify.CHECK_SIZES.items():
+        assert flag in ("n", "l") and 1 <= default <= limit, check
+    code, out = run(capsys, "verify", "--check", "admissible", "--l", "6")
+    assert code == 0 and out == run(capsys, "verify", "--check", "admissible")[1]
+    assert cli.main(["verify", "--check", "formula", "--l", "5"]) == 2
+    assert "formula supports l up to 4" in capsys.readouterr().err
+    assert cli.main(["verify", "--check", "admissible", "--l", "7"]) == 2
+    assert cli.main(["verify", "--check", "admissible", "--n", "4"]) == 2
+    assert "takes --l only" in capsys.readouterr().err
 
 
 def test_paper_mismatch_keeps_exit_zero(capsys):

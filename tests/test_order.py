@@ -1,8 +1,13 @@
+import hashlib
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rooks.order import (
+    _prefix_profile,
+    _profile_le,
+    _rank_rows,
     bcr_le,
     bcr_le_ppr,
     build_poset,
@@ -222,3 +227,83 @@ def test_build_poset_covers_are_reduced():
                 changed = True
     for i, j in less:
         assert j in reach[i]
+
+
+def profile_rows(elems):
+    """The order rows of `_rank_rows`, from `_profile_le` on all pairs."""
+    profiles = [_prefix_profile(x) for x in elems]
+    m = len(elems)
+    up = [
+        sum(1 << j for j in range(m) if j != i and _profile_le(profiles[i], profiles[j]))
+        for i in range(m)
+    ]
+    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
+    return up, down
+
+
+def bcr_le_covers(elems):
+    """Covers of the one-line order by an all-pairs `bcr_le` reduction, as
+    sorted (lower, upper) element pairs."""
+    m = len(elems)
+    up = [
+        sum(1 << j for j in range(m) if j != i and bcr_le(elems[i], elems[j]))
+        for i in range(m)
+    ]
+    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
+    return sorted(
+        (elems[i], elems[j])
+        for i in range(m)
+        for j in range(m)
+        if up[i] >> j & 1 and not up[i] & down[j]
+    )
+
+
+def poset_covers(poset):
+    return sorted((poset.elements[i], poset.elements[j]) for i, j in poset.covers)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_rows_match_profile_rows(n):
+    rooks = all_rooks(n)
+    assert _rank_rows(rooks) == profile_rows(rooks)
+
+
+def _as_rook(values):
+    """Zero every repeat of a nonzero value, keeping its first occurrence."""
+    seen = set()
+    out = []
+    for v in values:
+        out.append(0 if v in seen else v)
+        if v:
+            seen.add(v)
+    return tuple(out)
+
+
+@st.composite
+def rook_sets(draw):
+    n = draw(st.integers(1, 8))
+    rook = st.lists(st.integers(0, n), min_size=n, max_size=n).map(_as_rook)
+    return draw(st.lists(rook, min_size=2, max_size=40, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rook_sets())
+def test_rank_rows_match_profile_rows_on_random_sets(elems):
+    assert _rank_rows(elems) == profile_rows(elems)
+
+
+def test_build_poset_covers_match_bcr_le_borel_sp_n6():
+    elements = enum_family(FamilySpec(6, "borel-sp"))
+    assert poset_covers(build_poset(elements)) == bcr_le_covers(elements)
+
+
+# SHA-256 of repr(bcr_le_covers(all_rooks(5))): 7714 covers, computed once
+# with the all-pairs reduction above (about 2.4 million bcr_le calls, too
+# slow to repeat on every run).
+ROOK_N5_COVERS_DIGEST = "4c13b82756c81e53d4711f64080376386e742bc7a01e95470bcf7317bd14f134"
+
+
+def test_build_poset_covers_match_bcr_le_rook_n5():
+    covers = poset_covers(build_poset(all_rooks(5)))
+    assert len(covers) == 7714
+    assert hashlib.sha256(repr(covers).encode()).hexdigest() == ROOK_N5_COVERS_DIGEST

@@ -105,6 +105,11 @@ def test_enum_family_rank_filter():
     assert all(rank(x) == 2 for x in slice2)
 
 
+def test_extreme_rank_slices_at_n8():
+    assert enum_family(FamilySpec(8, "rook", rank=0)) == [(0,) * 8]
+    assert enum_family(FamilySpec(8, "borel", rank=8)) == [tuple(range(1, 9))]
+
+
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(3, "renner-sp")  # odd size for a symplectic family
