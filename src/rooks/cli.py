@@ -9,8 +9,8 @@ identical bytes.
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors or exceeded resource bounds (including a `hasse` family of
-more than HASSE_LIMIT elements), 3 on an internal error (a RuntimeError, such
-as a standard form that is not unique).
+more than HASSE_LIMIT elements, refused before enumeration), 3 on an internal
+error (a RuntimeError, such as a standard form that is not unique).
 """
 
 from __future__ import annotations
@@ -30,14 +30,22 @@ from .partitions import (
 )
 from .rook import format_one_line, parse_one_line
 from .symplectic import FAMILIES, FamilySpec, ResourceLimitError, enum_family
-from .verify import VERIFY_CHECKS, count_reports, proof_agreement, run_check
+from .verify import (
+    VERIFY_CHECKS,
+    closed_form_size,
+    count_reports,
+    proof_agreement,
+    run_check,
+)
 
-# Largest family `hasse` accepts.  The order rows come from rank-count
-# bitsets, so their cost is small (rook n = 6, 13327 elements: about 1 s on
-# one 2-CPU machine, Python 3.11); what grows is the transitive reduction,
-# which tests every comparable pair one by one: rook n = 6 has 29,309,738 of
-# them, and its whole poset build takes about 55 s.  Building covers from
-# local moves instead would lift this limit.
+# Largest family `hasse` accepts.  The size is the closed form
+# (`closed_form_size`), checked before anything is enumerated; `borel-sp-nil`
+# has no form, but at most 1008 elements at n <= 8.  The order rows come from
+# rank-count bitsets, so their cost is small (rook n = 6, 13327 elements:
+# about 1 s on one 2-CPU machine, Python 3.11); what grows is the transitive
+# reduction, which tests every comparable pair one by one: rook n = 6 has
+# 29,309,738 of them, and its whole poset build takes about 55 s.  Building
+# covers from local moves instead would lift this limit.
 HASSE_LIMIT = 2500
 
 
@@ -93,6 +101,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.n is not None and args.l is not None:
+        raise ValueError("count takes --n or --l, not both")
     n = args.n if args.n is not None else (2 * args.l if args.l is not None else None)
     if n is None:
         raise ValueError("count needs --n or --l")
@@ -121,12 +131,13 @@ def _cmd_order(args) -> int:
 
 def _cmd_hasse(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
-    elements = enum_family(spec)
-    if len(elements) > HASSE_LIMIT:
+    size = closed_form_size(spec)
+    if size is not None and size > HASSE_LIMIT:
         raise ResourceLimitError(
-            f"hasse supports up to {HASSE_LIMIT} elements, got {len(elements)}; "
+            f"hasse supports up to {HASSE_LIMIT} elements, got {size}; "
             "select a rank slice with --rank"
         )
+    elements = enum_family(spec)
     poset = build_poset(elements)
     if args.format == "dot":
         _emit(dot_export(poset), args.out)

@@ -6,10 +6,11 @@ For even n and the index involution theta(i) = n+1-i, a subset S of
 Renner monoid consists of the singular rooks whose domain and range are both
 admissible, together with the theta-fixed permutations.
 
-Family enumeration is by backtracking over columns in lexicographic order;
-symplectic families are obtained by filtering, which keeps the membership
-test and the enumeration independent of the group-orbit description (the
-tests compare the two at n = 4).
+Family enumeration is by backtracking over columns in lexicographic order.
+For the symplectic families the descent itself only extends a prefix that can
+still complete to a member (`_symplectic_choices`), so no leaf is tested;
+`is_symplectic_rook` stays as the independent membership oracle, and the
+tests compare the descent with it and with the group-orbit description.
 """
 
 from __future__ import annotations
@@ -116,28 +117,58 @@ def _slice_choices(target: int):
     return choices
 
 
+def _symplectic_choices(inner, column: list[int]):
+    """`inner` restricted to prefixes that can still complete to a symplectic
+    rook.  A member is either singular, with admissible domain and range, or
+    a theta-fixed permutation, x_{n+1-j} = n+1-x_j; so a prefix stays open
+    on one of two routes, both read off the prefix itself:
+
+    - singular: column j may be nonzero only if its mirror column n+1-j is
+      empty or 0, and may take row v only if row n+1-v is unused.  This
+      route is open while some column is 0 or no mirror pair is filled.
+    - permutation: no column is 0, and a column whose mirror is filled takes
+      n+1-x_{n+1-j}.  The first-half values also avoid each other's
+      mirrors, since those are the second half's values.
+
+    Every leaf is therefore a member, and the lexicographic order is that of
+    the unpruned descent."""
+
+    def choices(j: int, n: int, used: set[int], family: str) -> list[int]:
+        values = inner(j, n, used, family)
+        mirror = column[n - j] if 2 * j > n else 0
+        if mirror and len(used) == j - 1:
+            # no 0 so far: the permutation route, and the singular route (a 0
+            # here) while column j is the first one with a filled mirror
+            partner = n + 1 - mirror
+            return [v for v in values if v == partner or (not v and 2 * j == n + 2)]
+        if mirror:
+            return [v for v in values if not v]
+        return [v for v in values if not v or n + 1 - v not in used]
+
+    return choices
+
+
 def enum_family(spec: FamilySpec) -> list[Rook]:
     """Deterministic lexicographic list of all members of a family, by
     backtracking over the columns.  A rank slice is pruned during the
-    descent, so every leaf has the requested rank."""
+    descent, so every leaf has the requested rank; a symplectic family is
+    pruned too (`_symplectic_choices`), so every leaf is a member."""
     if spec.n > DESK_LIMIT:
         raise ResourceLimitError(
             f"enumeration supports sizes up to {DESK_LIMIT}, got {spec.n}"
         )
     n = spec.n
     family = spec.family
-    symplectic = family in SP_FAMILIES
-    choices = _column_choices if spec.rank is None else _slice_choices(spec.rank)
     out: list[Rook] = []
     column = [0] * n
     used: set[int] = set()
+    choices = _column_choices if spec.rank is None else _slice_choices(spec.rank)
+    if family in SP_FAMILIES:
+        choices = _symplectic_choices(choices, column)
 
     def recurse(j: int):
         if j > n:
-            x = tuple(column)
-            if symplectic and not is_symplectic_rook(x):
-                return
-            out.append(x)
+            out.append(tuple(column))
             return
         for v in choices(j, n, used, family):
             column[j - 1] = v

@@ -7,7 +7,7 @@ from jsonschema import Draft7Validator
 import rooks.cli as cli
 import rooks.verify as verify
 from rooks.counting import CountReport
-from rooks.symplectic import FAMILIES
+from rooks.symplectic import FAMILIES, FamilySpec, enum_family
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -38,6 +38,13 @@ COUNT_N4_DIGESTS = {
     "borel-sp-nil": "fd72428b854430d6daefda3a66bd9f0a2227d9a3f425f280d66d892c8dae7cb2",
 }
 COUNT_N6_BOREL_SP_DIGEST = "c992fe2ea4775ed69ff833109bd843b1df7d52581c36414aed44172abd35b062"
+# SHA-256 of the symplectic families at n = 8, taken while they were still
+# enumerated by filtering every rook.
+SP_N8_DIGESTS = {
+    "count --n 8 --family renner-sp": "0f8443cefc24f2765c1f010f73b74a008928cf22eea213223821223a91e92b3c",
+    "count --n 8 --family borel-sp": "6e64316efe734bc51488b669f47321c4084b0169ed0df9a5d8f351116472084c",
+    "enum --n 8 --family borel-sp-nil --format oneline": "889d29c41f11df4a83735c714d8c820213b8bfb3d1b8867b3fcb3a56c2e13c06",
+}
 
 
 def run(capsys, *argv):
@@ -230,6 +237,19 @@ def test_count_reports_unchanged(capsys):
     assert code == 0 and sha256(out) == COUNT_N6_BOREL_SP_DIGEST
 
 
+def test_sp_families_at_n8_unchanged(capsys):
+    for command, digest in SP_N8_DIGESTS.items():
+        code, out = run(capsys, *command.split())
+        assert code == 0 and sha256(out) == digest, command
+
+
+def test_count_rejects_both_sizes(capsys):
+    assert cli.main(["count", "--n", "4", "--l", "3", "--family", "rook"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count takes --n or --l, not both\n"
+
+
 def test_verify_proof_mismatch_exits_1(capsys, monkeypatch):
     def fake_check(n, l):
         return [CountReport((("n", 1),), 1, proof_form=2)]
@@ -296,6 +316,34 @@ def test_hasse_size_limit(capsys):
     code, out = run(capsys, "hasse", "--n", "6", "--family", "rook", "--rank", "1")
     assert code == 0
     assert len([ln for ln in out.splitlines() if ln.endswith('";') and "->" not in ln]) == 36
+
+
+def test_hasse_refuses_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(cli, "enum_family", no_enumeration)
+    for argv, size in [
+        (["--n", "8", "--family", "rook"], 1441729),
+        (["--n", "6", "--family", "rook"], 13327),
+        (["--n", "8", "--family", "borel", "--rank", "4"], 6951),
+        (["--n", "8", "--family", "borel-nil"], 4140),
+        (["--n", "8", "--family", "renner-sp"], 13889),
+    ]:
+        assert cli.main(["hasse", *argv]) == 2, argv
+        assert f"got {size};" in capsys.readouterr().err
+
+
+def test_hasse_size_is_the_closed_form():
+    # the sizes `hasse` judges by, against enumeration; borel-sp-nil has no
+    # form, and is far below the limit at the largest size
+    for family in FAMILIES:
+        for n in (2, 4, 6):
+            spec = FamilySpec(n, family)
+            size = verify.closed_form_size(spec)
+            assert size in (None, len(enum_family(spec))), (family, n)
+            assert (size is None) == (family == "borel-sp-nil")
+    assert len(enum_family(FamilySpec(8, "borel-sp-nil"))) <= cli.HASSE_LIMIT
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -99,6 +99,17 @@ def test_enum_family_matches_brute_force(family, n):
         ]
 
 
+@pytest.mark.parametrize("family", SP_FAMILIES)
+def test_sp_descent_matches_filtered_rook_family_n6(family):
+    # the unpruned rook descent, filtered by the membership oracle
+    oracle = [x for x in enum_family(FamilySpec(6, "rook")) if _in_family(x, family)]
+    assert enum_family(FamilySpec(6, family)) == oracle
+    for k in range(7):
+        assert enum_family(FamilySpec(6, family, rank=k)) == [
+            x for x in oracle if rank(x) == k
+        ]
+
+
 def test_enum_family_rank_filter():
     slice2 = enum_family(FamilySpec(4, "borel-sp", rank=2))
     assert len(slice2) == 13
