@@ -9,8 +9,9 @@ identical bytes.
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors or exceeded resource bounds (including a `hasse` family of
-more than HASSE_LIMIT elements, refused before enumeration), 3 on an internal
-error (a RuntimeError, such as a standard form that is not unique).
+more than HASSE_LIMIT elements, refused by its closed-form size before
+enumeration where it has one), 3 on an internal error (a RuntimeError, such
+as a standard form that is not unique).
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .partitions import (
     rook_to_partition,
 )
 from .rook import format_one_line, parse_one_line
-from .symplectic import FAMILIES, FamilySpec, ResourceLimitError, enum_family
+from .symplectic import (
+    FAMILIES,
+    FamilySpec,
+    ResourceLimitError,
+    check_enumerable,
+    enum_family,
+)
 from .verify import (
     VERIFY_CHECKS,
     closed_form_size,
@@ -39,9 +46,9 @@ from .verify import (
 )
 
 # Largest family `hasse` accepts.  The size is the closed form
-# (`closed_form_size`), checked before anything is enumerated; `borel-sp-nil`
-# has no form, but at most 1008 elements at n <= 8.  The order rows come from
-# rank-count bitsets, so their cost is small (rook n = 6, 13327 elements:
+# (`closed_form_size`), checked before anything is enumerated; a family with
+# no form is enumerated first and judged by its length.  The order rows come
+# from rank-count bitsets, so their cost is small (rook n = 6, 13327 elements:
 # about 1 s on one 2-CPU machine, Python 3.11); what grows is the transitive
 # reduction, which tests every comparable pair one by one: rook n = 6 has
 # 29,309,738 of them, and its whole poset build takes about 55 s.  Building
@@ -131,14 +138,18 @@ def _cmd_order(args) -> int:
 
 def _cmd_hasse(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
+    check_enumerable(spec.n)
+    elements = None
     size = closed_form_size(spec)
-    if size is not None and size > HASSE_LIMIT:
+    if size is None:
+        elements = enum_family(spec)
+        size = len(elements)
+    if size > HASSE_LIMIT:
         raise ResourceLimitError(
             f"hasse supports up to {HASSE_LIMIT} elements, got {size}; "
             "select a rank slice with --rank"
         )
-    elements = enum_family(spec)
-    poset = build_poset(elements)
+    poset = build_poset(enum_family(spec) if elements is None else elements)
     if args.format == "dot":
         _emit(dot_export(poset), args.out)
     elif args.format == "count":

@@ -148,15 +148,20 @@ def _symplectic_choices(inner, column: list[int]):
     return choices
 
 
+def check_enumerable(n: int) -> None:
+    """Raise ResourceLimitError for a size beyond what enumeration supports."""
+    if n > DESK_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration supports sizes up to {DESK_LIMIT}, got {n}"
+        )
+
+
 def enum_family(spec: FamilySpec) -> list[Rook]:
     """Deterministic lexicographic list of all members of a family, by
     backtracking over the columns.  A rank slice is pruned during the
     descent, so every leaf has the requested rank; a symplectic family is
     pruned too (`_symplectic_choices`), so every leaf is a member."""
-    if spec.n > DESK_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration supports sizes up to {DESK_LIMIT}, got {spec.n}"
-        )
+    check_enumerable(spec.n)
     n = spec.n
     family = spec.family
     out: list[Rook] = []

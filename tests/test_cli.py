@@ -335,15 +335,40 @@ def test_hasse_refuses_before_enumerating(capsys, monkeypatch):
 
 
 def test_hasse_size_is_the_closed_form():
-    # the sizes `hasse` judges by, against enumeration; borel-sp-nil has no
-    # form, and is far below the limit at the largest size
+    # the sizes `hasse` judges by, against enumeration
     for family in FAMILIES:
         for n in (2, 4, 6):
             spec = FamilySpec(n, family)
             size = verify.closed_form_size(spec)
             assert size in (None, len(enum_family(spec))), (family, n)
             assert (size is None) == (family == "borel-sp-nil")
-    assert len(enum_family(FamilySpec(8, "borel-sp-nil"))) <= cli.HASSE_LIMIT
+
+
+def test_hasse_refuses_sizes_beyond_enumeration(capsys, monkeypatch):
+    # refused before any closed form is evaluated, which at large n would
+    # take factorials of n or recurse past Python's depth limit
+    def no_closed_form(spec):
+        raise AssertionError(f"closed form of {spec}")
+
+    monkeypatch.setattr(cli, "closed_form_size", no_closed_form)
+    for argv in (["--n", "9", "--family", "rook"],
+                 ["--n", "40", "--family", "borel"],
+                 ["--n", "2000", "--family", "borel-nil"],
+                 ["--n", "100000", "--family", "rook", "--rank", "1"]):
+        assert cli.main(["hasse", *argv]) == 2, argv
+        n = argv[1]
+        assert f"enumeration supports sizes up to 8, got {n}" in capsys.readouterr().err
+
+
+def test_hasse_limit_holds_for_a_family_without_a_form(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "HASSE_LIMIT", 10)
+    size = len(enum_family(FamilySpec(4, "borel-sp-nil")))
+    assert size > 10
+    assert cli.main(["hasse", "--n", "4", "--family", "borel-sp-nil"]) == 2
+    assert f"got {size};" in capsys.readouterr().err
+    code, _ = run(capsys, "hasse", "--n", "4", "--family", "borel-sp-nil",
+                  "--rank", "0")
+    assert code == 0
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
