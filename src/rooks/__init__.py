@@ -50,6 +50,7 @@ from .symplectic import (
     enum_family,
     is_admissible,
     is_symplectic_rook,
+    iter_family,
 )
 from .weyl import (
     GroupContext,

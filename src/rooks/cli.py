@@ -36,6 +36,7 @@ from .symplectic import (
     ResourceLimitError,
     check_enumerable,
     enum_family,
+    iter_family,
 )
 from .verify import (
     VERIFY_CHECKS,
@@ -79,6 +80,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_lines(lines, out: str | None) -> None:
+    """Write each line with its newline as it comes, the same bytes as
+    `_emit` of the joined text: an empty stream writes a single newline.
+    The first line is drawn before `out` is opened, so an enumeration that
+    is refused leaves no file behind."""
+    lines = iter(lines)
+    first = next(lines, "")
+    stream = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
+        stream.write(first + "\n")
+        stream.writelines(line + "\n" for line in lines)
+    finally:
+        if out:
+            stream.close()
+
+
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -88,12 +105,12 @@ def _json(obj) -> str:
 
 def _cmd_enum(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
-    elements = enum_family(spec)
     if args.format == "count":
-        _emit(str(len(elements)), args.out)
+        _emit(str(sum(1 for _ in iter_family(spec))), args.out)
     elif args.format == "oneline":
-        _emit("\n".join(format_one_line(x) for x in elements) or "", args.out)
+        _emit_lines(map(format_one_line, iter_family(spec)), args.out)
     elif args.format == "json":
+        elements = enum_family(spec)
         obj = {
             "n": args.n,
             "family": args.family,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .rook import Rook, cells, is_permutation
-from .symplectic import FamilySpec, enum_family
+from .symplectic import FamilySpec, iter_family
 
 DIRECTIONS = ("tb", "lr", "both")
 
@@ -155,7 +155,7 @@ def unfold_preimages(a: Rook) -> list[Rook]:
     the given rook, by exhaustive filtering."""
     l = len(a)
     out = []
-    for x in enum_family(FamilySpec(2 * l, "borel-sp")):
+    for x in iter_family(FamilySpec(2 * l, "borel-sp")):
         if is_permutation(x):
             continue  # full-rank elements do not fold (cells collide)
         if fold(x, "both") == a:

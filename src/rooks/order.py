@@ -82,7 +82,15 @@ def bcr_le(x: Rook, y: Rook) -> bool:
     return _profile_le(_prefix_profile(x), _prefix_profile(y))
 
 
-@lru_cache(maxsize=None)
+# Bound of the two per-element caches below, which a library caller could
+# otherwise fill with one entry per rook (or pair of permutations) at any n.
+# The verify checks fill them with at most 266 standard forms (the 209 rooks
+# and 57 symplectic rooks of size 4) and 576 dominance pairs (S_4 x S_4), so
+# no check evicts an entry.
+ELEMENT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _dominance(u: Rook, v: Rook) -> bool:
     return ehresmann_le(u, v)
 
@@ -123,7 +131,7 @@ def _coset_data(kind: str, n: int, e: Rook):
     return d_star, d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
     e = _chain_idempotent(kind, n, rank(x))
     d_star, d = _coset_data(kind, n, e)

@@ -6,18 +6,22 @@ For even n and the index involution theta(i) = n+1-i, a subset S of
 Renner monoid consists of the singular rooks whose domain and range are both
 admissible, together with the theta-fixed permutations.
 
-Family enumeration is by backtracking over columns in lexicographic order.
-For the symplectic families the descent itself only extends a prefix that can
-still complete to a member (`_symplectic_choices`), so no leaf is tested;
-`is_symplectic_rook` stays as the independent membership oracle, and the
-tests compare the descent with it and with the group-orbit description.
+Families are enumerated by one descent over the columns in lexicographic
+order, `iter_family`, which yields the members one at a time: a caller that
+only counts or folds over a family holds one prefix, not the family.
+`enum_family` is the same stream as a list, for callers that index or pair
+the elements.  For the symplectic families the descent itself only extends a
+prefix that can still complete to a member (`_symplectic_choices`), so no
+leaf is tested; `is_symplectic_rook` stays as the independent membership
+oracle, and the tests compare the descent with it and with the group-orbit
+description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .rook import Rook, domain, is_permutation, range_of
 from .weyl import SYMPLECTIC, cross_section_chain, theta_perm
@@ -156,35 +160,50 @@ def check_enumerable(n: int) -> None:
         )
 
 
-def enum_family(spec: FamilySpec) -> list[Rook]:
-    """Deterministic lexicographic list of all members of a family, by
-    backtracking over the columns.  A rank slice is pruned during the
-    descent, so every leaf has the requested rank; a symplectic family is
-    pruned too (`_symplectic_choices`), so every leaf is a member."""
+def iter_family(spec: FamilySpec) -> Iterator[Rook]:
+    """Yield the members of a family in lexicographic order, one at a time.
+
+    The descent runs over the columns with an explicit stack of choice
+    iterators, one per open column; the last column's choices are yielded
+    straight from the innermost loop, so only the current prefix and its
+    choice lists are held.  A rank slice is pruned during the descent, so
+    every leaf has the requested rank; a symplectic family is pruned too
+    (`_symplectic_choices`), so every leaf is a member.  A size beyond
+    enumeration raises ResourceLimitError on the first element drawn."""
     check_enumerable(spec.n)
     n = spec.n
     family = spec.family
-    out: list[Rook] = []
     column = [0] * n
     used: set[int] = set()
     choices = _column_choices if spec.rank is None else _slice_choices(spec.rank)
     if family in SP_FAMILIES:
         choices = _symplectic_choices(choices, column)
+    stack = [iter(choices(1, n, used, family))]
+    while stack:
+        j = len(stack)
+        if j == n:
+            for v in stack.pop():
+                column[-1] = v
+                yield tuple(column)
+            continue
+        if column[j - 1]:
+            used.discard(column[j - 1])
+        v = next(stack[-1], None)
+        if v is None:
+            column[j - 1] = 0
+            stack.pop()
+            continue
+        column[j - 1] = v
+        if v:
+            used.add(v)
+        stack.append(iter(choices(j + 1, n, used, family)))
 
-    def recurse(j: int):
-        if j > n:
-            out.append(tuple(column))
-            return
-        for v in choices(j, n, used, family):
-            column[j - 1] = v
-            if v:
-                used.add(v)
-            recurse(j + 1)
-            if v:
-                used.discard(v)
 
-    recurse(1)
-    return out
+def enum_family(spec: FamilySpec) -> list[Rook]:
+    """Every member of a family (or of its rank slice), as a lexicographic
+    list: the stream of `iter_family`, for callers that index or pair the
+    elements."""
+    return list(iter_family(spec))
 
 
 def cross_section_lattice(n: int) -> list[Rook]:

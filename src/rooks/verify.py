@@ -35,6 +35,7 @@ from .symplectic import (
     enum_admissible,
     enum_family,
     is_admissible,
+    iter_family,
     rank_slice_minimum,
 )
 from .weyl import (
@@ -51,7 +52,7 @@ from .weyl import (
 
 
 def _rank_histogram(spec: FamilySpec) -> Counter:
-    return Counter(rank(x) for x in enum_family(spec))
+    return Counter(rank(x) for x in iter_family(spec))
 
 
 def _renner_sp_proof(n: int, k: int) -> int:
@@ -246,7 +247,7 @@ def _check_formula(n, l) -> list:
             rep = borel_sp_rank_count(li, k)
             total += rep.oracle
             reports.append(rep)
-        members = len(enum_family(FamilySpec(2 * li, "borel-sp")))
+        members = sum(1 for _ in iter_family(FamilySpec(2 * li, "borel-sp")))
         reports.append(
             CountReport(
                 (("l", li),), total + 1, proof_form=members, label="ranks 0..l plus identity"
@@ -291,7 +292,7 @@ def _check_folding(n, l_val) -> list:
         )
     )
     bad_commute = 0
-    for x in enum_family(FamilySpec(n_val, "renner-sp")):
+    for x in iter_family(FamilySpec(n_val, "renner-sp")):
         if is_permutation(x):
             continue
         tb_lr = fold(fold(x, "tb"), "lr")
@@ -314,7 +315,7 @@ def _check_nilpotent(n, l) -> list:
         reports.append(CountReport(params, int(rep.maximals == (r0,)), proof_form=1, label="maximum is r0"))
         reports.append(CountReport(params, rep.longest_chain, proof_form=comb(ni, 2), label="longest chain"))
         dominated = sum(
-            1 for x in enum_family(FamilySpec(ni, "borel-nil")) if not bcr_le(x, r0)
+            1 for x in iter_family(FamilySpec(ni, "borel-nil")) if not bcr_le(x, r0)
         )
         reports.append(_zero_row(params, dominated, "elements above r0"))
     rep = nilpotent_analysis(FamilySpec(4, "borel-sp-nil"))
@@ -367,7 +368,7 @@ def _check_standard_form(ni, l) -> list:
     ctx = group_context(SYMMETRIC, ni)
     failures = 0
     triangular_mismatch = 0
-    for x in enum_family(FamilySpec(ni, "rook")):
+    for x in iter_family(FamilySpec(ni, "rook")):
         try:
             form = standard_form(x, ctx)
         except RuntimeError:
@@ -382,7 +383,7 @@ def _check_standard_form(ni, l) -> list:
     if ni % 2 == 0:
         ctx_sp = group_context(SYMPLECTIC, ni)
         failures_sp = 0
-        for x in enum_family(FamilySpec(ni, "renner-sp")):
+        for x in iter_family(FamilySpec(ni, "renner-sp")):
             try:
                 standard_form(x, ctx_sp)
             except RuntimeError:
@@ -408,35 +409,39 @@ CHECKS = {
 }
 VERIFY_CHECKS = tuple(CHECKS)
 
-# check -> (the one size it takes, its default, its largest accepted value).
-# The exhaustive comparator and standard-form checks stop at n = 4, the
-# borel-sp slice posets at l = 3; enumeration stops at n = 8 (l = 4).
+# check -> (the one size it takes, its smallest, its default, its largest
+# accepted value).  Below the smallest size a check would compare nothing
+# and pass vacuously.  The exhaustive comparator and standard-form checks
+# stop at n = 4, the borel-sp slice posets at l = 3; enumeration stops at
+# n = 8 (l = 4).
 CHECK_SIZES = {
-    "admissible": ("l", 6, 6),
-    "rank-counts": ("n", 6, 8),
-    "stirling-borel": ("n", 6, 8),
-    "inrsn": ("n", 4, 4),
-    "maxelements": ("l", 3, 3),
-    "triangular": ("n", 4, 8),
-    "formula": ("l", 2, 4),
-    "folding": ("l", 2, 4),
-    "nilpotent": ("n", 5, 8),
-    "parabolic": ("l", 3, 4),
-    "standard-form": ("n", 4, 4),
+    "admissible": ("l", 1, 6, 6),
+    "rank-counts": ("n", 1, 6, 8),
+    "stirling-borel": ("n", 1, 6, 8),
+    "inrsn": ("n", 1, 4, 4),
+    "maxelements": ("l", 2, 3, 3),
+    "triangular": ("n", 1, 4, 8),
+    "formula": ("l", 1, 2, 4),
+    "folding": ("l", 1, 2, 4),
+    "nilpotent": ("n", 3, 5, 8),
+    "parabolic": ("l", 2, 3, 4),
+    "standard-form": ("n", 1, 4, 4),
 }
 
 
 def run_check(name: str, n=None, l=None) -> list:
     """Run one named check at its size (its default when none is given),
-    within that check's bound."""
+    within that check's bounds."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {VERIFY_CHECKS}")
-    flag, default, limit = CHECK_SIZES[name]
+    flag, least, default, limit = CHECK_SIZES[name]
     size, other = (n, l) if flag == "n" else (l, n)
     if other is not None:
         raise ValueError(f"check {name} takes --{flag} only")
     if size is None:
         size = default
+    if size < least:
+        raise ValueError(f"check {name} needs {flag} at least {least}, got {size}")
     if size > limit:
         raise ResourceLimitError(f"check {name} supports {flag} up to {limit}, got {size}")
     check = CHECKS[name]

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
@@ -46,6 +49,17 @@ SP_N8_DIGESTS = {
     "enum --n 8 --family borel-sp-nil --format oneline": "889d29c41f11df4a83735c714d8c820213b8bfb3d1b8867b3fcb3a56c2e13c06",
 }
 
+# SHA-256 of `enum --format oneline` for each family at its largest size
+# below the n = 8 rook list, taken while the descent still built a list.
+ENUM_ONELINE_DIGESTS = {
+    "enum --n 7 --family rook": "9218548b6c2ecd806b5f14f4b5c67ab3b8aa62cbab4e7ba36295287c11d06ec8",
+    "enum --n 7 --family borel": "d4a78a8d206e0f8bd14a126bfdee5c77a1f9d57ee425b40822c1671df9418154",
+    "enum --n 7 --family borel-nil": "400a1d1285643db478ce06e15526b6f68e719eb0fc86233febd5ae46725f091a",
+    "enum --n 8 --family renner-sp": "bcec991d965de28031323e441b9b8e3719c7e8c613f131fe7bd94a0ff8bc9942",
+    "enum --n 8 --family borel-sp": "97b2d60ff4d3bf95747ff8f9022f13b23baf2715f608be8cd8090866c084457d",
+    "enum --n 8 --family borel-sp-nil": "889d29c41f11df4a83735c714d8c820213b8bfb3d1b8867b3fcb3a56c2e13c06",
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -80,6 +94,54 @@ def test_enum_oneline(capsys):
         "(2,0)",
         "(2,1)",
     ]
+
+
+def test_enum_oneline_unchanged(capsys):
+    for command, digest in ENUM_ONELINE_DIGESTS.items():
+        code, out = run(capsys, *command.split(), "--format", "oneline")
+        assert code == 0 and sha256(out) == digest, command
+
+
+def test_enum_empty_slice_prints_one_newline(capsysbinary, tmp_path):
+    argv = ["enum", "--n", "1", "--family", "borel-nil", "--rank", "1"]
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out == b"\n"
+    path = tmp_path / "empty.txt"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == b"\n"
+
+
+def test_enum_out_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "borel.txt"
+    argv = ["enum", "--n", "5", "--family", "borel"]
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run(capsys, *argv)
+    assert code == 0 and path.read_text(encoding="utf-8") == out
+    refused = tmp_path / "refused.txt"
+    assert cli.main(["enum", "--n", "9", "--family", "rook", "--out", str(refused)]) == 2
+    assert not refused.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--n", "7", "--family", "rook", "--format", "count"],
+        ["count", "--n", "7", "--family", "rook"],
+    ],
+)
+def test_counting_a_family_streams(capsys, argv):
+    # the 130,922 rooks of size 7 take about 15 MB as a list
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    counts = re.findall(r"oracle=(\d+)", out) if argv[0] == "count" else [out]
+    assert code == 0 and sum(map(int, counts)) == 130922
+    assert peak < 2 * 2**20, peak
 
 
 def test_enum_json_schema(capsys):
@@ -272,8 +334,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 def test_check_sizes_bound_each_check(capsys):
     assert set(verify.CHECK_SIZES) == set(verify.CHECKS)
-    for check, (flag, default, limit) in verify.CHECK_SIZES.items():
-        assert flag in ("n", "l") and 1 <= default <= limit, check
+    for check, (flag, least, default, limit) in verify.CHECK_SIZES.items():
+        assert flag in ("n", "l") and 1 <= least <= default <= limit, check
     code, out = run(capsys, "verify", "--check", "admissible", "--l", "6")
     assert code == 0 and out == run(capsys, "verify", "--check", "admissible")[1]
     assert cli.main(["verify", "--check", "formula", "--l", "5"]) == 2
@@ -281,6 +343,20 @@ def test_check_sizes_bound_each_check(capsys):
     assert cli.main(["verify", "--check", "admissible", "--l", "7"]) == 2
     assert cli.main(["verify", "--check", "admissible", "--n", "4"]) == 2
     assert "takes --l only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECK_SIZES))
+def test_check_sizes_refuse_below_the_smallest(capsys, check):
+    # below its smallest size a check compares nothing and would pass vacuously
+    flag, least, _, _ = verify.CHECK_SIZES[check]
+    assert cli.main(["verify", "--check", check, f"--{flag}", str(least - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: check {check} needs {flag} at least {least}, got {least - 1}\n"
+    )
+    code, out = run(capsys, "verify", "--check", check, f"--{flag}", str(least))
+    assert code == 0 and out.splitlines()[-1] == "result: ok"
 
 
 def test_paper_mismatch_keeps_exit_zero(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -23,6 +24,7 @@ from rooks.symplectic import (
     enum_family,
     is_admissible,
     is_symplectic_rook,
+    iter_family,
     rank_slice_minimum,
 )
 from rooks.weyl import SYMPLECTIC, group_context, theta_perm
@@ -86,7 +88,7 @@ def _in_family(x, family):
 
 @pytest.mark.parametrize(
     "family, n",
-    [(f, n) for f in FAMILIES for n in ((2, 4) if f in SP_FAMILIES else (1, 2, 3, 4))],
+    [(f, n) for f in FAMILIES for n in ((2, 4) if f in SP_FAMILIES else (1, 2, 3, 4, 5))],
 )
 def test_enum_family_matches_brute_force(family, n):
     oracle = sorted(
@@ -108,6 +110,19 @@ def test_sp_descent_matches_filtered_rook_family_n6(family):
         assert enum_family(FamilySpec(6, family, rank=k)) == [
             x for x in oracle if rank(x) == k
         ]
+
+
+def test_iter_family_is_lazy():
+    # the first rook of size 8 comes without the other 1,441,728 (about
+    # 190 MB as a list)
+    tracemalloc.start()
+    try:
+        first = next(iter_family(FamilySpec(8, "rook")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0,) * 8
+    assert peak < 2**20, peak
 
 
 def test_enum_family_rank_filter():
