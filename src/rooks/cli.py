@@ -9,15 +9,17 @@ identical bytes.
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors or exceeded resource bounds (including a `hasse` family of
-more than HASSE_LIMIT elements, refused by its closed-form size before
-enumeration where it has one), 3 on an internal error (a RuntimeError, such
-as a standard form that is not unique).
+more than HASSE_LIMIT = 25,000 elements, whose order rows would take more
+than HASSE_ROW_BYTES, refused by its closed-form size before enumeration
+where it has one), 3 on an internal error (a RuntimeError, such as a
+standard form that is not unique).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,15 +48,17 @@ from .verify import (
     run_check,
 )
 
-# Largest family `hasse` accepts.  The size is the closed form
-# (`closed_form_size`), checked before anything is enumerated; a family with
-# no form is enumerated first and judged by its length.  The order rows come
-# from rank-count bitsets, so their cost is small (rook n = 6, 13327 elements:
-# about 1 s on one 2-CPU machine, Python 3.11); what grows is the transitive
-# reduction, which tests every comparable pair one by one: rook n = 6 has
-# 29,309,738 of them, and its whole poset build takes about 55 s.  Building
-# covers from local moves instead would lift this limit.
-HASSE_LIMIT = 2500
+# Largest family `hasse` accepts, from the memory of the order rows: the
+# poset build holds two bitset rows of m bits per element (`up` and `down`),
+# m^2/4 bytes in all, and the layers and covers are read off them.  The size
+# is the closed form (`closed_form_size`), checked before anything is
+# enumerated; a family with no form is enumerated first and judged by its
+# length.  At this bound every family at n <= 8 runs except rook n >= 7
+# (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
+# rook n = 6 (13,327 elements) takes about 1.3 s and 75 MB resident, and
+# borel n = 8 (21,147) about 3.3 s and 150 MB.
+HASSE_ROW_BYTES = 156_250_000
+HASSE_LIMIT = math.isqrt(4 * HASSE_ROW_BYTES)  # 25,000 elements
 
 
 def dot_export(h: HasseDiagram) -> str:

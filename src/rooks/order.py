@@ -15,14 +15,18 @@ elements above (below) x are the intersection, over the n^2 fields (i, k),
 of the elements whose count is at least (at most) c_x(i, k).  It builds
 whole order rows from those sets as integer bitsets instead of comparing
 pairs; `bcr_le` keeps the pairwise profile comparison, and the tests check
-the rows against it.
+the rows against it.  The Hasse diagram is read off the rows by rank layers:
+each layer is found with one bitset test per remaining element, and the
+covers of x are its row above x on the next layer; only a cover that skips
+a layer, which a graded poset has none of, is tested pair by pair.  The
+standard-form route enters no poset: the tests build its rows pair by pair
+and feed them to the same reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .rook import (
     Rook,
@@ -40,8 +44,6 @@ from .weyl import (
     min_coset_reps,
     parabolic_data,
 )
-
-COMPARATORS = ("one-line", "ppr")
 
 
 def _prefix_profile(x: Rook) -> tuple[tuple[int, ...], ...]:
@@ -247,73 +249,68 @@ def _rank_rows(elems: list[Rook]) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _pairwise_rows(elems: list[Rook], le) -> tuple[list[int], list[int]]:
-    """The same rows as `_rank_rows`, from le(x, y) on all ordered pairs."""
-    m = len(elems)
-    up = [0] * m
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if i != j and le(x, y):
-                up[i] |= 1 << j
-    down = [0] * m
-    for i in range(m):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            down[low.bit_length() - 1] |= 1 << i
-            mask ^= low
-    return up, down
+def _layers(down: list[int]) -> tuple[list[int], list[int]]:
+    """Peel the poset into rank layers: layer k is every element not yet
+    taken whose `down` row lies inside layers 0..k-1.  An element enters the
+    layer after the highest element below it, so its layer index is the
+    length of a longest chain from a minimal element up to it.  Returns the
+    index of each element and each layer as a bitset."""
+    rank_of = [0] * len(down)
+    layers: list[int] = []
+    untaken = (1 << len(down)) - 1
+    remaining = range(len(down))
+    while remaining:
+        layer = 0
+        rest = []
+        for i in remaining:
+            if down[i] & untaken:
+                rest.append(i)
+            else:
+                layer |= 1 << i
+                rank_of[i] = len(layers)
+        layers.append(layer)
+        untaken ^= layer
+        remaining = rest
+    return rank_of, layers
 
 
-def build_poset(
-    elements,
-    comparator: str = "one-line",
-    ctx: Optional[GroupContext] = None,
-) -> HasseDiagram:
-    """Build the order rows, reduce transitively, and grade by longest chains.
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    With the one-line comparator the rows come from rank-count bitsets
-    (`_rank_rows`); with `ppr` every ordered pair goes through `bcr_le_ppr`.
-    The transitive reduction then tests each comparable pair against the
-    rows, and everything downstream is a deterministic function of them.
+
+def _hasse_from_rows(elems: list[Rook], up: list[int], down: list[int]) -> HasseDiagram:
+    """Reduce strict order rows (bit j of up[i] iff elems[i] < elems[j],
+    down the transpose) to a Hasse diagram, layer by layer.
+
+    The j in up[i] on the layer just above i's are covers of i: anything
+    strictly between would sit on a layer in between.  What else of up[i]
+    lies above none of those covers is tested pair by pair, j covering i
+    iff nothing of up[i] is below j.  Only a cover that skips a layer is
+    found that way, so that set is empty on every element exactly when the
+    poset is graded.
     """
-    elems = [tuple(x) for x in elements]
     m = len(elems)
-    if len(set(elems)) != m:
-        raise ValueError("duplicate elements")
-    if m and len({len(x) for x in elems}) != 1:
-        raise ValueError("elements must share one size")
-    if comparator == "one-line":
-        up, down = _rank_rows(elems)
-    elif comparator == "ppr":
-        if ctx is None:
-            raise ValueError("the ppr comparator needs a group context")
-        up, down = _pairwise_rows(elems, lambda x, y: bcr_le_ppr(x, y, ctx))
-    else:
-        raise ValueError(f"unknown comparator {comparator!r}; choose from {COMPARATORS}")
+    rank_of, layers = _layers(down)
+    layers.append(0)  # no layer above the top one
 
     covers = []
+    graded = True
     for i in range(m):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            mask ^= low
+        next_layer = up[i] & layers[rank_of[i] + 1]
+        above = next_layer
+        for j in _bits(next_layer):
+            covers.append((i, j))
+            above |= up[j]
+        for j in _bits(up[i] & ~above):
             if not (up[i] & down[j]):
                 covers.append((i, j))
-
-    rank_of = [0] * m
-    pending = sorted(range(m), key=lambda i: bin(down[i]).count("1"))
-    parents: dict[int, list[int]] = {j: [] for j in range(m)}
-    for i, j in covers:
-        parents[j].append(i)
-    for j in pending:
-        if parents[j]:
-            rank_of[j] = max(rank_of[i] + 1 for i in parents[j])
+                graded = False
 
     minimals = sorted((i for i in range(m) if not down[i]), key=lambda i: elems[i])
     maximals = sorted((i for i in range(m) if not up[i]), key=lambda i: elems[i])
-    graded = all(rank_of[j] == rank_of[i] + 1 for i, j in covers)
     covers.sort(key=lambda ij: (elems[ij[0]], elems[ij[1]]))
     return HasseDiagram(
         tuple(elems),
@@ -323,3 +320,17 @@ def build_poset(
         tuple(maximals),
         graded,
     )
+
+
+def build_poset(elements) -> HasseDiagram:
+    """The Hasse diagram of the one-line order on distinct rooks of one
+    size: order rows from rank-count bitsets (`_rank_rows`), then rank
+    layers, then covers (`_hasse_from_rows`).  Ranks are longest-chain
+    lengths from the minimal elements, and everything is a deterministic
+    function of the rows."""
+    elems = [tuple(x) for x in elements]
+    if len(set(elems)) != len(elems):
+        raise ValueError("duplicate elements")
+    if elems and len({len(x) for x in elems}) != 1:
+        raise ValueError("elements must share one size")
+    return _hasse_from_rows(elems, *_rank_rows(elems))

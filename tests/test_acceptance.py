@@ -9,10 +9,11 @@ from pathlib import Path
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
+from poset_oracles import pairwise_rows
 from rooks.counting import bell, borel_sp_rank_count, stirling2, triangular_census
 from rooks.folding import fold, to_rook, unfold_preimages, unfold_preimages_constructive
 from rooks.nilpotent import nilpotent_analysis
-from rooks.order import bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
+from rooks.order import _hasse_from_rows, bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
 from rooks.partitions import enum_partitions, partition_to_rook, rook_to_partition
 from rooks.rook import (
     diagonal_idempotent,
@@ -186,7 +187,12 @@ def test_criterion_5_figure_reproduction():
     edges = {(poset.elements[i], poset.elements[j]) for i, j in poset.covers}
     assert len(edges) == 49
     assert edges == BSP4_COVER_EDGES
-    poset_ppr = build_poset(elements, comparator="ppr", ctx=group_context(SYMPLECTIC, 4))
+    # the standard-form route: rows from bcr_le_ppr on every pair, through
+    # the same reduction
+    ctx_sp = group_context(SYMPLECTIC, 4)
+    poset_ppr = _hasse_from_rows(
+        elements, *pairwise_rows(elements, lambda x, y: bcr_le_ppr(x, y, ctx_sp))
+    )
     edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.covers}
     assert edges_ppr == edges
 

@@ -386,12 +386,19 @@ def test_resource_bounds_exit_2(capsys):
 
 
 def test_hasse_size_limit(capsys):
-    assert cli.HASSE_LIMIT == 2500
-    assert cli.main(["hasse", "--n", "6", "--family", "rook"]) == 2
-    assert "13327" in capsys.readouterr().err  # refused before the poset build
-    code, out = run(capsys, "hasse", "--n", "6", "--family", "rook", "--rank", "1")
+    assert cli.HASSE_LIMIT == 25000
+    assert cli.main(["hasse", "--n", "7", "--family", "rook"]) == 2
+    assert "130922" in capsys.readouterr().err  # refused before the poset build
+    code, out = run(capsys, "hasse", "--n", "7", "--family", "rook", "--rank", "1")
     assert code == 0
-    assert len([ln for ln in out.splitlines() if ln.endswith('";') and "->" not in ln]) == 36
+    assert len([ln for ln in out.splitlines() if ln.endswith('";') and "->" not in ln]) == 49
+
+
+def test_hasse_rook_n6_within_the_limit(capsys):
+    # 87,415 covers, as counted both by rank layers and by local moves
+    code, out = run(capsys, "hasse", "--n", "6", "--family", "rook", "--format", "count")
+    assert code == 0
+    assert out == "nodes=13327\nedges=87415\n"
 
 
 def test_hasse_refuses_before_enumerating(capsys, monkeypatch):
@@ -401,10 +408,9 @@ def test_hasse_refuses_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enum_family", no_enumeration)
     for argv, size in [
         (["--n", "8", "--family", "rook"], 1441729),
-        (["--n", "6", "--family", "rook"], 13327),
-        (["--n", "8", "--family", "borel", "--rank", "4"], 6951),
-        (["--n", "8", "--family", "borel-nil"], 4140),
-        (["--n", "8", "--family", "renner-sp"], 13889),
+        (["--n", "7", "--family", "rook"], 130922),
+        (["--n", "7", "--family", "rook", "--rank", "4"], 29400),
+        (["--n", "8", "--family", "rook", "--rank", "5"], 376320),
     ]:
         assert cli.main(["hasse", *argv]) == 2, argv
         assert f"got {size};" in capsys.readouterr().err

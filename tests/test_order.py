@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poset_oracles import pairwise_rows, per_pair_poset
 from rooks.order import (
     _prefix_profile,
     _profile_le,
@@ -15,7 +16,7 @@ from rooks.order import (
     standard_form,
 )
 from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose, zero_rook
-from rooks.symplectic import FamilySpec, enum_family, rank_slice_minimum
+from rooks.symplectic import FAMILIES, SP_FAMILIES, FamilySpec, enum_family, rank_slice_minimum
 from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context
 
 
@@ -195,10 +196,8 @@ def test_build_poset_singleton_and_errors():
         build_poset([(1, 0), (1, 0)])
     with pytest.raises(ValueError):
         build_poset([(1, 0), (1, 0, 0)])
-    with pytest.raises(ValueError):
-        build_poset([(1, 0)], comparator="nope")
-    with pytest.raises(ValueError):
-        build_poset([(1, 0)], comparator="ppr")  # missing context
+    with pytest.raises(TypeError):  # one order, no comparator to choose
+        build_poset([(1, 0)], comparator="one-line")
 
 
 def test_build_poset_covers_are_reduced():
@@ -231,35 +230,18 @@ def test_build_poset_covers_are_reduced():
 
 def profile_rows(elems):
     """The order rows of `_rank_rows`, from `_profile_le` on all pairs."""
-    profiles = [_prefix_profile(x) for x in elems]
-    m = len(elems)
-    up = [
-        sum(1 << j for j in range(m) if j != i and _profile_le(profiles[i], profiles[j]))
-        for i in range(m)
-    ]
-    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
-    return up, down
+    profiles = {x: _prefix_profile(x) for x in elems}
+    return pairwise_rows(elems, lambda x, y: _profile_le(profiles[x], profiles[y]))
+
+
+def poset_covers(poset):
+    return sorted((poset.elements[i], poset.elements[j]) for i, j in poset.covers)
 
 
 def bcr_le_covers(elems):
     """Covers of the one-line order by an all-pairs `bcr_le` reduction, as
     sorted (lower, upper) element pairs."""
-    m = len(elems)
-    up = [
-        sum(1 << j for j in range(m) if j != i and bcr_le(elems[i], elems[j]))
-        for i in range(m)
-    ]
-    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
-    return sorted(
-        (elems[i], elems[j])
-        for i in range(m)
-        for j in range(m)
-        if up[i] >> j & 1 and not up[i] & down[j]
-    )
-
-
-def poset_covers(poset):
-    return sorted((poset.elements[i], poset.elements[j]) for i, j in poset.covers)
+    return poset_covers(per_pair_poset(elems, *pairwise_rows(elems, bcr_le)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -307,3 +289,46 @@ def test_build_poset_covers_match_bcr_le_rook_n5():
     covers = poset_covers(build_poset(all_rooks(5)))
     assert len(covers) == 7714
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == ROOK_N5_COVERS_DIGEST
+
+
+def poset_fields(poset):
+    return (poset.elements, poset.covers, poset.rank_of, poset.minimals,
+            poset.maximals, poset.graded)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in FAMILIES for n in range(1, 6) if f not in SP_FAMILIES or n % 2 == 0]
+    + [("borel-sp", 6)],
+)
+def test_layer_reduction_matches_per_pair_reduction(family, n):
+    elements = enum_family(FamilySpec(n, family))
+    expected = per_pair_poset(elements, *_rank_rows(elements))
+    assert poset_fields(build_poset(elements)) == poset_fields(expected)
+
+
+@st.composite
+def rook_subsets(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.sampled_from(all_rooks(n)), min_size=1, max_size=40, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rook_subsets())
+def test_layer_reduction_matches_per_pair_on_random_subsets(elems):
+    # many such subsets are ungraded (77 of a sample of 200), so this
+    # reaches the pair-by-pair test of the covers that skip a layer
+    expected = per_pair_poset(elems, *profile_rows(elems))
+    assert poset_fields(build_poset(elems)) == poset_fields(expected)
+
+
+def test_layer_reduction_finds_a_cover_that_skips_a_layer():
+    # (0,1,0) is minimal and covered by (0,1,3), which sits two layers up,
+    # above the chain (0,0,2) < (0,0,3)
+    elements = [(0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 3)]
+    poset = build_poset(elements)
+    assert poset.rank_of == (0, 1, 0, 2)
+    assert poset.covers == ((0, 1), (1, 3), (2, 3))
+    assert not poset.graded
+    expected = per_pair_poset(elements, *profile_rows(elements))
+    assert poset_fields(poset) == poset_fields(expected)
