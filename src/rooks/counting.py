@@ -15,13 +15,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .rook import Rook, triangular_ranks
-from .symplectic import (
-    DESK_LIMIT,
-    FamilySpec,
-    ResourceLimitError,
-    _check_even,
-    iter_family,
-)
+from .symplectic import FamilySpec, _check_even, iter_family
 
 
 @dataclass(frozen=True)
@@ -129,16 +123,10 @@ def triangular_census(n: int) -> list[CountReport]:
 
     oracle: exhaustive census.  paper_form: the printed factored product
     C(n,b) S(n+1,n+1-a) S(n+1,n+1-c), recorded even where it disagrees.
+    Whether the census partitions each rank is the verify check's to report
+    (its `census sum` rows), not an error here.
     """
-    if n > DESK_LIMIT:
-        raise ResourceLimitError(f"census supports sizes up to {DESK_LIMIT}, got {n}")
     counts = _census(n)
-    sums: dict[int, int] = {}
-    for (a, b, c), count in counts.items():
-        sums[a + b + c] = sums.get(a + b + c, 0) + count
-    for k in range(n + 1):
-        if sums.get(k, 0) != rank_count_rook(n, k):
-            raise RuntimeError(f"census at n={n} does not partition rank {k}")
     reports = []
     for a in range(n + 1):
         for b in range(n + 1 - a):
@@ -187,8 +175,6 @@ def borel_sp_paper_form(l: int, k: int) -> int:
 def borel_sp_rank_count(l: int, k: int) -> CountReport:
     """Rank-k count of upper-triangular symplectic rooks at n = 2l, three
     ways: direct enumeration, the proof form and the printed closed form."""
-    if not 1 <= l <= 4:
-        raise ValueError(f"l out of supported range 1..4, got {l}")
     if not 0 <= k <= l:
         raise ValueError(f"k out of range 0..{l}")
     return CountReport(

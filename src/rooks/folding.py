@@ -150,14 +150,19 @@ def unfold_preimages_constructive(a: Rook) -> list[Rook]:
     return sorted(out)
 
 
-def unfold_preimages(a: Rook) -> list[Rook]:
-    """All upper-triangular symplectic rooks of doubled size folding onto
-    the given rook, by exhaustive filtering."""
-    l = len(a)
-    out = []
+def fold_images(l: int) -> dict[Rook, list[Rook]]:
+    """The singular upper-triangular symplectic rooks of size 2l grouped by
+    their full fold, image -> preimages in lexicographic order, by folding
+    every member: the exhaustive route."""
+    images: dict[Rook, list[Rook]] = {}
     for x in iter_family(FamilySpec(2 * l, "borel-sp")):
         if is_permutation(x):
             continue  # full-rank elements do not fold (cells collide)
-        if fold(x, "both") == a:
-            out.append(x)
-    return out
+        images.setdefault(fold(x, "both"), []).append(x)
+    return images
+
+
+def unfold_preimages(a: Rook) -> list[Rook]:
+    """All upper-triangular symplectic rooks of doubled size folding onto
+    the given rook, by exhaustive folding (`fold_images`)."""
+    return fold_images(len(a)).get(a, [])

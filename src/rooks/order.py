@@ -234,6 +234,8 @@ def _rank_rows(elems: list[Rook]) -> tuple[list[int], list[int]]:
     down = up[:]
     for column in zip(*counts):
         top = max(column)
+        if min(column) == top:
+            continue  # ge[top] and le[top] hold every element
         exact = [0] * (top + 1)
         for i, v in enumerate(column):
             exact[v] |= 1 << i

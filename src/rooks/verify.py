@@ -2,9 +2,10 @@
 brute-force oracle against a proof-derived form, and, where one exists,
 against the closed form as printed.
 
-Every check takes the optional size arguments (n, l) and returns a list of
-report rows; a row whose oracle and proof form disagree is an
-implementation bug, a disagreement with a printed form is only logged.
+Every check takes its one size, n or l as its entry in CHECKS names it, and
+returns a list of report rows; a row whose oracle and proof form disagree
+is an implementation bug, a disagreement with a printed form is only
+logged.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .counting import (
     stirling2,
     triangular_census,
 )
-from .folding import fold, from_rook, unfold_preimages_constructive
+from .folding import fold, fold_images, from_rook, unfold_preimages_constructive
 from .nilpotent import nilpotent_analysis
 from .order import bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
 from .partitions import enum_partitions, partition_to_rook, rook_to_partition
@@ -120,7 +121,7 @@ def _zero_row(params, violations: int, label: str) -> CountReport:
     return CountReport(tuple(params), violations, proof_form=0, label=label)
 
 
-def _check_admissible(n, l) -> list:
+def _check_admissible(l) -> list:
     reports = []
     for li in range(1, l + 1):
         ni = 2 * li
@@ -135,11 +136,11 @@ def _check_admissible(n, l) -> list:
     return reports
 
 
-def _check_rank_counts(n, l) -> list:
+def _check_rank_counts(n) -> list:
     return [rep for ni in range(1, n + 1) for rep in count_reports(FamilySpec(ni, "rook"))]
 
 
-def _check_stirling_borel(n, l) -> list:
+def _check_stirling_borel(n) -> list:
     reports = []
     for ni in range(1, n + 1):
         hist = _rank_histogram(FamilySpec(ni, "borel"))
@@ -166,35 +167,27 @@ def _check_stirling_borel(n, l) -> list:
     return reports
 
 
-def _check_inrsn(ni, l) -> list:
-    reports = []
-    rooks = enum_family(FamilySpec(ni, "rook"))
-    ctx = group_context(SYMMETRIC, ni)
-    bad = sum(
-        1
-        for x in rooks
-        for y in rooks
-        if bcr_le(x, y) != bcr_le_ppr(x, y, ctx)
-    )
-    reports.append(_zero_row((("n", ni),), bad, "one-line vs standard-form disagreements"))
+def _check_inrsn(ni) -> list:
+    routes = [("rook", SYMMETRIC, "one-line vs standard-form disagreements")]
     if ni % 2 == 0:
-        sp = enum_family(FamilySpec(ni, "renner-sp"))
-        ctx_sp = group_context(SYMPLECTIC, ni)
-        bad_sp = sum(
+        routes.append(
+            ("renner-sp", SYMPLECTIC, "ambient vs intrinsic symplectic disagreements")
+        )
+    reports = []
+    for family, kind, label in routes:
+        elems = enum_family(FamilySpec(ni, family))
+        ctx = group_context(kind, ni)
+        bad = sum(
             1
-            for x in sp
-            for y in sp
-            if bcr_le(x, y) != bcr_le_ppr(x, y, ctx_sp)
+            for x in elems
+            for y in elems
+            if bcr_le(x, y) != bcr_le_ppr(x, y, ctx)
         )
-        reports.append(
-            _zero_row(
-                (("n", ni),), bad_sp, "ambient vs intrinsic symplectic disagreements"
-            )
-        )
+        reports.append(_zero_row((("n", ni),), bad, label))
     return reports
 
 
-def _check_maxelements(n, l) -> list:
+def _check_maxelements(l) -> list:
     reports = []
     for li in range(2, l + 1):
         ni = 2 * li
@@ -220,7 +213,7 @@ def _check_maxelements(n, l) -> list:
     return reports
 
 
-def _check_triangular(ni, l) -> list:
+def _check_triangular(ni) -> list:
     reports = list(triangular_census(ni))
     by_k: dict[int, int] = {}
     for rep in reports:
@@ -239,7 +232,7 @@ def _check_triangular(ni, l) -> list:
     return reports
 
 
-def _check_formula(n, l) -> list:
+def _check_formula(l) -> list:
     reports = []
     for li in range(1, l + 1):
         total = 0
@@ -256,20 +249,14 @@ def _check_formula(n, l) -> list:
     return reports
 
 
-def _check_folding(n, l_val) -> list:
+def _check_folding(l_val) -> list:
     n_val = 2 * l_val
     reports = []
-    borel_sp = enum_family(FamilySpec(n_val, "borel-sp"))
-    images: dict[tuple, list] = {}
-    for x in borel_sp:
-        if is_permutation(x):
-            continue
-        images.setdefault(fold(x, "both"), []).append(x)
-    base = enum_family(FamilySpec(l_val, "rook"))
+    images = fold_images(l_val)
     mismatched_constructive = 0
-    for i, a in enumerate(base):
+    for i, a in enumerate(iter_family(FamilySpec(l_val, "rook"))):
         found = images.get(a, [])
-        if sorted(found) != unfold_preimages_constructive(a):
+        if found != unfold_preimages_constructive(a):
             mismatched_constructive += 1
         reports.append(
             CountReport(
@@ -283,11 +270,12 @@ def _check_folding(n, l_val) -> list:
         _zero_row((("l", l_val),), mismatched_constructive, "constructive vs exhaustive")
     )
     covered = sum(len(v) for v in images.values())
+    members = sum(1 for _ in iter_family(FamilySpec(n_val, "borel-sp")))
     reports.append(
         CountReport(
             (("l", l_val),),
             covered,
-            proof_form=len(borel_sp) - 1,
+            proof_form=members - 1,
             label="preimages cover the singular part",
         )
     )
@@ -303,7 +291,7 @@ def _check_folding(n, l_val) -> list:
     return reports
 
 
-def _check_nilpotent(n, l) -> list:
+def _check_nilpotent(n) -> list:
     reports: list = []
     for ni in range(3, n + 1):
         rep = nilpotent_analysis(FamilySpec(ni, "borel-nil"))
@@ -329,7 +317,7 @@ def _check_nilpotent(n, l) -> list:
     return reports
 
 
-def _check_parabolic(n, l) -> list:
+def _check_parabolic(l) -> list:
     reports = []
     for li in range(2, l + 1):
         ni = 2 * li
@@ -363,7 +351,7 @@ def _check_parabolic(n, l) -> list:
     return reports
 
 
-def _check_standard_form(ni, l) -> list:
+def _check_standard_form(ni) -> list:
     reports = []
     ctx = group_context(SYMMETRIC, ni)
     failures = 0
@@ -394,39 +382,25 @@ def _check_standard_form(ni, l) -> list:
     return reports
 
 
+# check -> (the one size it takes, its smallest, its default and its largest
+# accepted value, the check).  Below the smallest size a check would compare
+# nothing and pass vacuously.  The exhaustive comparator and standard-form
+# checks stop at n = 4, the borel-sp slice posets at l = 3; enumeration stops
+# at n = 8 (l = 4).
 CHECKS = {
-    "admissible": _check_admissible,
-    "rank-counts": _check_rank_counts,
-    "stirling-borel": _check_stirling_borel,
-    "inrsn": _check_inrsn,
-    "maxelements": _check_maxelements,
-    "triangular": _check_triangular,
-    "formula": _check_formula,
-    "folding": _check_folding,
-    "nilpotent": _check_nilpotent,
-    "parabolic": _check_parabolic,
-    "standard-form": _check_standard_form,
+    "admissible": ("l", 1, 6, 6, _check_admissible),
+    "rank-counts": ("n", 1, 6, 8, _check_rank_counts),
+    "stirling-borel": ("n", 1, 6, 8, _check_stirling_borel),
+    "inrsn": ("n", 1, 4, 4, _check_inrsn),
+    "maxelements": ("l", 2, 3, 3, _check_maxelements),
+    "triangular": ("n", 1, 4, 8, _check_triangular),
+    "formula": ("l", 1, 2, 4, _check_formula),
+    "folding": ("l", 1, 2, 4, _check_folding),
+    "nilpotent": ("n", 3, 5, 8, _check_nilpotent),
+    "parabolic": ("l", 2, 3, 4, _check_parabolic),
+    "standard-form": ("n", 1, 4, 4, _check_standard_form),
 }
 VERIFY_CHECKS = tuple(CHECKS)
-
-# check -> (the one size it takes, its smallest, its default, its largest
-# accepted value).  Below the smallest size a check would compare nothing
-# and pass vacuously.  The exhaustive comparator and standard-form checks
-# stop at n = 4, the borel-sp slice posets at l = 3; enumeration stops at
-# n = 8 (l = 4).
-CHECK_SIZES = {
-    "admissible": ("l", 1, 6, 6),
-    "rank-counts": ("n", 1, 6, 8),
-    "stirling-borel": ("n", 1, 6, 8),
-    "inrsn": ("n", 1, 4, 4),
-    "maxelements": ("l", 2, 3, 3),
-    "triangular": ("n", 1, 4, 8),
-    "formula": ("l", 1, 2, 4),
-    "folding": ("l", 1, 2, 4),
-    "nilpotent": ("n", 3, 5, 8),
-    "parabolic": ("l", 2, 3, 4),
-    "standard-form": ("n", 1, 4, 4),
-}
 
 
 def run_check(name: str, n=None, l=None) -> list:
@@ -434,7 +408,7 @@ def run_check(name: str, n=None, l=None) -> list:
     within that check's bounds."""
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {VERIFY_CHECKS}")
-    flag, least, default, limit = CHECK_SIZES[name]
+    flag, least, default, limit, check = CHECKS[name]
     size, other = (n, l) if flag == "n" else (l, n)
     if other is not None:
         raise ValueError(f"check {name} takes --{flag} only")
@@ -444,8 +418,7 @@ def run_check(name: str, n=None, l=None) -> list:
         raise ValueError(f"check {name} needs {flag} at least {least}, got {size}")
     if size > limit:
         raise ResourceLimitError(f"check {name} supports {flag} up to {limit}, got {size}")
-    check = CHECKS[name]
-    return check(size, None) if flag == "n" else check(None, size)
+    return check(size)
 
 
 def proof_agreement(reports) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
+import rooks.counting as counting
 import rooks.verify as verify
 from rooks.counting import CountReport
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family
@@ -313,29 +314,49 @@ def test_count_rejects_both_sizes(capsys):
 
 
 def test_verify_proof_mismatch_exits_1(capsys, monkeypatch):
-    def fake_check(n, l):
+    def fake_check(size):
         return [CountReport((("n", 1),), 1, proof_form=2)]
 
-    monkeypatch.setitem(verify.CHECKS, "formula", fake_check)
+    monkeypatch.setitem(verify.CHECKS, "formula", verify.CHECKS["formula"][:4] + (fake_check,))
     code, out = run(capsys, "verify", "--check", "formula")
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def broken_check(n, l):
+    def broken_check(size):
         raise RuntimeError("standard form of (1, 0) is not unique: 2 candidates")
 
-    monkeypatch.setitem(verify.CHECKS, "standard-form", broken_check)
+    monkeypatch.setitem(
+        verify.CHECKS, "standard-form", verify.CHECKS["standard-form"][:4] + (broken_check,)
+    )
     assert cli.main(["verify", "--check", "standard-form"]) == 3
     err = capsys.readouterr().err
     assert err == "error: internal: standard form of (1, 0) is not unique: 2 candidates\n"
 
 
+def test_census_that_misses_a_rank_exits_1(capsys, monkeypatch):
+    # a census that fails to partition a rank is a proof mismatch in the
+    # report rows, not an internal error
+    census = counting._census
+
+    def one_too_many(n):
+        counts = census(n)
+        counts[(0, 0, 0)] += 1
+        return counts
+
+    monkeypatch.setattr(counting, "_census", one_too_many)
+    code, out = run(capsys, "verify", "--check", "triangular", "--n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "result: PROOF MISMATCH"
+    assert "n=3 k=0  oracle=2 proof=1 paper=-  proof:MISMATCH paper:-  # census sum" in lines
+
+
 def test_check_sizes_bound_each_check(capsys):
-    assert set(verify.CHECK_SIZES) == set(verify.CHECKS)
-    for check, (flag, least, default, limit) in verify.CHECK_SIZES.items():
+    for check, (flag, least, default, limit, func) in verify.CHECKS.items():
         assert flag in ("n", "l") and 1 <= least <= default <= limit, check
+        assert callable(func), check
     code, out = run(capsys, "verify", "--check", "admissible", "--l", "6")
     assert code == 0 and out == run(capsys, "verify", "--check", "admissible")[1]
     assert cli.main(["verify", "--check", "formula", "--l", "5"]) == 2
@@ -345,10 +366,10 @@ def test_check_sizes_bound_each_check(capsys):
     assert "takes --l only" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("check", sorted(verify.CHECK_SIZES))
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
 def test_check_sizes_refuse_below_the_smallest(capsys, check):
     # below its smallest size a check compares nothing and would pass vacuously
-    flag, least, _, _ = verify.CHECK_SIZES[check]
+    flag, least, _, _, _ = verify.CHECKS[check]
     assert cli.main(["verify", "--check", check, f"--{flag}", str(least - 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

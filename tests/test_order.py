@@ -246,8 +246,11 @@ def bcr_le_covers(elems):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rank_rows_match_profile_rows(n):
-    rooks = all_rooks(n)
-    assert _rank_rows(rooks) == profile_rows(rooks)
+    # the borel families have count fields that are constant on the family
+    families = ["rook", "borel", "borel-nil"] + (["borel-sp"] if n % 2 == 0 else [])
+    for family in families:
+        elems = enum_family(FamilySpec(n, family))
+        assert _rank_rows(elems) == profile_rows(elems), family
 
 
 def _as_rook(values):
