@@ -8,11 +8,12 @@ identical bytes.
 
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
-2 on usage errors or exceeded resource bounds (including a `hasse` family of
+2 on usage errors, exceeded resource bounds (including a `hasse` family of
 more than HASSE_LIMIT = 25,000 elements, whose order rows would take more
 than HASSE_ROW_BYTES, refused by its closed-form size before enumeration
-where it has one), 3 on an internal error (a RuntimeError, such as a
-standard form that is not unique).
+where it has one) and output errors (an `--out` file that cannot be opened,
+a stdout pipe closed by its reader), 3 on an internal error (a RuntimeError,
+such as a standard form that is not unique).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .folding import fold, unfold_preimages
@@ -35,7 +37,6 @@ from .symplectic import (
     FAMILIES,
     FamilySpec,
     ResourceLimitError,
-    check_enumerable,
     enum_family,
     iter_family,
 )
@@ -147,10 +148,8 @@ def _cmd_order(args) -> int:
 
 def _cmd_hasse(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
-    check_enumerable(spec.n)
-    elements = None
     size = closed_form_size(spec)
-    if size is None:
+    if size is None or size <= HASSE_LIMIT:
         elements = enum_family(spec)
         size = len(elements)
     if size > HASSE_LIMIT:
@@ -158,7 +157,7 @@ def _cmd_hasse(args) -> int:
             f"hasse supports up to {HASSE_LIMIT} elements, got {size}; "
             "select a rank slice with --rank"
         )
-    poset = build_poset(enum_family(spec) if elements is None else elements)
+    poset = build_poset(elements)
     if args.format == "dot":
         _emit_lines([dot_export(poset)], args.out)
     elif args.format == "count":
@@ -362,13 +361,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: send what is still buffered nowhere, so
+            # the interpreter's flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

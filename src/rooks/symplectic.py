@@ -11,10 +11,11 @@ order, `iter_family`, which yields the members one at a time: a caller that
 only counts or folds over a family holds one prefix, not the family.
 `enum_family` is the same stream as a list, for callers that index or pair
 the elements.  For the symplectic families the descent itself only extends a
-prefix that can still complete to a member (`_symplectic_choices`), so no
-leaf is tested; `is_symplectic_rook` stays as the independent membership
-oracle, and the tests compare the descent with it and with the group-orbit
-description.
+prefix that can still complete to a member (the choice function inside
+`iter_family`), so no leaf is tested; `is_symplectic_rook` stays as the
+independent membership oracle, and the tests compare the descent with it and
+with the group-orbit description.  `FamilySpec` refuses a size beyond
+DESK_LIMIT, so every consumer refuses it before any work.
 """
 
 from __future__ import annotations
@@ -92,53 +93,58 @@ class FamilySpec:
             _check_even(self.n)
         if self.rank is not None and not 0 <= self.rank <= self.n:
             raise ValueError(f"rank {self.rank} out of range 0..{self.n}")
+        if self.n > DESK_LIMIT:
+            raise ResourceLimitError(
+                f"enumeration supports sizes up to {DESK_LIMIT}, got {self.n}"
+            )
 
 
-def _column_choices(j: int, n: int, used: set[int], family: str) -> list[int]:
-    if family in ("borel-nil", "borel-sp-nil"):
-        top = j - 1
-    elif family in ("borel", "borel-sp"):
-        top = j
-    else:
-        top = n
-    return [0] + [v for v in range(1, top + 1) if v not in used]
+def iter_family(spec: FamilySpec) -> Iterator[Rook]:
+    """Yield the members of a family in lexicographic order, one at a time.
 
+    The descent runs over the columns with an explicit stack of choice
+    iterators, one per open column; the last column's choices are yielded
+    straight from the innermost loop, so only the current prefix and its
+    choice lists are held.  `choices(j)` gives the values column j may take
+    after the current prefix: 0 or an unused row up to the family's bound,
+    pruned to completions of the requested rank and, for a symplectic
+    family, to prefixes that can still complete to a member, so every leaf
+    is one."""
+    n = spec.n
+    target = spec.rank
+    symplectic = spec.family in SP_FAMILIES
+    # rows column j may take: 1..j-1 (nilpotent), 1..j (Borel) or 1..n
+    lag = {"borel-nil": 1, "borel-sp-nil": 1, "borel": 0, "borel-sp": 0}.get(spec.family)
+    column = [0] * n
+    used: set[int] = set()
 
-def _slice_choices(target: int):
-    """`_column_choices` restricted to completions of rank exactly target:
-    only 0 once the rank is reached, no 0 when every remaining column must
-    be nonzero to reach it."""
-
-    def choices(j: int, n: int, used: set[int], family: str) -> list[int]:
-        values = _column_choices(j, n, used, family)
-        need = target - len(used)
-        if need == 0:
-            return values[:1]
-        if need == n - j + 1:
-            return values[1:]
-        return values
-
-    return choices
-
-
-def _symplectic_choices(inner, column: list[int]):
-    """`inner` restricted to prefixes that can still complete to a symplectic
-    rook.  A member is either singular, with admissible domain and range, or
-    a theta-fixed permutation, x_{n+1-j} = n+1-x_j; so a prefix stays open
-    on one of two routes, both read off the prefix itself:
-
-    - singular: column j may be nonzero only if its mirror column n+1-j is
-      empty or 0, and may take row v only if row n+1-v is unused.  This
-      route is open while some column is 0 or no mirror pair is filled.
-    - permutation: no column is 0, and a column whose mirror is filled takes
-      n+1-x_{n+1-j}.  The first-half values also avoid each other's
-      mirrors, since those are the second half's values.
-
-    Every leaf is therefore a member, and the lexicographic order is that of
-    the unpruned descent."""
-
-    def choices(j: int, n: int, used: set[int], family: str) -> list[int]:
-        values = inner(j, n, used, family)
+    def choices(j: int) -> list[int]:
+        top = n if lag is None else j - lag
+        values = [0] + [v for v in range(1, top + 1) if v not in used]
+        if target is not None:
+            # only 0 once the rank is reached, no 0 when every remaining
+            # column must be nonzero to reach it
+            need = target - len(used)
+            if need == 0:
+                values = values[:1]
+            elif need == n - j + 1:
+                values = values[1:]
+        if not symplectic:
+            return values
+        # A member is either singular, with admissible domain and range, or
+        # a theta-fixed permutation, x_{n+1-j} = n+1-x_j; so a prefix stays
+        # open on one of two routes, both read off the prefix itself:
+        #
+        # - singular: column j may be nonzero only if its mirror column
+        #   n+1-j is empty or 0, and may take row v only if row n+1-v is
+        #   unused.  This route is open while some column is 0 or no mirror
+        #   pair is filled.
+        # - permutation: no column is 0, and a column whose mirror is filled
+        #   takes n+1-x_{n+1-j}.  The first-half values also avoid each
+        #   other's mirrors, since those are the second half's values.
+        #
+        # Every leaf is therefore a member, and the lexicographic order is
+        # that of the unpruned descent.
         mirror = column[n - j] if 2 * j > n else 0
         if mirror and len(used) == j - 1:
             # no 0 so far: the permutation route, and the singular route (a 0
@@ -149,36 +155,7 @@ def _symplectic_choices(inner, column: list[int]):
             return [v for v in values if not v]
         return [v for v in values if not v or n + 1 - v not in used]
 
-    return choices
-
-
-def check_enumerable(n: int) -> None:
-    """Raise ResourceLimitError for a size beyond what enumeration supports."""
-    if n > DESK_LIMIT:
-        raise ResourceLimitError(
-            f"enumeration supports sizes up to {DESK_LIMIT}, got {n}"
-        )
-
-
-def iter_family(spec: FamilySpec) -> Iterator[Rook]:
-    """Yield the members of a family in lexicographic order, one at a time.
-
-    The descent runs over the columns with an explicit stack of choice
-    iterators, one per open column; the last column's choices are yielded
-    straight from the innermost loop, so only the current prefix and its
-    choice lists are held.  A rank slice is pruned during the descent, so
-    every leaf has the requested rank; a symplectic family is pruned too
-    (`_symplectic_choices`), so every leaf is a member.  A size beyond
-    enumeration raises ResourceLimitError on the first element drawn."""
-    check_enumerable(spec.n)
-    n = spec.n
-    family = spec.family
-    column = [0] * n
-    used: set[int] = set()
-    choices = _column_choices if spec.rank is None else _slice_choices(spec.rank)
-    if family in SP_FAMILIES:
-        choices = _symplectic_choices(choices, column)
-    stack = [iter(choices(1, n, used, family))]
+    stack = [iter(choices(1))]
     while stack:
         j = len(stack)
         if j == n:
@@ -196,7 +173,7 @@ def iter_family(spec: FamilySpec) -> Iterator[Rook]:
         column[j - 1] = v
         if v:
             used.add(v)
-        stack.append(iter(choices(j + 1, n, used, family)))
+        stack.append(iter(choices(j + 1)))
 
 
 def enum_family(spec: FamilySpec) -> list[Rook]:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -122,6 +125,27 @@ def test_enum_out_matches_stdout(capsys, tmp_path):
     refused = tmp_path / "refused.txt"
     assert cli.main(["enum", "--n", "9", "--family", "rook", "--out", str(refused)]) == 2
     assert not refused.exists()
+
+
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    assert cli.main(["enum", "--n", "2", "--family", "rook", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not target.parent.exists()
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader of a pipe stops after one line, as `| head -n 1` does
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "rooks.cli", "enum", "--n", "7", "--family", "rook"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"(0,0,0,0,0,0,0)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

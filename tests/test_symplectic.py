@@ -136,6 +136,19 @@ def test_extreme_rank_slices_at_n8():
     assert enum_family(FamilySpec(8, "borel", rank=8)) == [tuple(range(1, 9))]
 
 
+@pytest.mark.parametrize(
+    "n, family", [(7, "rook")] + [(8, family) for family in FAMILIES if family != "rook"]
+)
+def test_rank_slices_match_the_filtered_stream(n, family):
+    # every rank slice against the unsliced descent, at the largest size
+    # (rook at n=7: its n=8 stream alone takes over a second)
+    by_rank = [[] for _ in range(n + 1)]
+    for x in iter_family(FamilySpec(n, family)):
+        by_rank[rank(x)].append(x)
+    for k in range(n + 1):
+        assert enum_family(FamilySpec(n, family, rank=k)) == by_rank[k], k
+
+
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(3, "renner-sp")  # odd size for a symplectic family
@@ -148,6 +161,12 @@ def test_family_spec_validation():
 def test_desk_bound():
     with pytest.raises(ResourceLimitError):
         enum_family(FamilySpec(9, "rook"))
+    # refused by the spec itself, before anything is drawn
+    for n, family in [(9, "rook"), (10, "borel-sp")]:
+        with pytest.raises(ResourceLimitError, match=f"^enumeration supports sizes up to 8, got {n}$"):
+            FamilySpec(n, family)
+    with pytest.raises(ValueError, match="^size must be even and positive, got 9$"):
+        FamilySpec(9, "renner-sp")
 
 
 def test_cross_section_lattice():
