@@ -45,7 +45,6 @@ from .rook import (
 from .symplectic import (
     FamilySpec,
     ResourceLimitError,
-    cross_section_lattice,
     enum_admissible,
     enum_family,
     is_admissible,

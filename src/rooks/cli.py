@@ -12,8 +12,9 @@ printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 more than HASSE_LIMIT = 25,000 elements, whose order rows would take more
 than HASSE_ROW_BYTES, refused by its closed-form size before enumeration
 where it has one) and output errors (an `--out` file that cannot be opened,
-a stdout pipe closed by its reader), 3 on an internal error (a RuntimeError,
-such as a standard form that is not unique).
+a stdout pipe closed by its reader, a stdout closed before the start), 3 on
+an internal error (a RuntimeError, such as a standard form that is not
+unique).
 """
 
 from __future__ import annotations
@@ -79,13 +80,18 @@ def _emit_lines(lines, out: str | None) -> None:
     """Write each line with its newline as it comes, to `out` or stdout: the
     one writer of every command.  An empty stream writes a single newline.
     The first line is drawn before `out` is opened, so an enumeration that
-    is refused leaves no file behind."""
+    is refused leaves no file behind.  Python sets `sys.stdout` to None when
+    the process starts with file descriptor 1 closed; stdout output then
+    fails as an output error, and `--out` never touches stdout."""
     lines = iter(lines)
     first = next(lines, "")
     stream = open(out, "w", encoding="utf-8") if out else sys.stdout
+    if stream is None:
+        raise OSError("stdout is closed")
     try:
         stream.write(first + "\n")
         stream.writelines(line + "\n" for line in lines)
+        stream.flush()
     finally:
         if out:
             stream.close()
@@ -361,9 +367,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

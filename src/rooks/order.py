@@ -37,7 +37,7 @@ from .rook import (
 )
 from .symplectic import is_symplectic_rook
 from .weyl import (
-    SYMMETRIC,
+    SYMPLECTIC,
     GroupContext,
     cross_section_chain,
     group_context,
@@ -107,36 +107,22 @@ class StandardForm:
     b: Rook
 
 
-def _in_monoid(x: Rook, ctx: GroupContext) -> bool:
-    if len(x) != ctx.n:
-        return False
-    if ctx.kind == SYMMETRIC:
-        return True
-    return is_symplectic_rook(x)
-
-
 @lru_cache(maxsize=None)
-def _chain_idempotent(kind: str, n: int, r: int) -> Rook:
+def _coset_data(kind: str, n: int, r: int):
+    """(e, D_*(e), D(e)) for the chain idempotent e of rank r."""
+    ctx = group_context(kind, n)
     for e in cross_section_chain(kind, n):
         if rank(e) == r:
-            return e
+            data = parabolic_data(e, ctx)
+            d_star = min_coset_reps(data.stabilizer_generators, ctx)
+            d = min_coset_reps(data.commuting_generators, ctx)
+            return e, d_star, d
     raise ValueError(f"no cross-section idempotent of rank {r} for {kind} size {n}")
-
-
-@lru_cache(maxsize=None)
-def _coset_data(kind: str, n: int, e: Rook):
-    """(D_*(e), D(e)) for a chain idempotent."""
-    ctx = group_context(kind, n)
-    data = parabolic_data(e, ctx)
-    d_star = min_coset_reps(data.stabilizer_generators, ctx)
-    d = min_coset_reps(data.commuting_generators, ctx)
-    return d_star, d
 
 
 @lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
-    e = _chain_idempotent(kind, n, rank(x))
-    d_star, d = _coset_data(kind, n, e)
+    e, d_star, d = _coset_data(kind, n, rank(x))
     matches = [
         (a, b)
         for a in d_star
@@ -155,7 +141,7 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
     """Factor x over the cross-section chain of the context, by exhaustive
     search over the coset representatives, with a uniqueness check."""
     x = check_rook(x, ctx.n)
-    if not _in_monoid(x, ctx):
+    if ctx.kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {ctx.kind} monoid of size {ctx.n}")
     return _standard_form_cached(ctx.kind, ctx.n, x)
 

@@ -1,5 +1,4 @@
-"""Admissible subsets, symplectic rooks, rook families, and the
-cross-section lattice.
+"""Admissible subsets, symplectic rooks and rook families.
 
 For even n and the index involution theta(i) = n+1-i, a subset S of
 {1, ..., n} is admissible when theta(S) and S are disjoint.  The symplectic
@@ -25,7 +24,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .rook import Rook, domain, is_permutation, range_of
-from .weyl import SYMPLECTIC, cross_section_chain, theta_perm
+from .weyl import theta_perm
 
 DESK_LIMIT = 8
 
@@ -181,12 +180,6 @@ def enum_family(spec: FamilySpec) -> list[Rook]:
     list: the stream of `iter_family`, for callers that index or pair the
     elements."""
     return list(iter_family(spec))
-
-
-def cross_section_lattice(n: int) -> list[Rook]:
-    """The symplectic cross-section chain e_0 < e_1 < ... < e_l < e_n."""
-    _check_even(n)
-    return list(cross_section_chain(SYMPLECTIC, n))
 
 
 def rank_slice_minimum(n: int, k: int) -> Rook:

@@ -1,16 +1,18 @@
 """Symmetric groups and the symplectic Weyl group.
 
 Permutations are total rooks: tuples ``(w_1, ..., w_n)`` with every value
-1..n present once.  Groups are materialized exhaustively (the symplectic
-Weyl group by breadth-first closure over its generators), which is cheap at
-desk scale and keeps lengths, cosets, centralizers, and stabilizers exact.
+1..n present once.  Both kinds of group are materialized the same way, by
+breadth-first closure over their simple generators, which is cheap at desk
+scale and keeps lengths, cosets, centralizers, and stabilizers exact: the
+closure's table of word lengths answers membership and Coxeter length for
+either kind, and `inversions` stays as the independent oracle for the
+symmetric lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations as _itertools_permutations
 
 from .rook import (
     Rook,
@@ -98,43 +100,33 @@ class GroupContext:
     elements: tuple[Perm, ...] = field(compare=False)
     lengths: dict = field(compare=False, repr=False)
 
-    @property
-    def key(self):
-        return (self.kind, self.n)
-
 
 @lru_cache(maxsize=None)
 def group_context(kind: str, n: int) -> GroupContext:
+    """The Weyl group of one kind and size, by breadth-first closure over
+    its simple generators: r_1, ..., r_{n-1} for the symmetric group, and
+    s_1, ..., s_l for the symplectic one of size n = 2l.  `lengths` maps
+    every element to its Coxeter length, and `elements` lists them in
+    lexicographic order."""
     if kind == SYMMETRIC:
         if n < 1:
             raise ValueError("size must be positive")
         gens = tuple(simple_transposition(n, j) for j in range(1, n))
-        elements = tuple(_itertools_permutations(range(1, n + 1)))
-        lengths = {}  # lengths are inversion counts, computed on demand
     elif kind == SYMPLECTIC:
         if n < 2 or n % 2:
             raise ValueError(f"symplectic size must be even and positive, got {n}")
         gens = tuple(symplectic_generators(n // 2))
-        lengths = _bfs_closure(n, gens)
-        elements = tuple(sorted(lengths))
     else:
         raise ValueError(f"unknown group kind {kind!r}")
-    return GroupContext(kind, n, gens, elements, lengths)
-
-
-def contains(ctx: GroupContext, w: Perm) -> bool:
-    if ctx.kind == SYMMETRIC:
-        return len(w) == ctx.n and is_permutation(w)
-    return w in ctx.lengths
+    lengths = _bfs_closure(n, gens)
+    return GroupContext(kind, n, gens, tuple(sorted(lengths)), lengths)
 
 
 def coxeter_length(w: Perm, ctx: GroupContext) -> int:
-    """Minimal word length in the generators: the inversion number for the
-    symmetric group, Cayley-graph distance for the symplectic one."""
-    if not contains(ctx, w):
+    """Minimal word length in the simple generators of the context, read
+    from its length table; a ValueError if w is not in the group."""
+    if w not in ctx.lengths:
         raise ValueError(f"{w} is not in the {ctx.kind} group of size {ctx.n}")
-    if ctx.kind == SYMMETRIC:
-        return inversions(w)
     return ctx.lengths[w]
 
 
@@ -153,20 +145,20 @@ def cross_section_chain(kind: str, n: int) -> tuple[Rook, ...]:
     return tuple(diagonal_idempotent(n, range(1, k + 1)) for k in ks)
 
 
-def _subgroup(ctx: GroupContext, gens) -> tuple[Perm, ...]:
+def generated_subgroup(gens, ctx: GroupContext) -> tuple[Perm, ...]:
+    """The subgroup generated by a subset of the simple generators."""
+    gens = tuple(gens)
     for s in gens:
         if s not in ctx.generators:
             raise ValueError(f"{s} is not a simple generator of the context")
-    if not gens:
-        return (identity_rook(ctx.n),)
-    return tuple(sorted(_bfs_closure(ctx.n, tuple(gens))))
+    return tuple(sorted(_bfs_closure(ctx.n, gens)))
 
 
 def min_coset_reps(gens, ctx: GroupContext) -> tuple[Perm, ...]:
     """Minimal-length representatives of the left cosets of the parabolic
     subgroup generated by ``gens``; each coset has a unique one.
     """
-    subgroup = _subgroup(ctx, tuple(gens))
+    subgroup = generated_subgroup(gens, ctx)
     assigned = set()
     reps = []
     for x in ctx.elements:
@@ -209,7 +201,7 @@ def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
         raise ValueError(f"{e} is not an idempotent of the cross-section chain")
     commuting = _commuting_generators(e, ctx)
     centralizer = tuple(
-        a for a in sorted(ctx.elements)
+        a for a in ctx.elements
         if multiply(a, e) == multiply(e, a)
     )
     stabilizer = tuple(
@@ -221,8 +213,3 @@ def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
         stab_gens &= set(_commuting_generators(f, ctx))
     ordered_stab_gens = tuple(s for s in ctx.generators if s in stab_gens)
     return ParabolicData(commuting, centralizer, ordered_stab_gens, stabilizer)
-
-
-def generated_subgroup(gens, ctx: GroupContext) -> tuple[Perm, ...]:
-    """The subgroup generated by a subset of the simple generators."""
-    return _subgroup(ctx, tuple(gens))

@@ -148,6 +148,38 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# one small run of every command
+EVERY_COMMAND = [
+    ["enum", "--n", "2", "--family", "rook"],
+    ["count", "--n", "2", "--family", "rook"],
+    ["order", "--n", "2", "--x", "(1,0)", "--y", "(1,2)"],
+    ["hasse", "--n", "2", "--family", "rook"],
+    ["fold", "--n", "8", "--x", "(1,0,5,0,2,0,6,0)"],
+    ["unfold", "--l", "2", "--x", "(2,1)"],
+    ["partition", "--n", "9", "--x", "18|2569|37|4"],
+    ["verify", "--check", "inrsn", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_stdout_closed_at_start_exits_2(capsys, monkeypatch, argv):
+    # Python sets sys.stdout to None when file descriptor 1 starts closed
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: stdout is closed\n", err
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_out_needs_no_stdout(capsys, monkeypatch, tmp_path, argv):
+    code, expected = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main([*argv, "--out", str(path)]) == code == 0
+    assert path.read_text(encoding="utf-8") == expected
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

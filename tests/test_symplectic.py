@@ -19,7 +19,6 @@ from rooks.symplectic import (
     SP_FAMILIES,
     FamilySpec,
     ResourceLimitError,
-    cross_section_lattice,
     enum_admissible,
     enum_family,
     is_admissible,
@@ -27,7 +26,7 @@ from rooks.symplectic import (
     iter_family,
     rank_slice_minimum,
 )
-from rooks.weyl import SYMPLECTIC, group_context, theta_perm
+from rooks.weyl import SYMPLECTIC, cross_section_chain, group_context, theta_perm
 
 
 def test_is_admissible_examples():
@@ -170,15 +169,15 @@ def test_desk_bound():
 
 
 def test_cross_section_lattice():
-    assert cross_section_lattice(4) == [
+    assert cross_section_chain(SYMPLECTIC, 4) == (
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (1, 2, 0, 0),
         (1, 2, 3, 4),
-    ]
-    assert cross_section_lattice(2) == [(0, 0), (1, 0), (1, 2)]
+    )
+    assert cross_section_chain(SYMPLECTIC, 2) == ((0, 0), (1, 0), (1, 2))
     with pytest.raises(ValueError):
-        cross_section_lattice(3)
+        cross_section_chain(SYMPLECTIC, 3)
 
 
 def test_borel_sp_equals_lower_interval_of_identity():
@@ -212,7 +211,7 @@ def test_renner_sp_matches_orbit_description():
     n = 4
     ctx = group_context(SYMPLECTIC, n)
     orbit_union = set()
-    for e in cross_section_lattice(n):
+    for e in cross_section_chain(SYMPLECTIC, n):
         for a in ctx.elements:
             for b in ctx.elements:
                 orbit_union.add(multiply(multiply(a, e), b))

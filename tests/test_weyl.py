@@ -84,6 +84,9 @@ def test_coxeter_length():
     assert coxeter_length((2, 1, 4, 3), sp4) == 1
     with pytest.raises(ValueError):
         coxeter_length((2, 1, 3, 4), sp4)  # not theta-fixed
+    for w in [(1, 1, 2, 3), (5, 1, 2, 3), (2, 2, 2, 2)]:
+        with pytest.raises(ValueError):
+            coxeter_length(w, s4)  # not a permutation of 1..4
 
 
 def test_symmetric_length_is_inversions_and_matches_words():
@@ -91,6 +94,12 @@ def test_symmetric_length_is_inversions_and_matches_words():
     s4 = group_context(SYMMETRIC, 4)
     w = multiply(simple_transposition(4, 1), simple_transposition(4, 2))
     assert coxeter_length(w, s4) == inversions(w) == 2
+    # the closure over r_1..r_{n-1} against itertools and inversion counts
+    for n in range(1, 7):
+        ctx = group_context(SYMMETRIC, n)
+        assert ctx.elements == tuple(permutations(range(1, n + 1)))
+        for w in ctx.elements:
+            assert coxeter_length(w, ctx) == inversions(w)
 
 
 def test_parabolic_rook_monoid_example():
