@@ -9,6 +9,7 @@ All arithmetic uses unbounded integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -110,12 +111,9 @@ def rank_count_rook(n: int, k: int) -> int:
     return comb(n, k) * factorial(n) // factorial(n - k)
 
 
-def _census(n: int) -> dict[tuple[int, int, int], int]:
-    counts: dict[tuple[int, int, int], int] = {}
-    for x in iter_family(FamilySpec(n, "rook")):
-        key = triangular_ranks(x)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _census(n: int) -> Counter:
+    """The number of size-n rooks with each triple of triangular ranks."""
+    return Counter(map(triangular_ranks, iter_family(FamilySpec(n, "rook"))))
 
 
 def triangular_census(n: int) -> list[CountReport]:

@@ -9,6 +9,14 @@ unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
 
+Each route is a per-element step followed by a pair test: route one takes
+the prefix profile of each element (`prefix_profile`) and compares two
+profiles (`profile_le`); route two takes the standard form of each element
+(`standard_form`) and compares two forms (`forms_le`).  `bcr_le` and
+`bcr_le_ppr` are those compositions on one pair.  A caller comparing many
+pairs, such as the verify check of the two routes, takes each element's
+profile and form once and runs only the pair tests on the pairs.
+
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
 elements above (below) x are the intersection, over the n^2 fields (i, k),
@@ -27,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import le
 
 from .rook import (
     Rook,
@@ -46,17 +56,19 @@ from .weyl import (
 )
 
 
-def _prefix_profile(x: Rook) -> tuple[tuple[int, ...], ...]:
-    """Decreasing rearrangements of all prefixes, zeros kept as values."""
+def prefix_profile(x: Rook) -> tuple[int, ...]:
+    """The decreasing rearrangements of the prefixes of length 1..n, zeros
+    kept as values, concatenated: the per-element step of the one-line
+    route.  Profiles of one size line up position by position."""
     return tuple(
-        tuple(sorted(x[:i], reverse=True)) for i in range(1, len(x) + 1)
+        chain.from_iterable(sorted(x[:i], reverse=True) for i in range(1, len(x) + 1))
     )
 
 
-def _profile_le(p, q) -> bool:
-    return all(
-        all(a <= b for a, b in zip(pi, qi)) for pi, qi in zip(p, q)
-    )
+def profile_le(p, q) -> bool:
+    """The pair test of the one-line route on two prefix profiles of one
+    size: every rearranged prefix of p is entrywise at most that of q."""
+    return all(map(le, p, q))
 
 
 def ehresmann_le(u: Rook, v: Rook) -> bool:
@@ -81,7 +93,7 @@ def bcr_le(x: Rook, y: Rook) -> bool:
     """
     if len(x) != len(y):
         raise ValueError(f"size mismatch: {len(x)} vs {len(y)}")
-    return _profile_le(_prefix_profile(x), _prefix_profile(y))
+    return profile_le(prefix_profile(x), prefix_profile(y))
 
 
 # Bound of the two per-element caches below, which a library caller could
@@ -100,11 +112,14 @@ def _dominance(u: Rook, v: Rook) -> bool:
 @dataclass(frozen=True)
 class StandardForm:
     """The unique factorization x = a e b^{-1} with e the cross-section
-    idempotent of equal rank, a and b minimal coset representatives."""
+    idempotent of equal rank, a and b minimal coset representatives; the
+    rank of e (and of x) and b^{-1} are kept for `forms_le`."""
 
     a: Rook
     e: Rook
     b: Rook
+    rank: int
+    b_inv: Rook
 
 
 @lru_cache(maxsize=None)
@@ -134,12 +149,13 @@ def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
             f"standard form of {x} is not unique: {len(matches)} candidates"
         )
     a, b = matches[0]
-    return StandardForm(a, e, b)
+    return StandardForm(a, e, b, rank(e), transpose(b))
 
 
 def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
     """Factor x over the cross-section chain of the context, by exhaustive
-    search over the coset representatives, with a uniqueness check."""
+    search over the coset representatives, with a uniqueness check: the
+    per-element step of the standard-form route."""
     x = check_rook(x, ctx.n)
     if ctx.kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {ctx.kind} monoid of size {ctx.n}")
@@ -147,33 +163,36 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
 
 
 @lru_cache(maxsize=None)
-def _witness_set(kind: str, n: int, f: Rook, e: Rook) -> tuple[Rook, ...]:
-    """The product set W(f) W(e) of the two centralizers."""
+def _witness_set(kind: str, n: int, f: Rook, e: Rook) -> tuple[tuple[Rook, Rook], ...]:
+    """The product set W(f) W(e) of the two centralizers, each w with its
+    inverse w^{-1}."""
     ctx = group_context(kind, n)
     zf = parabolic_data(f, ctx).centralizer
     ze = parabolic_data(e, ctx).centralizer
-    return tuple(sorted({multiply(u, v) for u in zf for v in ze}))
+    witnesses = sorted({multiply(u, v) for u in zf for v in ze})
+    return tuple((w, transpose(w)) for w in witnesses)
+
+
+def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
+    """The pair test of the standard-form route: with x = a e b^{-1} and
+    y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
+    the chain and some witness w in W(f)W(e) has a <= cw and
+    w^{-1} d^{-1} <= b^{-1} in the Bruhat order.
+    """
+    if sx.rank > sy.rank:
+        return False
+    a, b_inv = sx.a, sx.b_inv
+    c, d_inv = sy.a, sy.b_inv
+    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.e, sx.e):
+        if _dominance(a, multiply(c, w)) and _dominance(multiply(w_inv, d_inv), b_inv):
+            return True
+    return False
 
 
 def bcr_le_ppr(x: Rook, y: Rook, ctx: GroupContext) -> bool:
-    """The standard-form criterion: with x = a e b^{-1} and y = c f d^{-1},
-    x <= y iff e <= f on the chain and some witness w in W(f)W(e) has
-    a <= cw and w^{-1} d^{-1} <= b^{-1} in the Bruhat order.
-    """
-    sx = standard_form(x, ctx)
-    sy = standard_form(y, ctx)
-    if rank(sx.e) > rank(sy.e):
-        return False
-    a, b = sx.a, sx.b
-    c, d = sy.a, sy.b
-    b_inv = transpose(b)
-    d_inv = transpose(d)
-    for w in _witness_set(ctx.kind, ctx.n, sy.e, sx.e):
-        if _dominance(a, multiply(c, w)) and _dominance(
-            multiply(transpose(w), d_inv), b_inv
-        ):
-            return True
-    return False
+    """The standard-form criterion: `forms_le` on the standard forms of x
+    and y."""
+    return forms_le(standard_form(x, ctx), standard_form(y, ctx), ctx)
 
 
 @dataclass(frozen=True)

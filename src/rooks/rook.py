@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 Rook = tuple[int, ...]
@@ -91,11 +92,23 @@ def is_permutation(x: Rook) -> bool:
     return 0 not in x
 
 
+def right_product(y: Rook):
+    """The map (0,) + x -> multiply(x, y) as one C-level gather.
+
+    Entry j of the product is x_{y_j}, or 0 when y_j = 0, which is entry
+    y_j of the padded row (0,) + x.  `itemgetter` with one index returns
+    the entry itself, so size 1 gathers a one-entry slice instead.
+    """
+    if len(y) == 1:
+        return itemgetter(slice(y[0], y[0] + 1))
+    return itemgetter(*y)
+
+
 def multiply(x: Rook, y: Rook) -> Rook:
     """The 0/1 matrix product: column j of the result hits row x_{y_j}."""
     if len(x) != len(y):
         raise ValueError(f"size mismatch: {len(x)} vs {len(y)}")
-    return tuple(x[v - 1] if v else 0 for v in y)
+    return right_product(y)((0,) + x)
 
 
 def transpose(x: Rook) -> Rook:
@@ -171,7 +184,17 @@ def triangular_decompose(x: Rook) -> TriangularParts:
 
 
 def triangular_ranks(x: Rook) -> tuple[int, int, int]:
-    return triangular_decompose(x).ranks
+    """The ranks of `triangular_decompose(x)`, counted in one pass without
+    building the parts."""
+    lower = diag = upper = 0
+    for j, v in enumerate(x, start=1):
+        if v > j:
+            lower += 1
+        elif v == j:
+            diag += 1
+        elif v:
+            upper += 1
+    return (lower, diag, upper)
 
 
 def diagonal_idempotent(n: int, support) -> Rook:

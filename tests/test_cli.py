@@ -409,6 +409,28 @@ def test_census_that_misses_a_rank_exits_1(capsys, monkeypatch):
     assert "n=3 k=0  oracle=2 proof=1 paper=-  proof:MISMATCH paper:-  # census sum" in lines
 
 
+@pytest.mark.parametrize("pair_test", ["profile_le", "forms_le"])
+def test_inrsn_counts_a_flipped_pair(monkeypatch, pair_test):
+    # one wrong answer from either route's pair test must show as one
+    # disagreement, so the check cannot be comparing a route with itself
+    original = getattr(verify, pair_test)
+    flipped = []
+
+    def flip_first(*args):
+        result = original(*args)
+        if flipped:
+            return result
+        flipped.append(args)
+        return not result
+
+    monkeypatch.setattr(verify, pair_test, flip_first)
+    reports = verify.run_check("inrsn", n=2)
+    rows = {rep.label: rep.oracle for rep in reports}
+    assert rows["one-line vs standard-form disagreements"] == 1
+    assert rows["ambient vs intrinsic symplectic disagreements"] == 0
+    assert verify.proof_agreement(reports) is False
+
+
 def test_check_sizes_bound_each_check(capsys):
     for check, (flag, least, default, limit, func) in verify.CHECKS.items():
         assert flag in ("n", "l") and 1 <= least <= default <= limit, check

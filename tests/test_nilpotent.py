@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import rooks.nilpotent as nilpotent
 from rooks.nilpotent import nilpotent_analysis
 from rooks.order import bcr_le
 from rooks.rook import is_nilpotent_rook, multiply
@@ -53,6 +54,26 @@ def test_closure(n, family):
             product = multiply(x, y)
             assert product in members
             assert is_nilpotent_rook(product)
+
+
+def test_closure_fails_on_a_family_that_is_not_closed(monkeypatch):
+    # (0,1,0)(0,0,2) = (0,0,1) is not in the family
+    monkeypatch.setattr(nilpotent, "enum_family", lambda spec: [(0, 1, 0), (0, 0, 2)])
+    assert not nilpotent_analysis(FamilySpec(3, "borel-nil")).closed_under_product
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closure_matches_pairwise_multiply(monkeypatch, n):
+    # the family and nonempty slices of it, most of them not closed, against
+    # products taken pair by pair with multiply
+    family = enum_family(FamilySpec(n, "borel-nil"))
+    slices = (family, family[::2], family[1::3], family[-2:])
+    for elements in filter(None, slices):
+        members = set(elements)
+        expected = all(multiply(x, y) in members for x in elements for y in elements)
+        monkeypatch.setattr(nilpotent, "enum_family", lambda spec: list(elements))
+        report = nilpotent_analysis(FamilySpec(n, "borel-nil"))
+        assert report.closed_under_product is expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from poset_oracles import pairwise_rows, per_pair_poset
 from rooks.order import (
-    _prefix_profile,
-    _profile_le,
     _rank_rows,
     bcr_le,
     bcr_le_ppr,
     build_poset,
     ehresmann_le,
+    prefix_profile,
+    profile_le,
     standard_form,
 )
 from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose, zero_rook
@@ -229,9 +229,9 @@ def test_build_poset_covers_are_reduced():
 
 
 def profile_rows(elems):
-    """The order rows of `_rank_rows`, from `_profile_le` on all pairs."""
-    profiles = {x: _prefix_profile(x) for x in elems}
-    return pairwise_rows(elems, lambda x, y: _profile_le(profiles[x], profiles[y]))
+    """The order rows of `_rank_rows`, from `profile_le` on all pairs."""
+    profiles = {x: prefix_profile(x) for x in elems}
+    return pairwise_rows(elems, lambda x, y: profile_le(profiles[x], profiles[y]))
 
 
 def poset_covers(poset):

@@ -19,6 +19,7 @@ from rooks.rook import (
     rook_matrix,
     transpose,
     triangular_decompose,
+    triangular_ranks,
     zero_rook,
 )
 from rooks.symplectic import FamilySpec, enum_family
@@ -82,15 +83,23 @@ def test_multiply_size_mismatch():
 
 
 def test_multiply_matches_matrix_product():
-    # 0/1 matrix-product oracle on all pairs at n = 3
-    for x, y in product(all_rooks(3), repeat=2):
-        mx, my = rook_matrix(x), rook_matrix(y)
-        prod = [
-            [sum(mx[i][k] * my[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        expected = rook_matrix(multiply(x, y))
-        assert [list(r) for r in expected] == prod
+    # 0/1 matrix-product oracle on all pairs at n = 1..4, over the integers;
+    # size 1 is the gather's case of its own
+    def matrix(x):
+        return [[int(v == i + 1) for v in x] for i in range(len(x))]
+
+    for n in (1, 2, 3, 4):
+        rooks = all_rooks(n)
+        matrices = {x: matrix(x) for x in rooks}
+        for x, y in product(rooks, repeat=2):
+            mx, my = matrices[x], matrices[y]
+            prod = [
+                [sum(mx[i][k] * my[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            got = multiply(x, y)
+            assert type(got) is tuple and len(got) == n
+            assert matrix(got) == prod
 
 
 def test_multiply_associative_exhaustive():
@@ -154,6 +163,12 @@ def test_triangular_recombines():
             assert all(v == 0 or v > j for j, v in enumerate(t.lower, start=1))
             assert all(v == 0 or v == j for j, v in enumerate(t.diag, start=1))
             assert all(v == 0 or v < j for j, v in enumerate(t.upper, start=1))
+
+
+def test_triangular_ranks_match_the_decomposition():
+    for n in (1, 2, 3, 4, 5):
+        for x in all_rooks(n):
+            assert triangular_ranks(x) == triangular_decompose(x).ranks
 
 
 def test_diagonal_idempotent():
