@@ -13,9 +13,10 @@ Each route is a per-element step followed by a pair test: route one takes
 the prefix profile of each element (`prefix_profile`) and compares two
 profiles (`profile_le`); route two takes the standard form of each element
 (`standard_form`) and compares two forms (`forms_le`).  `bcr_le` and
-`bcr_le_ppr` are those compositions on one pair.  A caller comparing many
-pairs, such as the verify check of the two routes, takes each element's
-profile and form once and runs only the pair tests on the pairs.
+`bcr_le_ppr` are those compositions on one pair.  Both per-element steps are
+cached, so a caller comparing many pairs, such as the verify check of the
+two routes, computes each element's profile and form once and pays for
+little more than the pair tests on each pair.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
@@ -56,10 +57,21 @@ from .weyl import (
 )
 
 
+# Bound of the per-element caches below, which a library caller could
+# otherwise fill with one entry per rook (or pair of permutations) at any n.
+# The verify checks fill them with at most 266 standard forms (the 209 rooks
+# and 57 symplectic rooks of size 4), 576 dominance pairs (S_4 x S_4) and
+# 209 prefix profiles that they reuse.  Only the nilpotent check at n = 8
+# overflows the profile cache: it compares each of about 5,300 rooks once
+# with one fixed rook, so it evicts only profiles it never asks for again.
+ELEMENT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def prefix_profile(x: Rook) -> tuple[int, ...]:
     """The decreasing rearrangements of the prefixes of length 1..n, zeros
     kept as values, concatenated: the per-element step of the one-line
-    route.  Profiles of one size line up position by position."""
+    route, cached.  Profiles of one size line up position by position."""
     return tuple(
         chain.from_iterable(sorted(x[:i], reverse=True) for i in range(1, len(x) + 1))
     )
@@ -96,14 +108,6 @@ def bcr_le(x: Rook, y: Rook) -> bool:
     return profile_le(prefix_profile(x), prefix_profile(y))
 
 
-# Bound of the two per-element caches below, which a library caller could
-# otherwise fill with one entry per rook (or pair of permutations) at any n.
-# The verify checks fill them with at most 266 standard forms (the 209 rooks
-# and 57 symplectic rooks of size 4) and 576 dominance pairs (S_4 x S_4), so
-# no check evicts an entry.
-ELEMENT_CACHE_SIZE = 4096
-
-
 @lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _dominance(u: Rook, v: Rook) -> bool:
     return ehresmann_le(u, v)
@@ -113,7 +117,8 @@ def _dominance(u: Rook, v: Rook) -> bool:
 class StandardForm:
     """The unique factorization x = a e b^{-1} with e the cross-section
     idempotent of equal rank, a and b minimal coset representatives; the
-    rank of e (and of x) and b^{-1} are kept for `forms_le`."""
+    rank of e (and of x) and b^{-1} are kept for `forms_le`, which runs on
+    every pair of a check and would otherwise recompute them there."""
 
     a: Rook
     e: Rook
@@ -137,6 +142,9 @@ def _coset_data(kind: str, n: int, r: int):
 
 @lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
+    x = check_rook(x, n)
+    if kind == SYMPLECTIC and not is_symplectic_rook(x):
+        raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
     e, d_star, d = _coset_data(kind, n, rank(x))
     matches = [
         (a, b)
@@ -155,11 +163,9 @@ def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
 def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
     """Factor x over the cross-section chain of the context, by exhaustive
     search over the coset representatives, with a uniqueness check: the
-    per-element step of the standard-form route."""
-    x = check_rook(x, ctx.n)
-    if ctx.kind == SYMPLECTIC and not is_symplectic_rook(x):
-        raise ValueError(f"{x} is not in the {ctx.kind} monoid of size {ctx.n}")
-    return _standard_form_cached(ctx.kind, ctx.n, x)
+    per-element step of the standard-form route.  The check of x and the
+    search are cached, so each runs once per element."""
+    return _standard_form_cached(ctx.kind, ctx.n, tuple(x))
 
 
 @lru_cache(maxsize=None)

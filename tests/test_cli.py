@@ -12,6 +12,7 @@ from jsonschema import Draft7Validator
 
 import rooks.cli as cli
 import rooks.counting as counting
+import rooks.order as order
 import rooks.verify as verify
 from rooks.counting import CountReport
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family
@@ -413,7 +414,7 @@ def test_census_that_misses_a_rank_exits_1(capsys, monkeypatch):
 def test_inrsn_counts_a_flipped_pair(monkeypatch, pair_test):
     # one wrong answer from either route's pair test must show as one
     # disagreement, so the check cannot be comparing a route with itself
-    original = getattr(verify, pair_test)
+    original = getattr(order, pair_test)
     flipped = []
 
     def flip_first(*args):
@@ -423,7 +424,7 @@ def test_inrsn_counts_a_flipped_pair(monkeypatch, pair_test):
         flipped.append(args)
         return not result
 
-    monkeypatch.setattr(verify, pair_test, flip_first)
+    monkeypatch.setattr(order, pair_test, flip_first)
     reports = verify.run_check("inrsn", n=2)
     rows = {rep.label: rep.oracle for rep in reports}
     assert rows["one-line vs standard-form disagreements"] == 1
