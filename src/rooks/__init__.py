@@ -24,7 +24,6 @@ from .order import (
 )
 from .partitions import (
     SetPartition,
-    embed_nilpotent,
     parse_partition,
     partition_standard_string,
     partition_to_rook,
@@ -32,15 +31,12 @@ from .partitions import (
 )
 from .rook import (
     Rook,
-    TriangularParts,
     diagonal_idempotent,
     format_one_line,
-    is_nilpotent_rook,
     msp_membership,
     multiply,
     parse_one_line,
     rank,
-    triangular_decompose,
 )
 from .symplectic import (
     FamilySpec,

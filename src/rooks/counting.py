@@ -78,17 +78,6 @@ def stirling2(m: int, k: int) -> int:
     return stirling2(m - 1, k - 1) + k * stirling2(m - 1, k)
 
 
-def stirling2_inclusion_exclusion(m: int, k: int) -> int:
-    """The alternating-sum formula, kept as an independent cross-check."""
-    if m < 0 or k < 0 or k > m:
-        return 0
-    total = sum((-1) ** i * comb(k, i) * (k - i) ** m for i in range(k + 1))
-    q, r = divmod(total, factorial(k))
-    if r:
-        raise ArithmeticError(f"inclusion-exclusion sum not divisible at ({m},{k})")
-    return q
-
-
 def bell(m: int) -> int:
     if m < 0:
         raise ValueError("Bell numbers need a nonnegative index")

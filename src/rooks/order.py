@@ -50,7 +50,6 @@ from .symplectic import is_symplectic_rook
 from .weyl import (
     SYMPLECTIC,
     GroupContext,
-    cross_section_chain,
     group_context,
     min_coset_reps,
     parabolic_data,
@@ -131,7 +130,7 @@ class StandardForm:
 def _coset_data(kind: str, n: int, r: int):
     """(e, D_*(e), D(e)) for the chain idempotent e of rank r."""
     ctx = group_context(kind, n)
-    for e in cross_section_chain(kind, n):
+    for e in ctx.chain:
         if rank(e) == r:
             data = parabolic_data(e, ctx)
             d_star = min_coset_reps(data.stabilizer_generators, ctx)
@@ -212,10 +211,6 @@ class HasseDiagram:
     minimals: tuple[int, ...]
     maximals: tuple[int, ...]
     graded: bool
-
-    @property
-    def height(self) -> int:
-        return max(self.rank_of) if self.rank_of else 0
 
 
 def _rank_counts(x: Rook) -> list[int]:

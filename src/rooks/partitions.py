@@ -13,7 +13,6 @@ from .rook import (
     Rook,
     check_rook,
     is_strictly_upper_triangular,
-    is_upper_triangular,
 )
 
 SetPartition = tuple[tuple[int, ...], ...]
@@ -55,22 +54,6 @@ def enum_partitions(m: int) -> list[SetPartition]:
 
     place(1, [])
     return sorted(out)
-
-
-def embed_nilpotent(a: Rook) -> Rook:
-    """Shift an upper-triangular rook one column right, prepending a zero
-    column and appending a zero row: a bijection from the upper-triangular
-    rooks of size n onto the nilpotent ones of size n + 1."""
-    if not is_upper_triangular(a):
-        raise ValueError(f"{a} is not upper triangular")
-    return (0,) + tuple(a)
-
-
-def restrict_nilpotent(x: Rook) -> Rook:
-    """Inverse of embed_nilpotent."""
-    if not is_strictly_upper_triangular(x):
-        raise ValueError(f"{x} is not strictly upper triangular")
-    return check_rook(x[1:])
 
 
 def rook_to_partition(x: Rook) -> SetPartition:

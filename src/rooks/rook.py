@@ -13,12 +13,19 @@ underlying injective partial map, and ``multiply`` is the 0/1 matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Optional, Sequence
 
 Rook = tuple[int, ...]
+
+
+def check_int(value, what: str) -> int:
+    """`value` as an int by `operator.index`; a non-integer is a ValueError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_rook(values: Sequence[int], n: Optional[int] = None) -> Rook:
@@ -27,8 +34,8 @@ def check_rook(values: Sequence[int], n: Optional[int] = None) -> Rook:
     >>> check_rook([3, 0, 4, 0])
     (3, 0, 4, 0)
     """
-    x = tuple(int(v) for v in values)
-    if n is not None and len(x) != n:
+    x = tuple(check_int(v, "entry") for v in values)
+    if n is not None and len(x) != check_int(n, "size"):
         raise ValueError(f"expected {n} entries, got {len(x)}")
     size = len(x)
     if size == 0:
@@ -59,10 +66,6 @@ def parse_one_line(text: str, n: int) -> Rook:
 
 def format_one_line(x: Rook) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
-
-
-def zero_rook(n: int) -> Rook:
-    return (0,) * n
 
 
 def identity_rook(n: int) -> Rook:
@@ -120,72 +123,10 @@ def transpose(x: Rook) -> Rook:
     return tuple(out)
 
 
-def power(x: Rook, m: int) -> Rook:
-    out = identity_rook(len(x))
-    for _ in range(m):
-        out = multiply(out, x)
-    return out
-
-
-def is_nilpotent_rook(x: Rook) -> bool:
-    """True iff some power of x is zero.
-
-    Decided by cycle detection in the functional graph of the partial map
-    j -> x_j, which is O(n); repeated squaring is kept in the tests as an
-    independent oracle.
-    """
-    n = len(x)
-    state = [0] * (n + 1)  # 0 unseen, 1 on current path, 2 done
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        j = start
-        while j and state[j] == 0:
-            state[j] = 1
-            path.append(j)
-            j = x[j - 1]
-        if j and state[j] == 1:
-            return False
-        for v in path:
-            state[v] = 2
-    return True
-
-
-@dataclass(frozen=True)
-class TriangularParts:
-    """The unique split of a rook into strictly lower, diagonal, and
-    strictly upper pieces (entrywise, with pairwise disjoint supports)."""
-
-    lower: Rook
-    diag: Rook
-    upper: Rook
-
-    @property
-    def ranks(self) -> tuple[int, int, int]:
-        return (rank(self.lower), rank(self.diag), rank(self.upper))
-
-
-def triangular_decompose(x: Rook) -> TriangularParts:
-    n = len(x)
-    lower = [0] * n
-    diag = [0] * n
-    upper = [0] * n
-    for j, v in enumerate(x, start=1):
-        if not v:
-            continue
-        if v > j:
-            lower[j - 1] = v
-        elif v == j:
-            diag[j - 1] = v
-        else:
-            upper[j - 1] = v
-    return TriangularParts(tuple(lower), tuple(diag), tuple(upper))
-
-
 def triangular_ranks(x: Rook) -> tuple[int, int, int]:
-    """The ranks of `triangular_decompose(x)`, counted in one pass without
-    building the parts."""
+    """The ranks (lower, diag, upper) of the parts of x strictly below, on
+    and strictly above the diagonal, counted in one pass without building
+    the parts."""
     lower = diag = upper = 0
     for j, v in enumerate(x, start=1):
         if v > j:

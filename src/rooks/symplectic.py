@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .rook import Rook, domain, is_permutation, range_of
+from .rook import Rook, check_int, domain, is_permutation, range_of
 from .weyl import theta_perm
 
 DESK_LIMIT = 8
@@ -86,11 +86,11 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.n < 1:
+        if check_int(self.n, "size") < 1:
             raise ValueError("size must be positive")
         if self.family in SP_FAMILIES:
             _check_even(self.n)
-        if self.rank is not None and not 0 <= self.rank <= self.n:
+        if self.rank is not None and not 0 <= check_int(self.rank, "rank") <= self.n:
             raise ValueError(f"rank {self.rank} out of range 0..{self.n}")
         if self.n > DESK_LIMIT:
             raise ResourceLimitError(

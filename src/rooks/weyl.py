@@ -5,8 +5,9 @@ Permutations are total rooks: tuples ``(w_1, ..., w_n)`` with every value
 breadth-first closure over their simple generators, which is cheap at desk
 scale and keeps lengths, cosets, centralizers, and stabilizers exact: the
 closure's table of word lengths answers membership and Coxeter length for
-either kind, and `inversions` stays as the independent oracle for the
-symmetric lengths.
+either kind, and `inversions` in tests/rook_oracles.py checks it in S_n.  Only
+`group_context` branches on the kind: it picks the generators and the
+cross-section chain together, and the rest reads both from the context.
 """
 
 from __future__ import annotations
@@ -14,32 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rook import (
-    Rook,
-    check_rook,
-    diagonal_idempotent,
-    identity_rook,
-    is_permutation,
-    multiply,
-    rank,
-)
+from .rook import Rook, diagonal_idempotent, identity_rook, multiply, rank
 
 Perm = Rook
 
 SYMMETRIC = "symmetric"
 SYMPLECTIC = "symplectic"
-
-
-def check_permutation(w, n=None) -> Perm:
-    w = check_rook(w, n)
-    if not is_permutation(w):
-        raise ValueError(f"{w} is not a total permutation")
-    return w
-
-
-def inversions(w: Perm) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
 def theta_perm(w: Perm) -> Perm:
@@ -92,13 +73,14 @@ def _bfs_closure(n: int, gens: tuple[Perm, ...]) -> dict[Perm, int]:
 
 @dataclass(frozen=True)
 class GroupContext:
-    """A fully materialized Weyl group of one of the two kinds."""
+    """A materialized Weyl group of one kind, with its cross-section chain."""
 
     kind: str
     n: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...] = field(compare=False)
     lengths: dict = field(compare=False, repr=False)
+    chain: tuple[Rook, ...] = field(compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -107,19 +89,24 @@ def group_context(kind: str, n: int) -> GroupContext:
     its simple generators: r_1, ..., r_{n-1} for the symmetric group, and
     s_1, ..., s_l for the symplectic one of size n = 2l.  `lengths` maps
     every element to its Coxeter length, and `elements` lists them in
-    lexicographic order."""
+    lexicographic order.  `chain` holds the diagonal idempotents e_k (ones
+    in the first k places) that act as orbit representatives: e_0 < ... < e_n
+    for the rook monoid, e_0 < ... < e_l < e_n for the symplectic one."""
     if kind == SYMMETRIC:
         if n < 1:
             raise ValueError("size must be positive")
         gens = tuple(simple_transposition(n, j) for j in range(1, n))
+        ranks = range(n + 1)
     elif kind == SYMPLECTIC:
         if n < 2 or n % 2:
             raise ValueError(f"symplectic size must be even and positive, got {n}")
         gens = tuple(symplectic_generators(n // 2))
+        ranks = [*range(n // 2 + 1), n]
     else:
         raise ValueError(f"unknown group kind {kind!r}")
     lengths = _bfs_closure(n, gens)
-    return GroupContext(kind, n, gens, tuple(sorted(lengths)), lengths)
+    chain = tuple(diagonal_idempotent(n, range(1, k + 1)) for k in ranks)
+    return GroupContext(kind, n, gens, tuple(sorted(lengths)), lengths, chain)
 
 
 def coxeter_length(w: Perm, ctx: GroupContext) -> int:
@@ -128,21 +115,6 @@ def coxeter_length(w: Perm, ctx: GroupContext) -> int:
     if w not in ctx.lengths:
         raise ValueError(f"{w} is not in the {ctx.kind} group of size {ctx.n}")
     return ctx.lengths[w]
-
-
-def cross_section_chain(kind: str, n: int) -> tuple[Rook, ...]:
-    """The chain of diagonal idempotents acting as orbit representatives:
-    e_0 < e_1 < ... < e_n for the rook monoid, and e_0 < ... < e_l < e_n
-    for the symplectic one (note the index jump)."""
-    if kind == SYMMETRIC:
-        ks = range(n + 1)
-    elif kind == SYMPLECTIC:
-        if n % 2:
-            raise ValueError(f"size must be even, got {n}")
-        ks = list(range(n // 2 + 1)) + [n]
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-    return tuple(diagonal_idempotent(n, range(1, k + 1)) for k in ks)
 
 
 def generated_subgroup(gens, ctx: GroupContext) -> tuple[Perm, ...]:
@@ -196,8 +168,7 @@ def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
     generator sets over all chain idempotents below e; the tests check that
     they do generate the stabilizer.
     """
-    chain = cross_section_chain(ctx.kind, ctx.n)
-    if e not in chain:
+    if e not in ctx.chain:
         raise ValueError(f"{e} is not an idempotent of the cross-section chain")
     commuting = _commuting_generators(e, ctx)
     centralizer = tuple(
@@ -207,7 +178,7 @@ def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
     stabilizer = tuple(
         a for a in centralizer if multiply(a, e) == e
     )
-    below = [f for f in chain if rank(f) <= rank(e)]
+    below = [f for f in ctx.chain if rank(f) <= rank(e)]
     stab_gens = set(ctx.generators)
     for f in below:
         stab_gens &= set(_commuting_generators(f, ctx))

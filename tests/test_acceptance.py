@@ -24,7 +24,6 @@ from rooks.rook import (
     rank,
     transpose,
     triangular_ranks,
-    zero_rook,
 )
 from rooks.symplectic import (
     FamilySpec,
@@ -182,7 +181,7 @@ def test_criterion_5_figure_reproduction():
     elements = enum_family(FamilySpec(4, "borel-sp"))
     poset = build_poset(elements)
     assert len(poset.elements) == 25
-    assert [poset.elements[i] for i in poset.minimals] == [zero_rook(4)]
+    assert [poset.elements[i] for i in poset.minimals] == [(0,) * 4]
     assert [poset.elements[i] for i in poset.maximals] == [identity_rook(4)]
     edges = {(poset.elements[i], poset.elements[j]) for i, j in poset.covers}
     assert len(edges) == 49

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rook_oracles import stirling2_inclusion_exclusion
 from rooks.counting import (
     CountReport,
     admissible_count,
@@ -9,7 +10,6 @@ from rooks.counting import (
     borel_sp_rank_count,
     rank_count_rook,
     stirling2,
-    stirling2_inclusion_exclusion,
     triangular_census,
 )
 from rooks.rook import rank

@@ -1,0 +1,45 @@
+"""The library holds only what it runs: every top-level function and class in
+`rooks` is referenced by some module of the library other than through its
+own body.  Reference routes that only the tests call live beside the tests,
+in `rook_oracles.py` and `poset_oracles.py`."""
+
+import ast
+from pathlib import Path
+
+import rooks
+
+# The exact-rational block of rook.py.  ROADMAP item 4 turns it into the
+# exact linear-algebra module behind a verify check; until then only the
+# tests call it.
+FRACTION_BLOCK = {"rook.rational_matrix", "rook.rook_matrix", "rook.msp_membership"}
+
+
+def unreferenced_definitions(package: Path) -> set[str]:
+    """`module.name` of each top-level def or class of the package whose name
+    no Name or Attribute node of the package uses outside its own body;
+    imports and exports do not count as uses."""
+    definitions = []
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.stem, node))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.append((path.stem, name, node.lineno))
+    return {
+        f"{module}.{node.name}"
+        for module, node in definitions
+        if not any(
+            name == node.name
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, name, line in uses
+        )
+    }
+
+
+def test_every_library_definition_is_used_by_the_library():
+    unused = unreferenced_definitions(Path(rooks.__file__).parent)
+    assert sorted(unused - FRACTION_BLOCK) == []

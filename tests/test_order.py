@@ -15,7 +15,7 @@ from rooks.order import (
     profile_le,
     standard_form,
 )
-from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose, zero_rook
+from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose
 from rooks.symplectic import FAMILIES, SP_FAMILIES, FamilySpec, enum_family, rank_slice_minimum
 from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context
 
@@ -111,7 +111,7 @@ def test_standard_form_examples():
     e2 = (1, 2, 0, 0)
     form = standard_form(e2, ctx)
     assert (form.a, form.e, form.b) == (ident, e2, ident)
-    zero = zero_rook(4)
+    zero = (0,) * 4
     form = standard_form(zero, ctx)
     assert (form.a, form.e, form.b) == (ident, zero, ident)
 

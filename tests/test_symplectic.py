@@ -26,7 +26,7 @@ from rooks.symplectic import (
     iter_family,
     rank_slice_minimum,
 )
-from rooks.weyl import SYMPLECTIC, cross_section_chain, group_context, theta_perm
+from rooks.weyl import SYMPLECTIC, group_context, theta_perm
 
 
 def test_is_admissible_examples():
@@ -157,6 +157,22 @@ def test_family_spec_validation():
         FamilySpec(4, "rook", rank=9)
 
 
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        (4, 1.5),  # a fractional rank would slice nothing and stream every rook
+        (4, 2.0),
+        (4, "2"),
+        (2.5, None),
+        (4.0, None),
+        ("4", None),
+    ],
+)
+def test_family_spec_rejects_non_integers(n, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        FamilySpec(n, "rook", rank=k)
+
+
 def test_desk_bound():
     with pytest.raises(ResourceLimitError):
         enum_family(FamilySpec(9, "rook"))
@@ -166,18 +182,6 @@ def test_desk_bound():
             FamilySpec(n, family)
     with pytest.raises(ValueError, match="^size must be even and positive, got 9$"):
         FamilySpec(9, "renner-sp")
-
-
-def test_cross_section_lattice():
-    assert cross_section_chain(SYMPLECTIC, 4) == (
-        (0, 0, 0, 0),
-        (1, 0, 0, 0),
-        (1, 2, 0, 0),
-        (1, 2, 3, 4),
-    )
-    assert cross_section_chain(SYMPLECTIC, 2) == ((0, 0), (1, 0), (1, 2))
-    with pytest.raises(ValueError):
-        cross_section_chain(SYMPLECTIC, 3)
 
 
 def test_borel_sp_equals_lower_interval_of_identity():
@@ -211,7 +215,7 @@ def test_renner_sp_matches_orbit_description():
     n = 4
     ctx = group_context(SYMPLECTIC, n)
     orbit_union = set()
-    for e in cross_section_chain(SYMPLECTIC, n):
+    for e in ctx.chain:
         for a in ctx.elements:
             for b in ctx.elements:
                 orbit_union.add(multiply(multiply(a, e), b))

@@ -2,16 +2,14 @@ from itertools import permutations
 
 import pytest
 
+from rook_oracles import inversions
 from rooks.rook import diagonal_idempotent, identity_rook, multiply
 from rooks.weyl import (
     SYMMETRIC,
     SYMPLECTIC,
-    check_permutation,
     coxeter_length,
-    cross_section_chain,
     generated_subgroup,
     group_context,
-    inversions,
     min_coset_reps,
     parabolic_data,
     simple_transposition,
@@ -22,14 +20,6 @@ from rooks.weyl import (
 
 def all_perms(n):
     return [tuple(p) for p in permutations(range(1, n + 1))]
-
-
-def test_check_permutation():
-    assert check_permutation((2, 1, 3)) == (2, 1, 3)
-    with pytest.raises(ValueError):
-        check_permutation((2, 0, 3))
-    with pytest.raises(ValueError):
-        check_permutation((1, 1, 3))
 
 
 def test_theta_examples():
@@ -151,15 +141,16 @@ def test_parabolic_rejects_non_chain_idempotent():
 
 
 def test_cross_section_chain():
-    assert cross_section_chain(SYMMETRIC, 2) == ((0, 0), (1, 0), (1, 2))
-    assert cross_section_chain(SYMPLECTIC, 4) == (
+    assert group_context(SYMMETRIC, 2).chain == ((0, 0), (1, 0), (1, 2))
+    assert group_context(SYMPLECTIC, 2).chain == ((0, 0), (1, 0), (1, 2))
+    assert group_context(SYMPLECTIC, 4).chain == (
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (1, 2, 0, 0),
         (1, 2, 3, 4),
     )
     with pytest.raises(ValueError):
-        cross_section_chain(SYMPLECTIC, 3)
+        group_context(SYMPLECTIC, 3)
 
 
 def test_min_coset_reps_examples():
