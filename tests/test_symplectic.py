@@ -184,6 +184,18 @@ def test_desk_bound():
         FamilySpec(9, "renner-sp")
 
 
+def test_cross_section_lattice():
+    assert group_context(SYMPLECTIC, 4).chain == (
+        (0, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 2, 0, 0),
+        (1, 2, 3, 4),
+    )
+    assert group_context(SYMPLECTIC, 2).chain == ((0, 0), (1, 0), (1, 2))
+    with pytest.raises(ValueError):
+        group_context(SYMPLECTIC, 3)
+
+
 def test_borel_sp_equals_lower_interval_of_identity():
     # upper-triangularity coincides with x <= 1 inside the symplectic rooks
     renner = enum_family(FamilySpec(4, "renner-sp"))
