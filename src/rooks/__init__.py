@@ -41,6 +41,7 @@ from .rook import (
 from .symplectic import (
     FamilySpec,
     ResourceLimitError,
+    count_family,
     enum_admissible,
     enum_family,
     is_admissible,

@@ -38,6 +38,7 @@ from .symplectic import (
     FAMILIES,
     FamilySpec,
     ResourceLimitError,
+    count_family,
     enum_family,
     iter_family,
 )
@@ -107,7 +108,7 @@ def _json(obj) -> str:
 def _cmd_enum(args) -> int:
     spec = FamilySpec(args.n, args.family, args.rank)
     if args.format == "count":
-        _emit_lines([str(sum(1 for _ in iter_family(spec)))], args.out)
+        _emit_lines([str(count_family(spec))], args.out)
     elif args.format == "oneline":
         _emit_lines(map(format_one_line, iter_family(spec)), args.out)
     else:

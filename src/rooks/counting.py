@@ -16,7 +16,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .rook import Rook, triangular_ranks
-from .symplectic import FamilySpec, _check_even, iter_family
+from .symplectic import FamilySpec, _check_even, count_family, iter_family
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def borel_sp_rank_count(l: int, k: int) -> CountReport:
         raise ValueError(f"k out of range 0..{l}")
     return CountReport(
         parameters=(("l", l), ("k", k)),
-        oracle=sum(1 for _ in iter_family(FamilySpec(2 * l, "borel-sp", rank=k))),
+        oracle=count_family(FamilySpec(2 * l, "borel-sp", rank=k)),
         proof_form=borel_sp_proof_form(l, k),
         paper_form=borel_sp_paper_form(l, k),
     )

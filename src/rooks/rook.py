@@ -51,6 +51,8 @@ def check_rook(values: Sequence[int], n: Optional[int] = None) -> Rook:
 
 def parse_one_line(text: str, n: int) -> Rook:
     """Parse the text form "(x1,x2,...,xn)"; spaces are tolerated."""
+    if check_int(n, "size") < 1:
+        raise ValueError("size must be positive")
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"expected a parenthesized list, got {text!r}")

@@ -6,21 +6,27 @@ Renner monoid consists of the singular rooks whose domain and range are both
 admissible, together with the theta-fixed permutations.
 
 Families are enumerated by one descent over the columns in lexicographic
-order, `iter_family`, which yields the members one at a time: a caller that
-only counts or folds over a family holds one prefix, not the family.
-`enum_family` is the same stream as a list, for callers that index or pair
-the elements.  For the symplectic families the descent itself only extends a
+order, `_blocks`.  It descends over the first n-2 columns and yields each
+prefix with the list of its two-column tails; the tails depend only on the
+rows the prefix uses (and, for a symplectic family, on the first two
+columns, which the last two mirror), so they come from a memo that lives
+for one call.  `iter_family` streams the members, each prefix joined to each
+tail: a caller that folds over a family holds one prefix and the memo, not
+the family.  `count_family` adds up the tail lengths and builds no member.
+`enum_family` is the stream as a list, for callers that index or pair the
+elements.  For the symplectic families the descent itself only extends a
 prefix that can still complete to a member (the choice function inside
-`iter_family`), so no leaf is tested; `is_symplectic_rook` stays as the
-independent membership oracle, and the tests compare the descent with it and
-with the group-orbit description.  `FamilySpec` refuses a size beyond
-DESK_LIMIT, so every consumer refuses it before any work.
+`_blocks`), so no member is tested; `is_symplectic_rook` stays as the
+independent membership oracle, and the tests compare the descent with it,
+with the group-orbit description and with the leaf-by-leaf descent it
+replaced.  `FamilySpec` refuses a size beyond DESK_LIMIT, so every consumer
+refuses it before any work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Optional
 
 from .rook import Rook, check_int, domain, is_permutation, range_of
@@ -98,17 +104,24 @@ class FamilySpec:
             )
 
 
-def iter_family(spec: FamilySpec) -> Iterator[Rook]:
-    """Yield the members of a family in lexicographic order, one at a time.
+def _blocks(spec: FamilySpec) -> Iterator[tuple[Rook, list[Rook]]]:
+    """Yield the members of a family as blocks `(prefix, tails)`, in
+    lexicographic order: the block's members are `prefix + tail` for each
+    tail in turn.
 
-    The descent runs over the columns with an explicit stack of choice
-    iterators, one per open column; the last column's choices are yielded
-    straight from the innermost loop, so only the current prefix and its
-    choice lists are held.  `choices(j)` gives the values column j may take
-    after the current prefix: 0 or an unused row up to the family's bound,
-    pruned to completions of the requested rank and, for a symplectic
-    family, to prefixes that can still complete to a member, so every leaf
-    is one."""
+    The prefix is the first n-2 columns (none when n <= 2), found by a
+    descent with an explicit stack of choice iterators, one per open column.
+    `choices(j)` gives the values column j may take after the current
+    prefix: 0 or an unused row up to the family's bound, pruned to
+    completions of the requested rank and, for a symplectic family, to
+    prefixes that can still complete to a member, so every tail completes
+    one.  For the last two columns `choices` reads only the used rows and,
+    for a symplectic family, their mirrors, the first two columns; so their
+    tails are drawn once per key (the bitmask of used rows, with `prefix[:2]`
+    for a symplectic family) from a memo that lives for one call.  The memo
+    holds at most 2^(n+1) keys (times the (n+1)^2 mirror pairs for a
+    symplectic family), each with at most (n+1)^2 tails, all dropped when the
+    stream ends."""
     n = spec.n
     target = spec.rank
     symplectic = spec.family in SP_FAMILIES
@@ -154,16 +167,40 @@ def iter_family(spec: FamilySpec) -> Iterator[Rook]:
             return [v for v in values if not v]
         return [v for v in values if not v or n + 1 - v not in used]
 
+    def tails(j: int) -> list[Rook]:
+        # the completions of columns j..n after the current prefix
+        if j > n:
+            return [()]
+        out = []
+        for v in choices(j):
+            column[j - 1] = v
+            if v:
+                used.add(v)
+            out.extend([(v,) + t for t in tails(j + 1)])
+            used.discard(v)
+        column[j - 1] = 0
+        return out
+
+    depth = max(n - 2, 0)
+    memo: dict = {}
+    mask = 0
+
+    def block() -> list[Rook]:
+        key = (mask, column[0], column[1]) if symplectic else mask
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tails(depth + 1)
+        return found
+
+    if not depth:
+        yield (), block()
+        return
     stack = [iter(choices(1))]
     while stack:
         j = len(stack)
-        if j == n:
-            for v in stack.pop():
-                column[-1] = v
-                yield tuple(column)
-            continue
         if column[j - 1]:
             used.discard(column[j - 1])
+            mask ^= 1 << column[j - 1]
         v = next(stack[-1], None)
         if v is None:
             column[j - 1] = 0
@@ -172,7 +209,19 @@ def iter_family(spec: FamilySpec) -> Iterator[Rook]:
         column[j - 1] = v
         if v:
             used.add(v)
-        stack.append(iter(choices(j + 1)))
+            mask |= 1 << v
+        if j == depth:
+            yield tuple(column[:depth]), block()
+        else:
+            stack.append(iter(choices(j + 1)))
+
+
+def iter_family(spec: FamilySpec) -> Iterator[Rook]:
+    """Yield the members of a family in lexicographic order, one at a time:
+    each block of `_blocks` in turn, its prefix joined to every memoised
+    two-column tail.  The stream holds the current prefix and the memo, not
+    the family."""
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in _blocks(spec))
 
 
 def enum_family(spec: FamilySpec) -> list[Rook]:
@@ -180,6 +229,16 @@ def enum_family(spec: FamilySpec) -> list[Rook]:
     list: the stream of `iter_family`, for callers that index or pair the
     elements."""
     return list(iter_family(spec))
+
+
+def count_family(spec: FamilySpec) -> int:
+    """The number of members of a family (or of its rank slice), summed over
+    the blocks of `_blocks` without building any member.
+
+    >>> count_family(FamilySpec(4, "rook"))
+    209
+    """
+    return sum(len(tails) for _, tails in _blocks(spec))
 
 
 def rank_slice_minimum(n: int, k: int) -> Rook:

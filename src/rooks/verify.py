@@ -33,6 +33,7 @@ from .rook import diagonal_idempotent, format_one_line, is_permutation, is_upper
 from .symplectic import (
     FamilySpec,
     ResourceLimitError,
+    count_family,
     enum_admissible,
     enum_family,
     is_admissible,
@@ -246,7 +247,7 @@ def _check_formula(l) -> list:
             rep = borel_sp_rank_count(li, k)
             total += rep.oracle
             reports.append(rep)
-        members = sum(1 for _ in iter_family(FamilySpec(2 * li, "borel-sp")))
+        members = count_family(FamilySpec(2 * li, "borel-sp"))
         reports.append(
             CountReport(
                 (("l", li),), total + 1, proof_form=members, label="ranks 0..l plus identity"
@@ -276,7 +277,7 @@ def _check_folding(l_val) -> list:
         _zero_row((("l", l_val),), mismatched_constructive, "constructive vs exhaustive")
     )
     covered = sum(len(v) for v in images.values())
-    members = sum(1 for _ in iter_family(FamilySpec(n_val, "borel-sp")))
+    members = count_family(FamilySpec(n_val, "borel-sp"))
     reports.append(
         CountReport(
             (("l", l_val),),

@@ -476,6 +476,19 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--n", "0", "--x", "()"],
+        ["unfold", "--l", "0", "--x", "()"],
+        ["order", "--n", "0", "--x", "()", "--y", "()"],
+    ],
+)
+def test_size_zero_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: size must be positive\n"
+
+
 def test_resource_bounds_exit_2(capsys):
     assert cli.main(["enum", "--n", "9", "--family", "rook"]) == 2
     capsys.readouterr()
