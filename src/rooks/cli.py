@@ -10,8 +10,8 @@ Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors, exceeded resource bounds (including a `hasse` family of
 more than HASSE_LIMIT = 25,000 elements, whose order rows would take more
-than HASSE_ROW_BYTES, refused by its closed-form size before enumeration
-where it has one) and output errors (an `--out` file that cannot be opened,
+than HASSE_ROW_BYTES, counted with `count_family` and refused before it is
+enumerated) and output errors (an `--out` file that cannot be opened,
 a stdout pipe closed by its reader, a stdout closed before the start), 3 on
 an internal error (a RuntimeError, such as a standard form that is not
 unique).
@@ -44,7 +44,6 @@ from .symplectic import (
 )
 from .verify import (
     VERIFY_CHECKS,
-    closed_form_size,
     count_reports,
     proof_agreement,
     run_check,
@@ -53,9 +52,8 @@ from .verify import (
 # Largest family `hasse` accepts, from the memory of the order rows: the
 # poset build holds two bitset rows of m bits per element (`up` and `down`),
 # m^2/4 bytes in all, and the layers and covers are read off them.  The size
-# is the closed form (`closed_form_size`), checked before anything is
-# enumerated; a family with no form is enumerated first and judged by its
-# length.  At this bound every family at n <= 8 runs except rook n >= 7
+# is `count_family`'s, which builds no member, checked before the family is
+# enumerated.  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
 # rook n = 6 (13,327 elements) takes about 1.2 s and 75 MB resident, and
 # borel n = 8 (21,147) about 2.2 s and 150 MB.
@@ -79,11 +77,12 @@ def dot_export(h: HasseDiagram) -> str:
 
 def _emit_lines(lines, out: str | None) -> None:
     """Write each line with its newline as it comes, to `out` or stdout: the
-    one writer of every command.  An empty stream writes a single newline.
-    The first line is drawn before `out` is opened, so an enumeration that
-    is refused leaves no file behind.  Python sets `sys.stdout` to None when
-    the process starts with file descriptor 1 closed; stdout output then
-    fails as an output error, and `--out` never touches stdout."""
+    one writer, which `main` calls with the output of every command.  An
+    empty stream writes a single newline.  The first line is drawn before
+    `out` is opened, so an enumeration that is refused leaves no file behind.
+    Python sets `sys.stdout` to None when the process starts with file
+    descriptor 1 closed; stdout output then fails as an output error, and
+    `--out` never touches stdout."""
     lines = iter(lines)
     first = next(lines, "")
     stream = open(out, "w", encoding="utf-8") if out else sys.stdout
@@ -102,128 +101,113 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-# --- subcommands ---
+# --- subcommands: each returns its output, lines or a dict for `_json` ---
 
 
-def _cmd_enum(args) -> int:
+def _cmd_enum(args):
     spec = FamilySpec(args.n, args.family, args.rank)
     if args.format == "count":
-        _emit_lines([str(count_family(spec))], args.out)
-    elif args.format == "oneline":
-        _emit_lines(map(format_one_line, iter_family(spec)), args.out)
-    else:
-        elements = enum_family(spec)
-        obj = {
-            "n": args.n,
-            "family": args.family,
-            "rank": args.rank,
-            "count": len(elements),
-            "elements": [format_one_line(x) for x in elements],
-        }
-        _emit_lines([_json(obj)], args.out)
-    return 0
+        return [str(count_family(spec))]
+    if args.format == "oneline":
+        return map(format_one_line, iter_family(spec))
+    elements = enum_family(spec)
+    return {
+        "n": args.n,
+        "family": args.family,
+        "rank": args.rank,
+        "count": len(elements),
+        "elements": [format_one_line(x) for x in elements],
+    }
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     if args.n is not None and args.l is not None:
         raise ValueError("count takes --n or --l, not both")
     n = args.n if args.n is not None else (2 * args.l if args.l is not None else None)
     if n is None:
         raise ValueError("count needs --n or --l")
-    spec = FamilySpec(n, args.family, args.rank)
-    reports = count_reports(spec)
-    _emit_reports(reports, args, extra={"family": args.family, "n": n})
-    return 0
+    reports = count_reports(FamilySpec(n, args.family, args.rank))
+    if args.format == "json":
+        return {
+            "family": args.family,
+            "n": n,
+            "reports": [rep.to_json_dict() for rep in reports],
+        }
+    return [rep.text_row() for rep in reports]
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     x = parse_one_line(args.x, args.n)
     y = parse_one_line(args.y, args.n)
     result = bcr_le(x, y)
     if args.format == "json":
-        obj = {
+        return {
             "n": args.n,
             "x": format_one_line(x),
             "y": format_one_line(y),
             "le": result,
         }
-        _emit_lines([_json(obj)], args.out)
-    else:
-        _emit_lines(["true" if result else "false"], args.out)
-    return 0
+    return ["true" if result else "false"]
 
 
-def _cmd_hasse(args) -> int:
+def _cmd_hasse(args):
     spec = FamilySpec(args.n, args.family, args.rank)
-    size = closed_form_size(spec)
-    if size is None or size <= HASSE_LIMIT:
-        elements = enum_family(spec)
-        size = len(elements)
+    size = count_family(spec)
     if size > HASSE_LIMIT:
         raise ResourceLimitError(
             f"hasse supports up to {HASSE_LIMIT} elements, got {size}; "
             "select a rank slice with --rank"
         )
-    poset = build_poset(elements)
+    poset = build_poset(enum_family(spec))
     if args.format == "dot":
-        _emit_lines([dot_export(poset)], args.out)
-    elif args.format == "count":
-        _emit_lines([f"nodes={len(poset.elements)}", f"edges={len(poset.covers)}"], args.out)
-    else:
-        obj = {
-            "n": args.n,
-            "family": args.family,
-            "rank": args.rank,
-            "elements": [format_one_line(x) for x in poset.elements],
-            "covers": [list(c) for c in poset.covers],
-            "rank_of": list(poset.rank_of),
-            "minimals": list(poset.minimals),
-            "maximals": list(poset.maximals),
-            "graded": poset.graded,
-        }
-        _emit_lines([_json(obj)], args.out)
-    return 0
+        return [dot_export(poset)]
+    if args.format == "count":
+        return [f"nodes={len(poset.elements)}", f"edges={len(poset.covers)}"]
+    return {
+        "n": args.n,
+        "family": args.family,
+        "rank": args.rank,
+        "elements": [format_one_line(x) for x in poset.elements],
+        "covers": [list(c) for c in poset.covers],
+        "rank_of": list(poset.rank_of),
+        "minimals": list(poset.minimals),
+        "maximals": list(poset.maximals),
+        "graded": poset.graded,
+    }
 
 
-def _cmd_fold(args) -> int:
+def _cmd_fold(args):
     x = parse_one_line(args.x, args.n)
     tb = fold(x, "tb")
     lr = fold(x, "lr")
     both = fold(x, "both")
     if args.format == "json":
-        obj = {
+        return {
             "n": args.n,
             "x": format_one_line(x),
             "tb": tb.to_json_dict(),
             "lr": lr.to_json_dict(),
             "both": format_one_line(both),
         }
-        _emit_lines([_json(obj)], args.out)
-    else:
-        lines = [f"TB {tb.text()}", f"LR {lr.text()}", f"both {format_one_line(both)}"]
-        _emit_lines(lines, args.out)
-    return 0
+    return [f"TB {tb.text()}", f"LR {lr.text()}", f"both {format_one_line(both)}"]
 
 
-def _cmd_unfold(args) -> int:
+def _cmd_unfold(args):
     a = parse_one_line(args.x, args.l)
     preimages = unfold_preimages(a)
     if args.format == "count":
-        _emit_lines([str(len(preimages))], args.out)
-    elif args.format == "json":
-        obj = {
+        return [str(len(preimages))]
+    if args.format == "json":
+        return {
             "l": args.l,
             "x": format_one_line(a),
             "count": len(preimages),
             "preimages": [format_one_line(x) for x in preimages],
         }
-        _emit_lines([_json(obj)], args.out)
-    else:
-        _emit_lines(map(format_one_line, preimages), args.out)
-    return 0
+    return map(format_one_line, preimages)
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args):
     text = args.x.strip()
     if text.startswith("("):
         x = parse_one_line(text, args.n)
@@ -236,42 +220,31 @@ def _cmd_partition(args) -> int:
     rook_text = format_one_line(x)
     partition_text = partition_standard_string(partition)
     if args.format == "json":
-        obj = {
+        return {
             "n": args.n,
             "input": text,
             "rook": rook_text,
             "partition": partition_text,
         }
-        _emit_lines([_json(obj)], args.out)
-    else:
-        _emit_lines([partition_text if text.startswith("(") else rook_text], args.out)
-    return 0
+    return [partition_text if text.startswith("(") else rook_text]
 
 
-def _emit_reports(reports, args, extra=None) -> None:
-    if args.format == "json":
-        obj = dict(extra or {})
-        obj["reports"] = [rep.to_json_dict() for rep in reports]
-        _emit_lines([_json(obj)], args.out)
-    else:
-        lines = []
-        if extra and "check" in extra:
-            lines.append(f"check: {extra['check']}")
-        lines.extend(rep.text_row() for rep in reports)
-        if extra and "proof_agreement" in extra:
-            lines.append(
-                "result: ok" if extra["proof_agreement"] else "result: PROOF MISMATCH"
-            )
-        _emit_lines(lines, args.out)
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    """The report and the exit code: 1 on an oracle vs proof-form mismatch."""
     reports = run_check(args.check, args.n, args.l)
     agreement = proof_agreement(reports)
-    _emit_reports(
-        reports, args, extra={"check": args.check, "proof_agreement": agreement}
-    )
-    return 0 if agreement else 1
+    code = 0 if agreement else 1
+    if args.format == "json":
+        return {
+            "check": args.check,
+            "proof_agreement": agreement,
+            "reports": [rep.to_json_dict() for rep in reports],
+        }, code
+    return [
+        f"check: {args.check}",
+        *(rep.text_row() for rep in reports),
+        "result: ok" if agreement else "result: PROOF MISMATCH",
+    ], code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,82 +254,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **flags):
+    def add(name, func, formats, default=None, **flags):
+        """A subcommand with `flags`, then `--format` (by default the first
+        of `formats`) and `--out`."""
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
+        p.add_argument("--format", choices=formats, default=default or formats[0])
+        p.add_argument("--out", default=None)
         p.set_defaults(func=func)
-        return p
 
     add(
         "enum",
         _cmd_enum,
+        ("count", "oneline", "json"),
+        default="oneline",
         n=dict(type=int, required=True),
         family=dict(choices=FAMILIES, required=True),
         rank=dict(type=int, default=None),
-        format=dict(choices=("count", "oneline", "json"), default="oneline"),
-        out=dict(default=None),
     )
     add(
         "count",
         _cmd_count,
+        ("report", "json"),
         n=dict(type=int, default=None),
         l=dict(type=int, default=None),
         family=dict(choices=FAMILIES, required=True),
         rank=dict(type=int, default=None),
-        format=dict(choices=("report", "json"), default="report"),
-        out=dict(default=None),
     )
     add(
         "order",
         _cmd_order,
+        ("oneline", "json"),
         n=dict(type=int, required=True),
         x=dict(required=True),
         y=dict(required=True),
-        format=dict(choices=("oneline", "json"), default="oneline"),
-        out=dict(default=None),
     )
     add(
         "hasse",
         _cmd_hasse,
+        ("dot", "count", "json"),
         n=dict(type=int, required=True),
         family=dict(choices=FAMILIES, required=True),
         rank=dict(type=int, default=None),
-        format=dict(choices=("dot", "count", "json"), default="dot"),
-        out=dict(default=None),
     )
     add(
         "fold",
         _cmd_fold,
+        ("oneline", "json"),
         n=dict(type=int, required=True),
         x=dict(required=True),
-        format=dict(choices=("oneline", "json"), default="oneline"),
-        out=dict(default=None),
     )
     add(
         "unfold",
         _cmd_unfold,
+        ("oneline", "count", "json"),
         l=dict(type=int, required=True),
         x=dict(required=True),
-        format=dict(choices=("oneline", "count", "json"), default="oneline"),
-        out=dict(default=None),
     )
     add(
         "partition",
         _cmd_partition,
+        ("oneline", "json"),
         n=dict(type=int, required=True),
         x=dict(required=True),
-        format=dict(choices=("oneline", "json"), default="oneline"),
-        out=dict(default=None),
     )
     add(
         "verify",
         _cmd_verify,
+        ("report", "json"),
         check=dict(choices=VERIFY_CHECKS, required=True),
         n=dict(type=int, default=None),
         l=dict(type=int, default=None),
-        format=dict(choices=("report", "json"), default="report"),
-        out=dict(default=None),
     )
     return parser
 
@@ -368,7 +337,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        output = args.func(args)
+        output, code = output if isinstance(output, tuple) else (output, 0)
+        _emit_lines([_json(output)] if isinstance(output, dict) else output, args.out)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 from typing import Optional
 
@@ -67,15 +66,16 @@ class CountReport:
         return line
 
 
-@lru_cache(maxsize=None)
 def stirling2(m: int, k: int) -> int:
-    """Stirling numbers of the second kind via the recurrence
-    S(m, k) = S(m-1, k-1) + k S(m-1, k); out-of-range arguments are 0."""
-    if m == 0 and k == 0:
-        return 1
-    if m < 0 or k < 0 or k > m or (m > 0 and k == 0):
+    """Stirling numbers of the second kind by the recurrence
+    S(i, j) = S(i-1, j-1) + j S(i-1, j), one row i at a time over the
+    columns 0..k; out-of-range arguments are 0."""
+    if m < 0 or k < 0 or k > m:
         return 0
-    return stirling2(m - 1, k - 1) + k * stirling2(m - 1, k)
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(m):
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, k + 1)]
+    return row[k]
 
 
 def bell(m: int) -> int:

@@ -108,8 +108,8 @@ def parse_partition(text: str) -> SetPartition:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"empty block in {text!r}")
-        if comma_form:
-            blocks.append(tuple(int(t.strip()) for t in chunk.split(",")))
-        else:
-            blocks.append(tuple(int(ch) for ch in chunk))
+        try:  # int() drops the spaces around a comma-separated entry
+            blocks.append(tuple(map(int, chunk.split(",") if comma_form else chunk)))
+        except ValueError:
+            raise ValueError(f"non-integer entry in {text!r}") from None
     return check_partition(blocks)

@@ -85,19 +85,6 @@ RANK_FORMS = {
 }
 
 
-def _ranks(spec: FamilySpec):
-    return range(spec.n + 1) if spec.rank is None else [spec.rank]
-
-
-def closed_form_size(spec: FamilySpec) -> int | None:
-    """The size of the family (or of its rank slice) by the proof form in
-    RANK_FORMS, without enumerating; None for a family with no form."""
-    if spec.family not in RANK_FORMS:
-        return None
-    proof_form = RANK_FORMS[spec.family][0]
-    return sum(proof_form(spec.n, k) for k in _ranks(spec))
-
-
 def count_reports(spec: FamilySpec) -> list[CountReport]:
     """One row per rank of the family (or the one rank of the spec): the
     enumerated count against the forms in RANK_FORMS."""
@@ -111,7 +98,7 @@ def count_reports(spec: FamilySpec) -> list[CountReport]:
             proof_form=None if proof_form is None else proof_form(n, k),
             paper_form=None if paper_form is None else paper_form(n, k),
         )
-        for k in _ranks(spec)
+        for k in (range(n + 1) if spec.rank is None else [spec.rank])
     ]
 
 

@@ -15,7 +15,7 @@ import rooks.counting as counting
 import rooks.order as order
 import rooks.verify as verify
 from rooks.counting import CountReport
-from rooks.symplectic import FAMILIES, FamilySpec, enum_family
+from rooks.symplectic import FAMILIES, FamilySpec, count_family, enum_family
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -181,6 +181,70 @@ def test_out_needs_no_stdout(capsys, monkeypatch, tmp_path, argv):
     assert capsys.readouterr().err == ""
 
 
+# a small run of each subcommand, to be written in each of its formats
+SMALL_RUNS = {
+    "enum": "--n 3 --family rook",
+    "count": "--n 3 --family borel",
+    "order": "--n 3 --x (1,0,2) --y (1,2,3)",
+    "hasse": "--n 3 --family rook",
+    "fold": "--n 8 --x (1,0,5,0,2,0,6,0)",
+    "unfold": "--l 2 --x (2,1)",
+    "partition": "--n 9 --x 18|2569|37|4",
+    "verify": "--check inrsn --n 2",
+}
+
+
+def every_format():
+    """`[command, *flags, "--format", format]` for each subcommand of the
+    parser and each format it accepts."""
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return [
+        [name, *SMALL_RUNS[name].split(), "--format", fmt]
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest == "format"
+        for fmt in action.choices
+    ]
+
+
+def out_matches_stdout(capsysbinary, tmp_path, argv):
+    """The exit code of `argv`, once `--out` has given the same code and
+    written the same bytes as the run on stdout."""
+    code, expected = run(capsysbinary, *argv)
+    path = tmp_path / "out.txt"
+    assert cli.main([*argv, "--out", str(path)]) == code
+    assert path.read_bytes() == expected
+    assert capsysbinary.readouterr() == (b"", b"")
+    return code
+
+
+@pytest.mark.parametrize("argv", every_format(), ids=" ".join)
+def test_out_holds_what_stdout_prints(capsysbinary, tmp_path, argv):
+    assert out_matches_stdout(capsysbinary, tmp_path, argv) == 0
+
+
+@pytest.mark.parametrize("fmt", ["report", "json"])
+def test_out_holds_a_proof_mismatch(capsysbinary, monkeypatch, tmp_path, fmt):
+    # the first pair test of each run flipped, as in
+    # test_inrsn_counts_a_flipped_pair
+    profile_le, run_check = order.profile_le, cli.run_check
+    calls = []
+
+    def flip_first(*args):
+        calls.append(args)
+        result = profile_le(*args)
+        return not result if len(calls) == 1 else result
+
+    def fresh_run(*args):
+        calls.clear()
+        return run_check(*args)
+
+    monkeypatch.setattr(order, "profile_le", flip_first)
+    monkeypatch.setattr(cli, "run_check", fresh_run)
+    argv = ["verify", "--check", "inrsn", "--n", "2", "--format", fmt]
+    assert out_matches_stdout(capsysbinary, tmp_path, argv) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -287,6 +351,14 @@ def test_partition_both_ways(capsys):
     assert code == 0
     obj = check_json(out)
     assert obj["rook"] == "(0,0,0,0,2,5,3,1,6)" and obj["partition"] == "18|2569|37|4"
+
+
+@pytest.mark.parametrize("text", ["x", "1|2,x", "12|3a"])
+def test_partition_with_a_non_integer_entry_exits_2(capsys, text):
+    assert cli.main(["partition", "--n", "3", "--x", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-integer entry in {text!r}\n"
 
 
 def test_count_reports(capsys):
@@ -529,23 +601,21 @@ def test_hasse_refuses_before_enumerating(capsys, monkeypatch):
         assert f"got {size};" in capsys.readouterr().err
 
 
-def test_hasse_size_is_the_closed_form():
-    # the sizes `hasse` judges by, against enumeration
-    for family in FAMILIES:
-        for n in (2, 4, 6):
-            spec = FamilySpec(n, family)
-            size = verify.closed_form_size(spec)
-            assert size in (None, len(enum_family(spec))), (family, n)
-            assert (size is None) == (family == "borel-sp-nil")
+def test_rank_forms_sum_to_the_family_count():
+    # every proof form of `count`, summed over the ranks, against the size
+    # that `hasse` judges by
+    for family, (proof_form, _) in verify.RANK_FORMS.items():
+        for n in (2, 4, 6, 8):
+            size = count_family(FamilySpec(n, family))
+            assert sum(proof_form(n, k) for k in range(n + 1)) == size, (family, n)
 
 
 def test_hasse_refuses_sizes_beyond_enumeration(capsys, monkeypatch):
-    # refused before any closed form is evaluated, which at large n would
-    # take factorials of n or recurse past Python's depth limit
-    def no_closed_form(spec):
-        raise AssertionError(f"closed form of {spec}")
+    # refused by `FamilySpec` before anything is counted
+    def no_count(spec):
+        raise AssertionError(f"counted {spec}")
 
-    monkeypatch.setattr(cli, "closed_form_size", no_closed_form)
+    monkeypatch.setattr(cli, "count_family", no_count)
     for argv in (["--n", "9", "--family", "rook"],
                  ["--n", "40", "--family", "borel"],
                  ["--n", "2000", "--family", "borel-nil"],

@@ -27,9 +27,14 @@ def test_stirling_examples():
 
 
 def test_stirling_matches_inclusion_exclusion():
-    for m in range(13):
+    for m in range(31):
         for k in range(m + 2):
             assert stirling2(m, k) == stirling2_inclusion_exclusion(m, k)
+
+
+def test_stirling_of_a_long_row():
+    # deeper than Python's recursion limit
+    assert stirling2(3000, 2) == 2**2999 - 1
 
 
 def test_bell_examples():
