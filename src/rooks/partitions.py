@@ -98,11 +98,13 @@ def partition_standard_string(partition: SetPartition) -> str:
 
 
 def parse_partition(text: str) -> SetPartition:
-    """Parse the output of partition_standard_string."""
+    """Parse the output of partition_standard_string.  A text with a comma
+    or with more than 9 digits is in the comma form, since elements run
+    together only for m <= 9."""
     s = text.strip()
     if not s:
         raise ValueError("empty partition text")
-    comma_form = "," in s
+    comma_form = "," in s or sum(c.isdigit() for c in s) > 9
     blocks = []
     for chunk in s.split("|"):
         chunk = chunk.strip()

@@ -5,11 +5,11 @@ For even n and the index involution theta(i) = n+1-i, a subset S of
 Renner monoid consists of the singular rooks whose domain and range are both
 admissible, together with the theta-fixed permutations.
 
-Families are enumerated by one descent over the columns in lexicographic
-order, `_blocks`.  It descends over the first n-2 columns and yields each
-prefix with the list of its two-column tails; the tails depend only on the
-rows the prefix uses (and, for a symplectic family, on the first two
-columns, which the last two mirror), so they come from a memo that lives
+Families are enumerated by one walk over the columns in lexicographic order,
+`_blocks`.  It walks the first n-2 columns and yields each prefix with the
+list of its two-column tails, which the same walk fills; the tails depend
+only on the rows the prefix uses (and, for a symplectic family, on the first
+two columns, which the last two mirror), so they come from a memo that lives
 for one call.  `iter_family` streams the members, each prefix joined to each
 tail: a caller that folds over a family holds one prefix and the memo, not
 the family.  `count_family` adds up the tail lengths and builds no member.
@@ -109,34 +109,35 @@ def _blocks(spec: FamilySpec) -> Iterator[tuple[Rook, list[Rook]]]:
     lexicographic order: the block's members are `prefix + tail` for each
     tail in turn.
 
-    The prefix is the first n-2 columns (none when n <= 2), found by a
-    descent with an explicit stack of choice iterators, one per open column.
-    `choices(j)` gives the values column j may take after the current
-    prefix: 0 or an unused row up to the family's bound, pruned to
-    completions of the requested rank and, for a symplectic family, to
-    prefixes that can still complete to a member, so every tail completes
-    one.  For the last two columns `choices` reads only the used rows and,
-    for a symplectic family, their mirrors, the first two columns; so their
-    tails are drawn once per key (the bitmask of used rows, with `prefix[:2]`
-    for a symplectic family) from a memo that lives for one call.  The memo
-    holds at most 2^(n+1) keys (times the (n+1)^2 mirror pairs for a
-    symplectic family), each with at most (n+1)^2 tails, all dropped when the
-    stream ends."""
+    One recursive generator, `walk(j, stop)`, fills columns j..stop with
+    each value `choices(j)` allows and yields once per completion, with
+    `column` and the bitmask `used` of used rows holding it.  `choices(j)`
+    gives the values column j may take after the current prefix: 0 or an
+    unused row up to the family's bound, pruned to completions of the
+    requested rank and, for a symplectic family, to prefixes that can still
+    complete to a member, so every completion is one.  The prefixes are the
+    completions of the first n-2 columns (a single empty one when n <= 2).
+    For the last two columns `choices` reads only `used` and, for a
+    symplectic family, their mirrors, the first two columns; so their tails
+    are walked once per key (`used`, with `prefix[:2]` for a symplectic
+    family) into a memo that lives for one call.  The memo holds at most
+    2^(n+1) keys (times the (n+1)^2 mirror pairs for a symplectic family),
+    each with at most (n+1)^2 tails, all dropped when the stream ends."""
     n = spec.n
     target = spec.rank
     symplectic = spec.family in SP_FAMILIES
     # rows column j may take: 1..j-1 (nilpotent), 1..j (Borel) or 1..n
     lag = {"borel-nil": 1, "borel-sp-nil": 1, "borel": 0, "borel-sp": 0}.get(spec.family)
     column = [0] * n
-    used: set[int] = set()
+    used = 0  # bit v set while row v is in use
 
     def choices(j: int) -> list[int]:
         top = n if lag is None else j - lag
-        values = [0] + [v for v in range(1, top + 1) if v not in used]
+        values = [0] + [v for v in range(1, top + 1) if not used >> v & 1]
         if target is not None:
             # only 0 once the rank is reached, no 0 when every remaining
             # column must be nonzero to reach it
-            need = target - len(used)
+            need = target - used.bit_count()
             if need == 0:
                 values = values[:1]
             elif need == n - j + 1:
@@ -158,62 +159,36 @@ def _blocks(spec: FamilySpec) -> Iterator[tuple[Rook, list[Rook]]]:
         # Every leaf is therefore a member, and the lexicographic order is
         # that of the unpruned descent.
         mirror = column[n - j] if 2 * j > n else 0
-        if mirror and len(used) == j - 1:
+        if mirror and used.bit_count() == j - 1:
             # no 0 so far: the permutation route, and the singular route (a 0
             # here) while column j is the first one with a filled mirror
             partner = n + 1 - mirror
             return [v for v in values if v == partner or (not v and 2 * j == n + 2)]
         if mirror:
             return [v for v in values if not v]
-        return [v for v in values if not v or n + 1 - v not in used]
+        return [v for v in values if not v or not used >> (n + 1 - v) & 1]
 
-    def tails(j: int) -> list[Rook]:
-        # the completions of columns j..n after the current prefix
-        if j > n:
-            return [()]
-        out = []
+    def walk(j: int, stop: int) -> Iterator[None]:
+        nonlocal used
+        if j > stop:
+            yield
+            return
         for v in choices(j):
+            bit = v and 1 << v  # a 0 entry uses no row
             column[j - 1] = v
-            if v:
-                used.add(v)
-            out.extend([(v,) + t for t in tails(j + 1)])
-            used.discard(v)
+            used ^= bit
+            yield from walk(j + 1, stop)
+            used ^= bit
         column[j - 1] = 0
-        return out
 
     depth = max(n - 2, 0)
     memo: dict = {}
-    mask = 0
-
-    def block() -> list[Rook]:
-        key = (mask, column[0], column[1]) if symplectic else mask
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = tails(depth + 1)
-        return found
-
-    if not depth:
-        yield (), block()
-        return
-    stack = [iter(choices(1))]
-    while stack:
-        j = len(stack)
-        if column[j - 1]:
-            used.discard(column[j - 1])
-            mask ^= 1 << column[j - 1]
-        v = next(stack[-1], None)
-        if v is None:
-            column[j - 1] = 0
-            stack.pop()
-            continue
-        column[j - 1] = v
-        if v:
-            used.add(v)
-            mask |= 1 << v
-        if j == depth:
-            yield tuple(column[:depth]), block()
-        else:
-            stack.append(iter(choices(j + 1)))
+    for _ in walk(1, depth):
+        key = (used, column[0], column[1]) if symplectic else used
+        tails = memo.get(key)
+        if tails is None:
+            tails = memo[key] = [tuple(column[depth:]) for _ in walk(depth + 1, n)]
+        yield tuple(column[:depth]), tails
 
 
 def iter_family(spec: FamilySpec) -> Iterator[Rook]:

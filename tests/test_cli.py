@@ -353,6 +353,15 @@ def test_partition_both_ways(capsys):
     assert obj["rook"] == "(0,0,0,0,2,5,3,1,6)" and obj["partition"] == "18|2569|37|4"
 
 
+@pytest.mark.parametrize("m", [10, 12])
+def test_partition_reads_its_own_output_past_nine(capsys, m):
+    zero = "(" + ",".join(["0"] * m) + ")"
+    code, out = run(capsys, "partition", "--n", str(m), "--x", zero)
+    assert code == 0 and out == "|".join(map(str, range(1, m + 1))) + "\n"
+    code, out = run(capsys, "partition", "--n", str(m), "--x", out.strip())
+    assert code == 0 and out == zero + "\n"
+
+
 @pytest.mark.parametrize("text", ["x", "1|2,x", "12|3a"])
 def test_partition_with_a_non_integer_entry_exits_2(capsys, text):
     assert cli.main(["partition", "--n", "3", "--x", text]) == 2

@@ -100,6 +100,12 @@ def test_standard_string_forms():
     text = partition_standard_string(big)
     assert text == "1,2,3,4,5,6,7,8,9|10,11|12"
     assert parse_partition(text) == big
+    # "1|2|...|10" has no comma, but its 11 digits put it in the comma form
+    for m in (10, 12):
+        singletons = tuple((i,) for i in range(1, m + 1))
+        text = partition_standard_string(singletons)
+        assert text == "|".join(map(str, range(1, m + 1)))
+        assert parse_partition(text) == singletons
 
 
 def test_parse_partition_errors():

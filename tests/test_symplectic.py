@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import deque
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -125,6 +125,25 @@ def test_iter_family_is_lazy():
         tracemalloc.stop()
     assert first == (0,) * 8
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(5, "rook"), FamilySpec(6, "renner-sp")])
+def test_concurrent_streams_keep_separate_state(spec):
+    # two live streams of one spec, one taking two steps to the other's one,
+    # and a count of the spec in the middle of a third: each walk keeps its
+    # own columns, rows and memo
+    expected = enum_family(spec)
+    a, b = iter_family(spec), iter_family(spec)
+    seen_a, seen_b = [], []
+    for x in a:
+        seen_a.append(x)
+        if len(seen_a) % 2:
+            seen_b.append(next(b))
+    assert seen_a == expected and seen_b + list(b) == expected
+    c = iter_family(spec)
+    head = list(islice(c, len(expected) // 2))
+    assert count_family(spec) == len(expected)
+    assert head + list(c) == expected
 
 
 @pytest.mark.parametrize(
