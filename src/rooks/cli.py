@@ -9,12 +9,12 @@ identical bytes.
 Exit codes: 0 on success (including verify runs that log disagreements with
 printed closed forms), 1 when verify finds an oracle vs proof-form mismatch,
 2 on usage errors, exceeded resource bounds (including a `hasse` family of
-more than HASSE_LIMIT = 25,000 elements, whose order rows would take more
-than HASSE_ROW_BYTES, counted with `count_family` and refused before it is
-enumerated) and output errors (an `--out` file that cannot be opened,
-a stdout pipe closed by its reader, a stdout closed before the start), 3 on
-an internal error (a RuntimeError, such as a standard form that is not
-unique).
+more than HASSE_LIMIT = 25,000 elements, whose order rows, one row of m bits
+for each of its m elements, m^2/8 bytes in all, would take more than
+HASSE_ROW_BYTES, counted with `count_family` and refused before it is
+enumerated) and output errors (an `--out` file that cannot be opened, a
+stdout pipe closed by its reader, a stdout closed before the start), 3 on an
+internal error (a RuntimeError, such as a standard form that is not unique).
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ from .verify import (
 )
 
 # Largest family `hasse` accepts, from the memory of the order rows: the
-# poset build holds two bitset rows of m bits per element (`up` and `down`),
-# m^2/4 bytes in all, and the layers and covers are read off them.  The size
-# is `count_family`'s, which builds no member, checked before the family is
-# enumerated.  At this bound every family at n <= 8 runs except rook n >= 7
+# poset build holds one bitset row of m bits per element (the elements below
+# it), m^2/8 bytes in all, and the layers and covers are read off them.  The
+# size is `count_family`'s, which builds no member, checked before the family
+# is enumerated.  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
-# rook n = 6 (13,327 elements) takes about 1.2 s and 75 MB resident, and
-# borel n = 8 (21,147) about 2.2 s and 150 MB.
-HASSE_ROW_BYTES = 156_250_000
-HASSE_LIMIT = math.isqrt(4 * HASSE_ROW_BYTES)  # 25,000 elements
+# rook n = 6 (13,327 elements) takes about 1.0 s and 56 MB resident, and
+# borel n = 8 (21,147) about 2.0 s and 111 MB.
+HASSE_ROW_BYTES = 78_125_000
+HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
 
 def dot_export(h: HasseDiagram) -> str:

@@ -20,16 +20,17 @@ little more than the pair tests on each pair.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
-elements above (below) x are the intersection, over the n^2 fields (i, k),
-of the elements whose count is at least (at most) c_x(i, k).  It builds
-whole order rows from those sets as integer bitsets instead of comparing
-pairs; `bcr_le` keeps the pairwise profile comparison, and the tests check
-the rows against it.  The Hasse diagram is read off the rows by rank layers:
-each layer is found with one bitset test per remaining element, and the
-covers of x are its row above x on the next layer; only a cover that skips
-a layer, which a graded poset has none of, is tested pair by pair.  The
-standard-form route enters no poset: the tests build its rows pair by pair
-and feed them to the same reduction.
+elements below x are the intersection, over the n^2 fields (i, k), of the
+elements whose count is at most c_x(i, k).  It builds one order row per
+element from those sets, an integer bitset of the elements below it, instead
+of comparing pairs: m rows of m bits, m^2/8 bytes for m elements.  `bcr_le`
+keeps the pairwise profile comparison, and the tests check the rows against
+it.  The Hasse diagram is read off the rows in one pass over the rank
+layers: each layer is found with one bitset test per remaining element, and
+the covers of x are its row on the layer just below; only a cover that
+skips a layer, which a graded poset has none of, takes a further bitset
+step.  The standard-form route enters no poset: the tests build its rows
+pair by pair and feed them to the same reduction.
 """
 
 from __future__ import annotations
@@ -225,61 +226,30 @@ def _rank_counts(x: Rook) -> list[int]:
     return counts
 
 
-def _rank_rows(elems: list[Rook]) -> tuple[list[int], list[int]]:
-    """The one-line order as bitset rows: bit j of up[i] (down[i]) is set
-    iff elems[i] < elems[j] (elems[j] < elems[i]).
+def _rank_rows(elems: list[Rook]) -> list[int]:
+    """The one-line order as bitset rows: bit i of down[j] is set iff
+    elems[i] < elems[j].
 
-    For each field f of the rank counts, ge[v] is the set of elements whose
-    count at f is at least v, and le[v] the set at most v; row i is the AND
-    of ge[c_i(f)] (le[c_i(f)]) over all fields, without bit i.
+    For each field f of the rank counts, le[v] is the set of elements whose
+    count at f is at most v; row j is the AND of le[c_j(f)] over all fields,
+    without bit j.
     """
     m = len(elems)
     counts = [_rank_counts(x) for x in elems]
     full = (1 << m) - 1
-    up = [full ^ (1 << i) for i in range(m)]
-    down = up[:]
+    down = [full ^ (1 << j) for j in range(m)]
     for column in zip(*counts):
         top = max(column)
         if min(column) == top:
-            continue  # ge[top] and le[top] hold every element
-        exact = [0] * (top + 1)
+            continue  # le[top] holds every element
+        le = [0] * (top + 1)
         for i, v in enumerate(column):
-            exact[v] |= 1 << i
-        ge = exact[:]
-        le = exact[:]
-        for v in range(top - 1, -1, -1):
-            ge[v] |= ge[v + 1]
+            le[v] |= 1 << i
         for v in range(1, top + 1):
             le[v] |= le[v - 1]
-        for i, v in enumerate(column):
-            up[i] &= ge[v]
-            down[i] &= le[v]
-    return up, down
-
-
-def _layers(down: list[int]) -> tuple[list[int], list[int]]:
-    """Peel the poset into rank layers: layer k is every element not yet
-    taken whose `down` row lies inside layers 0..k-1.  An element enters the
-    layer after the highest element below it, so its layer index is the
-    length of a longest chain from a minimal element up to it.  Returns the
-    index of each element and each layer as a bitset."""
-    rank_of = [0] * len(down)
-    layers: list[int] = []
-    untaken = (1 << len(down)) - 1
-    remaining = range(len(down))
-    while remaining:
-        layer = 0
-        rest = []
-        for i in remaining:
-            if down[i] & untaken:
-                rest.append(i)
-            else:
-                layer |= 1 << i
-                rank_of[i] = len(layers)
-        layers.append(layer)
-        untaken ^= layer
-        remaining = rest
-    return rank_of, layers
+        for j, v in enumerate(column):
+            down[j] &= le[v]
+    return down
 
 
 def _bits(mask: int):
@@ -289,36 +259,57 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hasse_from_rows(elems: list[Rook], up: list[int], down: list[int]) -> HasseDiagram:
-    """Reduce strict order rows (bit j of up[i] iff elems[i] < elems[j],
-    down the transpose) to a Hasse diagram, layer by layer.
+def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
+    """Reduce strict order rows (bit i of down[j] iff elems[i] < elems[j])
+    to a Hasse diagram, in one pass that peels the rank layers.
 
-    The j in up[i] on the layer just above i's are covers of i: anything
-    strictly between would sit on a layer in between.  What else of up[i]
-    lies above none of those covers is tested pair by pair, j covering i
-    iff nothing of up[i] is below j.  Only a cover that skips a layer is
-    found that way, so that set is empty on every element exactly when the
-    poset is graded.
+    Layer k is every element not yet taken whose row lies inside layers
+    0..k-1, so an element's layer is the length of a longest chain from a
+    minimal element up to it.  As j is taken, the elements of its row on
+    the layer just below are covers of j: anything strictly between would
+    sit on a layer in between, and nothing below them is a cover.  What is
+    left of the row holds everything strictly between its own elements and
+    j, so its covers are those below none of the rest.  It is empty on
+    every element exactly when the poset is graded.
     """
     m = len(elems)
-    rank_of, layers = _layers(down)
-    layers.append(0)  # no layer above the top one
-
+    rank_of = [0] * m
     covers = []
     graded = True
-    for i in range(m):
-        next_layer = up[i] & layers[rank_of[i] + 1]
-        above = next_layer
-        for j in _bits(next_layer):
-            covers.append((i, j))
-            above |= up[j]
-        for j in _bits(up[i] & ~above):
-            if not (up[i] & down[j]):
+    untaken = (1 << m) - 1
+    previous = 0  # the layer taken last
+    level = 0
+    remaining = range(m)
+    while remaining:
+        layer = 0
+        rest = []
+        for j in remaining:
+            row = down[j]
+            if row & untaken:
+                rest.append(j)
+                continue
+            layer |= 1 << j
+            rank_of[j] = level
+            near = row & previous
+            reached = near
+            for i in _bits(near):
                 covers.append((i, j))
+                reached |= down[i]
+            skipped = row & ~reached
+            if skipped:
                 graded = False
+                beneath = 0
+                for k in _bits(skipped):
+                    beneath |= down[k]
+                covers.extend((i, j) for i in _bits(skipped & ~beneath))
+        untaken ^= layer
+        previous = layer
+        level += 1
+        remaining = rest
 
     minimals = sorted((i for i in range(m) if not down[i]), key=lambda i: elems[i])
-    maximals = sorted((i for i in range(m) if not up[i]), key=lambda i: elems[i])
+    lower_ends = {i for i, _ in covers}
+    maximals = sorted((i for i in range(m) if i not in lower_ends), key=lambda i: elems[i])
     covers.sort(key=lambda ij: (elems[ij[0]], elems[ij[1]]))
     return HasseDiagram(
         tuple(elems),
@@ -333,12 +324,12 @@ def _hasse_from_rows(elems: list[Rook], up: list[int], down: list[int]) -> Hasse
 def build_poset(elements) -> HasseDiagram:
     """The Hasse diagram of the one-line order on distinct rooks of one
     size: order rows from rank-count bitsets (`_rank_rows`), then rank
-    layers, then covers (`_hasse_from_rows`).  Ranks are longest-chain
-    lengths from the minimal elements, and everything is a deterministic
-    function of the rows."""
+    layers and covers in one pass (`_hasse_from_rows`).  Ranks are
+    longest-chain lengths from the minimal elements, and everything is a
+    deterministic function of the rows."""
     elems = [tuple(x) for x in elements]
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
     if elems and len({len(x) for x in elems}) != 1:
         raise ValueError("elements must share one size")
-    return _hasse_from_rows(elems, *_rank_rows(elems))
+    return _hasse_from_rows(elems, _rank_rows(elems))

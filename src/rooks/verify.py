@@ -25,7 +25,7 @@ from .counting import (
     stirling2,
     triangular_census,
 )
-from .folding import fold, fold_images, from_rook, unfold_preimages_constructive
+from .folding import fold, fold_images, unfold_preimages_constructive
 from .nilpotent import nilpotent_analysis
 from .order import bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
 from .partitions import enum_partitions, partition_to_rook, rook_to_partition
@@ -279,7 +279,7 @@ def _check_folding(l_val) -> list:
             continue
         tb_lr = fold(fold(x, "tb"), "lr")
         lr_tb = fold(fold(x, "lr"), "tb")
-        if not (tb_lr == lr_tb and tb_lr.cells == from_rook(fold(x, "both")).cells):
+        if tb_lr != lr_tb:
             bad_commute += 1
     reports.append(_zero_row((("n", n_val),), bad_commute, "folds fail to commute"))
     return reports

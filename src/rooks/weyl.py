@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rook import Rook, diagonal_idempotent, identity_rook, multiply, rank
+from .rook import Rook, diagonal_idempotent, identity_rook, multiply
 
 Perm = Rook
 
@@ -156,21 +156,17 @@ class ParabolicData:
     stabilizer: tuple[Perm, ...]
 
 
-def _commuting_generators(e: Rook, ctx: GroupContext) -> tuple[Perm, ...]:
-    return tuple(s for s in ctx.generators if multiply(s, e) == multiply(e, s))
-
-
 def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
     """Exhaustive centralizer {a : ae = ea} and stabilizer
     {a : ae = ea = e} of a chain idempotent.
 
-    The listed stabilizer generators are the intersection of the commuting
-    generator sets over all chain idempotents below e; the tests check that
-    they do generate the stabilizer.
+    The listed generators are the simple generators in each set, read off
+    the same definitions; the tests check that they do generate the
+    centralizer and the stabilizer.
     """
     if e not in ctx.chain:
         raise ValueError(f"{e} is not an idempotent of the cross-section chain")
-    commuting = _commuting_generators(e, ctx)
+    commuting = tuple(s for s in ctx.generators if multiply(s, e) == multiply(e, s))
     centralizer = tuple(
         a for a in ctx.elements
         if multiply(a, e) == multiply(e, a)
@@ -178,9 +174,5 @@ def parabolic_data(e: Rook, ctx: GroupContext) -> ParabolicData:
     stabilizer = tuple(
         a for a in centralizer if multiply(a, e) == e
     )
-    below = [f for f in ctx.chain if rank(f) <= rank(e)]
-    stab_gens = set(ctx.generators)
-    for f in below:
-        stab_gens &= set(_commuting_generators(f, ctx))
-    ordered_stab_gens = tuple(s for s in ctx.generators if s in stab_gens)
-    return ParabolicData(commuting, centralizer, ordered_stab_gens, stabilizer)
+    stab_gens = tuple(s for s in commuting if multiply(s, e) == e)
+    return ParabolicData(commuting, centralizer, stab_gens, stabilizer)

@@ -6,22 +6,22 @@ from rooks.order import HasseDiagram
 
 
 def pairwise_rows(elems, le):
-    """Strict order rows, bit j of up[i] iff le(elems[i], elems[j]) with
-    i != j, and down the transpose; the layout of `order._rank_rows`."""
+    """Strict order rows, bit i of down[j] iff le(elems[i], elems[j]) with
+    i != j; the layout of `order._rank_rows`."""
     m = len(elems)
-    up = [
-        sum(1 << j for j in range(m) if j != i and le(elems[i], elems[j]))
-        for i in range(m)
+    return [
+        sum(1 << i for i in range(m) if i != j and le(elems[i], elems[j]))
+        for j in range(m)
     ]
-    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
-    return up, down
 
 
-def per_pair_poset(elems, up, down) -> HasseDiagram:
+def per_pair_poset(elems, down) -> HasseDiagram:
     """The Hasse diagram of strict order rows, j covering i iff j is in
-    up[i] and nothing of up[i] is below j; a rank is the longest chain of
-    covers down to a minimal element, taken in order of the size of down."""
+    up[i] (the transpose of down) and nothing of up[i] is below j; a rank is
+    the longest chain of covers down to a minimal element, taken in order of
+    the size of down."""
     m = len(elems)
+    up = [sum(1 << j for j in range(m) if down[j] >> i & 1) for i in range(m)]
     covers = []
     for i in range(m):
         mask = up[i]

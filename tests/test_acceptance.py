@@ -190,7 +190,7 @@ def test_criterion_5_figure_reproduction():
     # the same reduction
     ctx_sp = group_context(SYMPLECTIC, 4)
     poset_ppr = _hasse_from_rows(
-        elements, *pairwise_rows(elements, lambda x, y: bcr_le_ppr(x, y, ctx_sp))
+        elements, pairwise_rows(elements, lambda x, y: bcr_le_ppr(x, y, ctx_sp))
     )
     edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.covers}
     assert edges_ppr == edges

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -241,7 +242,7 @@ def poset_covers(poset):
 def bcr_le_covers(elems):
     """Covers of the one-line order by an all-pairs `bcr_le` reduction, as
     sorted (lower, upper) element pairs."""
-    return poset_covers(per_pair_poset(elems, *pairwise_rows(elems, bcr_le)))
+    return poset_covers(per_pair_poset(elems, pairwise_rows(elems, bcr_le)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -294,6 +295,21 @@ def test_build_poset_covers_match_bcr_le_rook_n5():
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == ROOK_N5_COVERS_DIGEST
 
 
+def test_build_poset_holds_one_row_per_element():
+    # m rows of m bits each take m^2/8 bytes; a second set of rows (the
+    # transpose) would take the peak past that bound
+    elements = enum_family(FamilySpec(7, "borel"))
+    m = len(elements)
+    assert m == 4140
+    tracemalloc.start()
+    try:
+        build_poset(elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * m * m / 8
+
+
 def poset_fields(poset):
     return (poset.elements, poset.covers, poset.rank_of, poset.minimals,
             poset.maximals, poset.graded)
@@ -306,7 +322,7 @@ def poset_fields(poset):
 )
 def test_layer_reduction_matches_per_pair_reduction(family, n):
     elements = enum_family(FamilySpec(n, family))
-    expected = per_pair_poset(elements, *_rank_rows(elements))
+    expected = per_pair_poset(elements, _rank_rows(elements))
     assert poset_fields(build_poset(elements)) == poset_fields(expected)
 
 
@@ -320,8 +336,8 @@ def rook_subsets(draw):
 @given(rook_subsets())
 def test_layer_reduction_matches_per_pair_on_random_subsets(elems):
     # many such subsets are ungraded (77 of a sample of 200), so this
-    # reaches the pair-by-pair test of the covers that skip a layer
-    expected = per_pair_poset(elems, *profile_rows(elems))
+    # reaches the step that finds the covers that skip a layer
+    expected = per_pair_poset(elems, profile_rows(elems))
     assert poset_fields(build_poset(elems)) == poset_fields(expected)
 
 
@@ -333,5 +349,5 @@ def test_layer_reduction_finds_a_cover_that_skips_a_layer():
     assert poset.rank_of == (0, 1, 0, 2)
     assert poset.covers == ((0, 1), (1, 3), (2, 3))
     assert not poset.graded
-    expected = per_pair_poset(elements, *profile_rows(elements))
+    expected = per_pair_poset(elements, profile_rows(elements))
     assert poset_fields(poset) == poset_fields(expected)

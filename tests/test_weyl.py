@@ -134,6 +134,18 @@ def test_parabolic_structure(l):
         assert set(data.stabilizer_generators) == set(gens[d:])
 
 
+@pytest.mark.parametrize(
+    "kind, n",
+    [(SYMMETRIC, n) for n in range(1, 6)] + [(SYMPLECTIC, n) for n in (2, 4, 6, 8)],
+)
+def test_parabolic_generators_generate_centralizer_and_stabilizer(kind, n):
+    ctx = group_context(kind, n)
+    for e in ctx.chain:
+        data = parabolic_data(e, ctx)
+        assert generated_subgroup(data.stabilizer_generators, ctx) == data.stabilizer
+        assert generated_subgroup(data.commuting_generators, ctx) == data.centralizer
+
+
 def test_parabolic_rejects_non_chain_idempotent():
     ctx = group_context(SYMMETRIC, 4)
     with pytest.raises(ValueError):
