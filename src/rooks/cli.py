@@ -264,14 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
 
+    spec_flags = dict(family=dict(choices=FAMILIES, required=True), rank=dict(type=int, default=None))
     add(
         "enum",
         _cmd_enum,
         ("count", "oneline", "json"),
         default="oneline",
         n=dict(type=int, required=True),
-        family=dict(choices=FAMILIES, required=True),
-        rank=dict(type=int, default=None),
+        **spec_flags,
     )
     add(
         "count",
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "json"),
         n=dict(type=int, default=None),
         l=dict(type=int, default=None),
-        family=dict(choices=FAMILIES, required=True),
-        rank=dict(type=int, default=None),
+        **spec_flags,
     )
     add(
         "order",
@@ -295,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_hasse,
         ("dot", "count", "json"),
         n=dict(type=int, required=True),
-        family=dict(choices=FAMILIES, required=True),
-        rank=dict(type=int, default=None),
+        **spec_flags,
     )
     add(
         "fold",

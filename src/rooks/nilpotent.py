@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .order import build_poset
 from .rook import Rook, format_one_line, right_product
-from .symplectic import NIL_FAMILIES, FamilySpec, enum_family
+from .symplectic import FAMILIES, FamilySpec, enum_family
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
     costs one C-level gather and one set lookup.  The tests check the
     result against `multiply` on every pair.
     """
-    if spec.family not in NIL_FAMILIES:
+    if FAMILIES[spec.family].lag != 1:
         raise ValueError(f"family {spec.family!r} is not a nilpotent family")
+    if spec.rank is not None:
+        raise ValueError(f"nilpotent analysis needs the whole family, got rank {spec.rank}")
     elements = enum_family(spec)
     members = set(elements)
     padded = [(0,) + x for x in elements]

@@ -214,41 +214,34 @@ class HasseDiagram:
     graded: bool
 
 
-def _rank_counts(x: Rook) -> list[int]:
-    """c_x(i, k) = #{j <= i : x_j >= k} for i, k in 1..n, flattened row by
-    row (i outer)."""
-    row = [0] * len(x)
-    counts: list[int] = []
-    for v in x:
-        for k in range(v):
-            row[k] += 1
-        counts.extend(row)
-    return counts
-
-
 def _rank_rows(elems: list[Rook]) -> list[int]:
     """The one-line order as bitset rows: bit i of down[j] is set iff
     elems[i] < elems[j].
 
-    For each field f of the rank counts, le[v] is the set of elements whose
-    count at f is at most v; row j is the AND of le[c_j(f)] over all fields,
-    without bit j.
+    Each element keeps one row of its n rank counts c(i, k), k = 1..n,
+    advanced by x_i for each i in turn.  For each field (i, k), le[v] is the
+    set of elements whose count there is at most v; row j is the AND of
+    le[c_j(i, k)] over all fields, without bit j.
     """
     m = len(elems)
-    counts = [_rank_counts(x) for x in elems]
     full = (1 << m) - 1
     down = [full ^ (1 << j) for j in range(m)]
-    for column in zip(*counts):
-        top = max(column)
-        if min(column) == top:
-            continue  # le[top] holds every element
-        le = [0] * (top + 1)
-        for i, v in enumerate(column):
-            le[v] |= 1 << i
-        for v in range(1, top + 1):
-            le[v] |= le[v - 1]
-        for j, v in enumerate(column):
-            down[j] &= le[v]
+    counts = [[0] * len(x) for x in elems]
+    for i in range(len(elems[0]) if elems else 0):
+        for x, c in zip(elems, counts):
+            for k in range(x[i]):
+                c[k] += 1
+        for column in zip(*counts):
+            top = max(column)
+            if min(column) == top:
+                continue  # le[top] holds every element
+            le = [0] * (top + 1)
+            for j, v in enumerate(column):
+                le[v] |= 1 << j
+            for v in range(1, top + 1):
+                le[v] |= le[v - 1]
+            for j, v in enumerate(column):
+                down[j] &= le[v]
     return down
 
 

@@ -20,23 +20,38 @@ prefix that can still complete to a member (the choice function inside
 independent membership oracle, and the tests compare the descent with it,
 with the group-orbit description and with the leaf-by-leaf descent it
 replaced.  `FamilySpec` refuses a size beyond DESK_LIMIT, so every consumer
-refuses it before any work.
+refuses it before any work.  `FAMILIES` is the one place a family is defined:
+its `Family` record, which the descent, the CLI, `nilpotent` and `verify` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .rook import Rook, check_int, domain, is_permutation, range_of
 from .weyl import theta_perm
 
 DESK_LIMIT = 8
 
-FAMILIES = ("rook", "borel", "borel-nil", "renner-sp", "borel-sp", "borel-sp-nil")
-SP_FAMILIES = ("renner-sp", "borel-sp", "borel-sp-nil")
-NIL_FAMILIES = ("borel-nil", "borel-sp-nil")
+
+class Family(NamedTuple):
+    """Column j takes rows 1..j-lag (lag 0: Borel, 1: nilpotent), or 1..n
+    when lag is None; a symplectic family keeps only members of MSp_n."""
+
+    lag: Optional[int]
+    symplectic: bool
+
+
+FAMILIES = {
+    "rook": Family(None, False),
+    "borel": Family(0, False),
+    "borel-nil": Family(1, False),
+    "renner-sp": Family(None, True),
+    "borel-sp": Family(0, True),
+    "borel-sp-nil": Family(1, True),
+}
 
 
 class ResourceLimitError(ValueError):
@@ -91,10 +106,10 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
         if check_int(self.n, "size") < 1:
             raise ValueError("size must be positive")
-        if self.family in SP_FAMILIES:
+        if FAMILIES[self.family].symplectic:
             _check_even(self.n)
         if self.rank is not None and not 0 <= check_int(self.rank, "rank") <= self.n:
             raise ValueError(f"rank {self.rank} out of range 0..{self.n}")
@@ -125,9 +140,7 @@ def _blocks(spec: FamilySpec) -> Iterator[tuple[Rook, list[Rook]]]:
     each with at most (n+1)^2 tails, all dropped when the stream ends."""
     n = spec.n
     target = spec.rank
-    symplectic = spec.family in SP_FAMILIES
-    # rows column j may take: 1..j-1 (nilpotent), 1..j (Borel) or 1..n
-    lag = {"borel-nil": 1, "borel-sp-nil": 1, "borel": 0, "borel-sp": 0}.get(spec.family)
+    lag, symplectic = FAMILIES[spec.family]
     column = [0] * n
     used = 0  # bit v set while row v is in use
 

@@ -11,6 +11,7 @@ logged.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from math import comb, factorial
 
 from .counting import (
@@ -31,6 +32,7 @@ from .order import bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
 from .partitions import enum_partitions, partition_to_rook, rook_to_partition
 from .rook import diagonal_idempotent, format_one_line, is_permutation, is_upper_triangular, rank
 from .symplectic import (
+    FAMILIES,
     FamilySpec,
     ResourceLimitError,
     count_family,
@@ -51,10 +53,6 @@ from .weyl import (
 
 
 # --- rank counts ---
-
-
-def _rank_histogram(spec: FamilySpec) -> Counter:
-    return Counter(rank(x) for x in iter_family(spec))
 
 
 def _renner_sp_proof(n: int, k: int) -> int:
@@ -89,7 +87,7 @@ def count_reports(spec: FamilySpec) -> list[CountReport]:
     """One row per rank of the family (or the one rank of the spec): the
     enumerated count against the forms in RANK_FORMS."""
     n = spec.n
-    hist = _rank_histogram(spec)
+    hist = Counter(rank(x) for x in iter_family(spec))
     proof_form, paper_form = RANK_FORMS.get(spec.family, (None, None))
     return [
         CountReport(
@@ -131,16 +129,11 @@ def _check_rank_counts(n) -> list:
 def _check_stirling_borel(n) -> list:
     reports = []
     for ni in range(1, n + 1):
-        hist = _rank_histogram(FamilySpec(ni, "borel"))
-        for k in range(1, ni + 2):
-            reports.append(
-                CountReport(
-                    (("n", ni), ("k", k)),
-                    hist.get(ni + 1 - k, 0),
-                    proof_form=stirling2(ni + 1, k),
-                    label=f"rank {ni + 1 - k}",
-                )
-            )
+        reps = count_reports(FamilySpec(ni, "borel"))
+        reports.extend(
+            replace(reps[r], parameters=(("n", ni), ("k", ni + 1 - r)), label=f"rank {r}")
+            for r in range(ni, -1, -1)
+        )
     for m in range(1, min(n, 6) + 2):
         partitions = enum_partitions(m)
         bad = sum(
@@ -162,15 +155,13 @@ def _check_inrsn(ni) -> list:
     The per-element steps of the routes, the prefix profile and the
     standard form, are cached, so each runs once per element; a pair costs
     two cache lookups and one pair test per route."""
-    routes = [("rook", SYMMETRIC, "one-line vs standard-form disagreements")]
+    routes = [("rook", "one-line vs standard-form disagreements")]
     if ni % 2 == 0:
-        routes.append(
-            ("renner-sp", SYMPLECTIC, "ambient vs intrinsic symplectic disagreements")
-        )
+        routes.append(("renner-sp", "ambient vs intrinsic symplectic disagreements"))
     reports = []
-    for family, kind, label in routes:
+    for family, label in routes:
         elems = enum_family(FamilySpec(ni, family))
-        ctx = group_context(kind, ni)
+        ctx = group_context(SYMPLECTIC if FAMILIES[family].symplectic else SYMMETRIC, ni)
         bad = sum(
             1
             for x in elems

@@ -8,7 +8,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from rooks.rook import Rook, identity_rook, multiply, rank
-from rooks.symplectic import SP_FAMILIES, FamilySpec
+from rooks.symplectic import FAMILIES, FamilySpec
 
 
 def power(x, m):
@@ -82,9 +82,7 @@ def iter_family_by_leaves(spec: FamilySpec) -> Iterator[Rook]:
     is one."""
     n = spec.n
     target = spec.rank
-    symplectic = spec.family in SP_FAMILIES
-    # rows column j may take: 1..j-1 (nilpotent), 1..j (Borel) or 1..n
-    lag = {"borel-nil": 1, "borel-sp-nil": 1, "borel": 0, "borel-sp": 0}.get(spec.family)
+    lag, symplectic = FAMILIES[spec.family]
     column = [0] * n
     used: set[int] = set()
 

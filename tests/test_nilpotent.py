@@ -44,6 +44,14 @@ def test_rejects_non_nil_family():
         nilpotent_analysis(FamilySpec(4, "borel"))
 
 
+@pytest.mark.parametrize("spec", [FamilySpec(4, "borel-nil", rank=4), FamilySpec(4, "borel-nil", rank=2)])
+def test_rejects_a_rank_slice(spec):
+    # an empty slice has no maximal element, and a longest chain inside a
+    # slice is not counted from zero: only a whole family is analysed
+    with pytest.raises(ValueError, match=f"rank {spec.rank}"):
+        nilpotent_analysis(spec)
+
+
 @pytest.mark.parametrize(
     "n,family", [(3, "borel-nil"), (4, "borel-nil"), (5, "borel-nil"), (4, "borel-sp-nil"), (6, "borel-sp-nil")]
 )

@@ -17,8 +17,10 @@ from rooks.order import (
     standard_form,
 )
 from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose
-from rooks.symplectic import FAMILIES, SP_FAMILIES, FamilySpec, enum_family, rank_slice_minimum
+from rooks.symplectic import FAMILIES, FamilySpec, enum_family, rank_slice_minimum
 from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context
+
+SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 
 
 def all_rooks(n):
@@ -308,6 +310,20 @@ def test_build_poset_holds_one_row_per_element():
     finally:
         tracemalloc.stop()
     assert peak < 2.8 * m * m / 8
+
+
+def test_rank_rows_hold_one_count_row_per_element():
+    # the rows take m^2/8 bytes; next to them each element keeps one row of
+    # n rank counts, not all n^2 of them (those took the peak to 2.3 x m^2/8)
+    elements = enum_family(FamilySpec(7, "borel"))
+    m = len(elements)
+    tracemalloc.start()
+    try:
+        _rank_rows(elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * m * m / 8
 
 
 def poset_fields(poset):

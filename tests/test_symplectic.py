@@ -18,7 +18,6 @@ from rooks.rook import (
 )
 from rooks.symplectic import (
     FAMILIES,
-    SP_FAMILIES,
     FamilySpec,
     ResourceLimitError,
     count_family,
@@ -30,6 +29,8 @@ from rooks.symplectic import (
     rank_slice_minimum,
 )
 from rooks.weyl import SYMPLECTIC, group_context, theta_perm
+
+SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 
 
 def test_is_admissible_examples():
