@@ -47,6 +47,7 @@ from .symplectic import (
     is_admissible,
     is_symplectic_rook,
     iter_family,
+    iter_family_lines,
 )
 from .weyl import (
     GroupContext,

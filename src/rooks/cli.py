@@ -40,7 +40,7 @@ from .symplectic import (
     ResourceLimitError,
     count_family,
     enum_family,
-    iter_family,
+    iter_family_lines,
 )
 from .verify import (
     VERIFY_CHECKS,
@@ -109,14 +109,14 @@ def _cmd_enum(args):
     if args.format == "count":
         return [str(count_family(spec))]
     if args.format == "oneline":
-        return map(format_one_line, iter_family(spec))
-    elements = enum_family(spec)
+        return iter_family_lines(spec)
+    elements = list(iter_family_lines(spec))
     return {
         "n": args.n,
         "family": args.family,
         "rank": args.rank,
         "count": len(elements),
-        "elements": [format_one_line(x) for x in elements],
+        "elements": elements,
     }
 
 

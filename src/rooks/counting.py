@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .rook import Rook, triangular_ranks
-from .symplectic import FamilySpec, _check_even, count_family, iter_family
+from .symplectic import FamilySpec, _blocks, _check_even, count_family, iter_family
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,29 @@ def rank_count_rook(n: int, k: int) -> int:
 
 
 def _census(n: int) -> Counter:
-    """The number of size-n rooks with each triple of triangular ranks."""
-    return Counter(map(triangular_ranks, iter_family(FamilySpec(n, "rook"))))
+    """The number of size-n rooks with each triple of triangular ranks,
+    block by block: the ranks of each prefix are counted once, those of each
+    memoised tail once per memo entry, in its own columns, and a member's
+    triple is the sum of the two.  A triple (a, b, c) is packed as the
+    base-(n+1) number a (n+1)^2 + b (n+1) + c, so that the sum is one int
+    addition; no rank exceeds n."""
+    base = n + 1
+
+    def pack(ranks) -> int:
+        a, b, c = ranks
+        return (a * base + b) * base + c
+
+    def tail_ranks(tail) -> int:
+        return pack(triangular_ranks(tail, n + 1 - len(tail)))
+
+    packed = Counter()
+    for prefix, tails in _blocks(FamilySpec(n, "rook"), tail_ranks):
+        packed.update(map(pack(triangular_ranks(prefix)).__add__, tails))
+    counts = Counter()
+    for key, m in packed.items():
+        ab, c = divmod(key, base)
+        counts[(*divmod(ab, base), c)] = m
+    return counts
 
 
 def triangular_census(n: int) -> list[CountReport]:

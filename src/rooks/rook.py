@@ -70,6 +70,22 @@ def format_one_line(x: Rook) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
 
 
+def one_line_head(prefix: Rook) -> str:
+    """The text of the one-line form up to the last column of `prefix`:
+    one_line_head(p) + one_line_tail(t) == format_one_line(p + t) for
+    every nonempty t.
+
+    >>> one_line_head((3, 0)) + one_line_tail((4, 0))
+    '(3,0,4,0)'
+    """
+    return "(" + "".join(f"{v}," for v in prefix)
+
+
+def one_line_tail(tail: Rook) -> str:
+    """The text of the one-line form from the first column of `tail` on."""
+    return ",".join(str(v) for v in tail) + ")"
+
+
 def identity_rook(n: int) -> Rook:
     return tuple(range(1, n + 1))
 
@@ -125,12 +141,13 @@ def transpose(x: Rook) -> Rook:
     return tuple(out)
 
 
-def triangular_ranks(x: Rook) -> tuple[int, int, int]:
+def triangular_ranks(x: Rook, first: int = 1) -> tuple[int, int, int]:
     """The ranks (lower, diag, upper) of the parts of x strictly below, on
     and strictly above the diagonal, counted in one pass without building
-    the parts."""
+    the parts.  The columns of x are numbered from `first`, so a run of
+    columns cut from a larger rook is counted in its place."""
     lower = diag = upper = 0
-    for j, v in enumerate(x, start=1):
+    for j, v in enumerate(x, start=first):
         if v > j:
             lower += 1
         elif v == j:

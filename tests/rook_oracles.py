@@ -1,14 +1,15 @@
 """Slow reference routes that the tests compare the library with: powers of a
 rook, its split into triangular parts, inversion counts of permutations, the
-inclusion-exclusion form of the Stirling numbers and the leaf-by-leaf family
-descent."""
+inclusion-exclusion form of the Stirling numbers, the leaf-by-leaf family
+descent and the member-by-member triangular census."""
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from rooks.rook import Rook, identity_rook, multiply, rank
-from rooks.symplectic import FAMILIES, FamilySpec
+from rooks.rook import Rook, identity_rook, multiply, rank, triangular_ranks
+from rooks.symplectic import FAMILIES, FamilySpec, iter_family
 
 
 def power(x, m):
@@ -65,6 +66,13 @@ def stirling2_inclusion_exclusion(m: int, k: int) -> int:
     if r:
         raise ArithmeticError(f"inclusion-exclusion sum not divisible at ({m},{k})")
     return q
+
+
+def census_by_members(n: int) -> Counter:
+    """The number of size-n rooks with each triple of triangular ranks,
+    counted member by member: the oracle of `counting._census`, which counts
+    each prefix and each memoised tail once."""
+    return Counter(map(triangular_ranks, iter_family(FamilySpec(n, "rook"))))
 
 
 def iter_family_by_leaves(spec: FamilySpec) -> Iterator[Rook]:

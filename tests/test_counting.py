@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from rook_oracles import stirling2_inclusion_exclusion
+from rook_oracles import census_by_members, stirling2_inclusion_exclusion
 from rooks.counting import (
     CountReport,
+    _census,
     admissible_count,
     bell,
     borel_sp_rank_count,
@@ -86,6 +87,11 @@ def test_triangular_census_small():
     assert rows[(1, 1, 0)].paper_form == 6  # printed form disagrees, recorded
     assert rows[(1, 1, 0)].agree_oracle_paper is False
     assert rows[(0, 0, 0)].oracle == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_census_by_blocks_matches_the_census_by_members(n):
+    assert _census(n) == census_by_members(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -12,6 +12,8 @@ from rooks.rook import (
     identity_rook,
     msp_membership,
     multiply,
+    one_line_head,
+    one_line_tail,
     parse_one_line,
     rank,
     rational_matrix,
@@ -127,6 +129,14 @@ def test_nilpotency_examples():
     assert power((0, 1, 0, 3), 4) == (0,) * 4
     assert power((1, 0, 0, 0), 4) == (1, 0, 0, 0)
     assert power((2, 0), 2) == (0, 0)
+
+
+def test_head_and_tail_join_to_the_one_line_form():
+    # every split of every rook up to size 5, the empty head included
+    for n in range(1, 6):
+        for x in all_rooks(n):
+            for i in range(n):
+                assert one_line_head(x[:i]) + one_line_tail(x[i:]) == format_one_line(x)
 
 
 def test_triangular_examples():

@@ -9,6 +9,7 @@ from rook_oracles import iter_family_by_leaves
 from rooks.order import bcr_le
 from rooks.rook import (
     domain,
+    format_one_line,
     identity_rook,
     is_strictly_upper_triangular,
     is_upper_triangular,
@@ -26,6 +27,7 @@ from rooks.symplectic import (
     is_admissible,
     is_symplectic_rook,
     iter_family,
+    iter_family_lines,
     rank_slice_minimum,
 )
 from rooks.weyl import SYMPLECTIC, group_context, theta_perm
@@ -165,6 +167,23 @@ def test_block_descent_matches_the_leaf_descent(family, n, ranks):
         assert count_family(spec) == len(oracle), k
 
 
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (f, n)
+        for f in FAMILIES
+        for n in (range(1, 7) if f == "rook" else (*range(1, 7), 8))
+        if n % 2 == 0 or f not in SP_FAMILIES
+    ],
+)
+def test_line_stream_formats_each_member(family, n):
+    # n = 1 and n = 2 have an empty prefix, so every line is head "(" and a
+    # whole one-line form as its tail
+    for k in (None, *range(n + 1)):
+        spec = FamilySpec(n, family, rank=k)
+        assert list(iter_family_lines(spec)) == list(map(format_one_line, iter_family(spec))), k
+
+
 def _traced_peak(work) -> int:
     tracemalloc.start()
     try:
@@ -177,9 +196,10 @@ def _traced_peak(work) -> int:
 def test_tail_memo_stays_bounded():
     # the memo of two-column tails is bounded by n, not by the family: a
     # count of all 1,441,729 rooks of size 8, or a drain of the 130,922 of
-    # size 7, keeps less than 1 MiB
+    # size 7, as tuples or as lines, keeps less than 1 MiB
     assert _traced_peak(lambda: count_family(FamilySpec(8, "rook"))) < 2**20
     assert _traced_peak(lambda: deque(iter_family(FamilySpec(7, "rook")), 0)) < 2**20
+    assert _traced_peak(lambda: deque(iter_family_lines(FamilySpec(7, "rook")), 0)) < 2**20
 
 
 def test_enum_family_rank_filter():
