@@ -128,6 +128,28 @@ def test_enum_out_matches_stdout(capsys, tmp_path):
     assert not refused.exists()
 
 
+@pytest.mark.parametrize("m", [1, 2, cli.CHUNK_LINES, cli.CHUNK_LINES + 1, 3 * cli.CHUNK_LINES + 7])
+def test_lines_are_written_in_chunks(monkeypatch, m):
+    # the first line alone (it is drawn before the file is opened), then
+    # whole chunks: the same bytes as one write per line, in few writes
+    class Stream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    stream = Stream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    lines = [f"line {i}" for i in range(m)]
+    cli._emit_lines(iter(lines), None)
+    assert "".join(stream.writes) == "".join(line + "\n" for line in lines)
+    assert len(stream.writes) == 1 + -(-(m - 1) // cli.CHUNK_LINES)
+
+
 def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x.txt"
     assert cli.main(["enum", "--n", "2", "--family", "rook", "--out", str(target)]) == 2

@@ -1,11 +1,12 @@
 import tracemalloc
 from collections import deque
 from itertools import islice, product
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from rook_oracles import iter_family_by_leaves
+from rooks import symplectic
 from rooks.order import bcr_le
 from rooks.rook import (
     domain,
@@ -30,6 +31,7 @@ from rooks.symplectic import (
     iter_family_lines,
     rank_slice_minimum,
 )
+from rooks.verify import _renner_sp_proof
 from rooks.weyl import SYMPLECTIC, group_context, theta_perm
 
 SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
@@ -167,6 +169,26 @@ def test_block_descent_matches_the_leaf_descent(family, n, ranks):
         assert count_family(spec) == len(oracle), k
 
 
+@pytest.mark.parametrize("family, size", [("rook", 1441729), ("renner-sp", 13889)])
+def test_count_walks_no_block(family, size, monkeypatch):
+    # the count is a walk of its own over the states, not a sum over the
+    # blocks of the enumeration
+    def no_blocks(*args):
+        raise AssertionError("count_family entered _blocks")
+
+    monkeypatch.setattr(symplectic, "_blocks", no_blocks)
+    assert count_family(FamilySpec(8, family)) == size
+
+
+@pytest.mark.parametrize(
+    "family, form",
+    [("rook", lambda k: comb(8, k) ** 2 * factorial(k)), ("renner-sp", lambda k: _renner_sp_proof(8, k))],
+)
+def test_rank_slice_counts_at_n8(family, form):
+    for k in range(9):
+        assert count_family(FamilySpec(8, family, rank=k)) == form(k), k
+
+
 @pytest.mark.parametrize(
     "family, n",
     [
@@ -194,10 +216,14 @@ def _traced_peak(work) -> int:
 
 
 def test_tail_memo_stays_bounded():
-    # the memo of two-column tails is bounded by n, not by the family: a
-    # count of all 1,441,729 rooks of size 8, or a drain of the 130,922 of
-    # size 7, as tuples or as lines, keeps less than 1 MiB
-    assert _traced_peak(lambda: count_family(FamilySpec(8, "rook"))) < 2**20
+    # the memos are bounded by n, not by the family: a count of all
+    # 1,441,729 rooks of size 8 keeps less than 256 KiB (about 62 KiB
+    # measured), a count of renner-sp n=8, whose keys carry the mirror
+    # columns, less than 512 KiB (about 330 KiB; about 590 KiB when every
+    # column is memoised, not only those from n/2+2 on), and a drain of the
+    # 130,922 rooks of size 7, as tuples or as lines, less than 1 MiB
+    assert _traced_peak(lambda: count_family(FamilySpec(8, "rook"))) < 2**18
+    assert _traced_peak(lambda: count_family(FamilySpec(8, "renner-sp"))) < 2**19
     assert _traced_peak(lambda: deque(iter_family(FamilySpec(7, "rook")), 0)) < 2**20
     assert _traced_peak(lambda: deque(iter_family_lines(FamilySpec(7, "rook")), 0)) < 2**20
 
