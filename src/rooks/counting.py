@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 from typing import Optional
 
 from .rook import Rook, triangular_ranks
-from .symplectic import FamilySpec, _blocks, _check_even, count_family, iter_family
+from .symplectic import FamilySpec, _check_even, count_family
 
 
 @dataclass(frozen=True)
@@ -101,36 +102,26 @@ def rank_count_rook(n: int, k: int) -> int:
 
 
 def _census(n: int) -> Counter:
-    """The number of size-n rooks with each triple of triangular ranks,
-    block by block: the ranks of each prefix are counted once, those of each
-    memoised tail once per memo entry, in its own columns, and a member's
-    triple is the sum of the two.  A triple (a, b, c) is packed as the
-    base-(n+1) number a (n+1)^2 + b (n+1) + c, so that the sum is one int
-    addition; no rank exceeds n."""
+    """The number of size-n rooks with each triple (a, b, c) of triangular
+    ranks, from one `count_family` walk over the rook states: a cell's shift
+    is 0 when empty and w, w (n+1) or w (n+1)^2 above, on or below the
+    diagonal, so the total is the census polynomial at 2^w, whose base-2^w
+    digit a (n+1)^2 + b (n+1) + c is the count of (a, b, c)."""
     base = n + 1
-
-    def pack(ranks) -> int:
-        a, b, c = ranks
-        return (a * base + b) * base + c
-
-    def tail_ranks(tail) -> int:
-        return pack(triangular_ranks(tail, n + 1 - len(tail)))
-
-    packed = Counter()
-    for prefix, tails in _blocks(FamilySpec(n, "rook"), tail_ranks):
-        packed.update(map(pack(triangular_ranks(prefix)).__add__, tails))
-    counts = Counter()
-    for key, m in packed.items():
-        ab, c = divmod(key, base)
-        counts[(*divmod(ab, base), c)] = m
-    return counts
+    # (n+1)^n bounds the family, so no w-bit digit carries into the next; a
+    # cell's power of n+1 is 0, 1 or 2 above, on or below the diagonal
+    w = (base**n).bit_length()
+    total = count_family(FamilySpec(n, "rook"), lambda j, v: v and w * base ** ((v >= j) + (v > j)))
+    digits = ((total >> w * p) & ((1 << w) - 1) for p in range(base**3))
+    return Counter({abc: m for abc, m in zip(product(range(base), repeat=3), digits) if m})
 
 
 def triangular_census(n: int) -> list[CountReport]:
     """Per-triple counts of rooks by (lower, diagonal, upper) ranks.
 
-    oracle: exhaustive census.  paper_form: the printed factored product
-    C(n,b) S(n+1,n+1-a) S(n+1,n+1-c), recorded even where it disagrees.
+    oracle: the census by states (`_census`).  paper_form: the printed
+    factored product C(n,b) S(n+1,n+1-a) S(n+1,n+1-c), recorded even where
+    it disagrees.
     Whether the census partitions each rank is the verify check's to report
     (its `census sum` rows), not an error here.
     """
@@ -159,8 +150,9 @@ def preimage_weight(x: Rook) -> int:
 
 def borel_sp_proof_form(l: int, k: int) -> int:
     """Rank-k count of upper-triangular symplectic rooks at n = 2l from the
-    proof: the preimage weights summed over the rank-k rooks of size l."""
-    return sum(preimage_weight(x) for x in iter_family(FamilySpec(l, "rook", rank=k)))
+    proof: the preimage weight 2^(a+c) 3^b over the census rows of size l
+    with a + b + c = k."""
+    return sum(m * 2 ** (a + c) * 3**b for (a, b, c), m in _census(l).items() if a + b + c == k)
 
 
 def borel_sp_paper_form(l: int, k: int) -> int:

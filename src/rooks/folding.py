@@ -134,12 +134,13 @@ def _candidate_cells(r: int, c: int, l: int) -> list[tuple[int, int]]:
     return [cell for cell in options if cell[0] <= cell[1]]
 
 
-def unfold_preimages_constructive(a: Rook) -> list[Rook]:
-    """Unfold by direct construction: every cell of the input chooses one
-    of its reflected positions independently, subject to upper
-    triangularity.  Used as the proof-style second route."""
+def unfold_preimages(a: Rook) -> list[Rook]:
+    """All upper-triangular symplectic rooks of doubled size (bounded as
+    borel-sp is) folding onto the given rook, in lexicographic order, built
+    cell by cell: each cell takes any of its reflected positions that keep
+    the result upper triangular.  `fold_images` is the exhaustive oracle."""
     l = len(a)
-    n = 2 * l
+    n = FamilySpec(2 * l, "borel-sp").n
     per_cell = [_candidate_cells(r, c, l) for r, c in cells(a)]
     out = []
     for choice in product(*per_cell):
@@ -148,6 +149,9 @@ def unfold_preimages_constructive(a: Rook) -> list[Rook]:
             x[c - 1] = r
         out.append(tuple(x))
     return sorted(out)
+
+
+unfold_preimages_constructive = unfold_preimages  # the span name of perfbench/traced_job.py
 
 
 def fold_images(l: int) -> dict[Rook, list[Rook]]:
@@ -161,8 +165,3 @@ def fold_images(l: int) -> dict[Rook, list[Rook]]:
         images.setdefault(fold(x, "both"), []).append(x)
     return images
 
-
-def unfold_preimages(a: Rook) -> list[Rook]:
-    """All upper-triangular symplectic rooks of doubled size folding onto
-    the given rook, by exhaustive folding (`fold_images`)."""
-    return fold_images(len(a)).get(a, [])

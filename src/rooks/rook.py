@@ -141,13 +141,11 @@ def transpose(x: Rook) -> Rook:
     return tuple(out)
 
 
-def triangular_ranks(x: Rook, first: int = 1) -> tuple[int, int, int]:
-    """The ranks (lower, diag, upper) of the parts of x strictly below, on
-    and strictly above the diagonal, counted in one pass without building
-    the parts.  The columns of x are numbered from `first`, so a run of
-    columns cut from a larger rook is counted in its place."""
+def triangular_ranks(x: Rook) -> tuple[int, int, int]:
+    """The ranks (lower, diag, upper) of the parts of x strictly below, on and
+    strictly above the diagonal, counted in one pass without building them."""
     lower = diag = upper = 0
-    for j, v in enumerate(x, start=first):
+    for j, v in enumerate(x, start=1):
         if v > j:
             lower += 1
         elif v == j:

@@ -8,12 +8,12 @@ admissible, together with the theta-fixed permutations.
 A family is fixed column by column in lexicographic order by one rule,
 `_rules`: `choices` gives the values a column may take after a prefix, and
 `key` is the part of the prefix that `choices` reads from then on (the used
-rows, and for a symplectic family the mirror columns still ahead).  Two walks
-share it.
+rows, and for a symplectic family the mirror columns still ahead).  Two
+walks share it: `_blocks` lists the members, and `count_family` counts them.
 
-- `_blocks` enumerates: it walks the first n-2 columns and yields each
-  prefix with the list of its two-column tails, which come from a memo keyed
-  by `key` that lives for one call.  `iter_family` streams the members, each
+- `_blocks` lists: it walks the first n-2 columns and yields each prefix
+  with the list of its two-column tails, which come from a memo keyed by
+  `key` that lives for one call.  `iter_family` streams the members, each
   prefix joined to each tail: a caller that folds over a family holds one
   prefix and the memo, not the family.  `iter_family_lines` streams the
   one-line text that `enum --format oneline` and `--format json` print: the
@@ -25,7 +25,7 @@ share it.
 - `count_family` counts: it memoises the number of completions of each
   column per `key`, so its work grows with the states, not the members or
   the prefixes (rook n=8 in 3-5 ms in process on a 2-CPU Xeon), and it
-  builds no member.
+  builds no member.  Weighted, it gives the census of `counting._census`.
 
 For the symplectic families the rule only extends a prefix that can still
 complete to a member, so no member is tested; `is_symplectic_rook` stays as
@@ -205,8 +205,8 @@ def _blocks(spec: FamilySpec, finish: Callable = tuple) -> Iterator[tuple[Rook, 
     """Yield the members of a family as blocks `(prefix, tails)`, in
     lexicographic order: the block's members are `prefix + tail` for each
     tail in turn.  Each tail is stored as `finish` of the list of its
-    entries, once per memo entry: a tuple by default, or whatever a
-    consumer folds a tail into (its one-line text, its triangular ranks).
+    entries, once per memo entry: a tuple by default, or its one-line text
+    for `iter_family_lines`.  This walk only lists; `count_family` counts.
 
     One recursive generator, `walk(j, stop, used)`, fills columns j..stop
     with each value `choices` of `_rules` allows and yields the used rows
@@ -270,11 +270,20 @@ def enum_family(spec: FamilySpec) -> list[Rook]:
     return list(iter_family(spec))
 
 
-def count_family(spec: FamilySpec) -> int:
+def count_family(spec: FamilySpec, weight: Callable[[int, int], int] = lambda j, v: 0) -> int:
     """The number of members of a family (or of its rank slice), counted
     without building any member: the completions of columns j..n are
     counted once per `key` of `_rules`, by the same `choices` as the
     enumeration, and summed.
+
+    A member counts 2 to the sum of `weight(j, v)` over its columns (column
+    j holding v, 0 when empty), not 1; the memo stays exact, as that sum
+    over columns j..n depends only on the completion.  With weight w per
+    filled cell, the count of rank k is the base-2^w digit k while no count
+    reaches 2^w (rook n=2 has 1, 4 and 2 members of ranks 0, 1 and 2):
+
+    >>> oct(count_family(FamilySpec(2, "rook"), lambda j, v: 3 * (v != 0)))
+    '0o241'
 
     A non-symplectic family's key is the used rows, so the memo holds at
     most 2^n counts per column.  A symplectic family's key also carries the
@@ -290,21 +299,23 @@ def count_family(spec: FamilySpec) -> int:
     n = spec.n
     choices, key = _rules(spec)
     first = n // 2 + 2 if FAMILIES[spec.family].symplectic else 1
+    shifts = [[weight(j, v) for v in range(n + 1)] for j in range(1, n + 1)]
     column = [0] * n
+    bit = [0] + [1 << v for v in range(1, n + 1)]
     memo: list[dict] = [{} for _ in range(n + 1)]  # memo[j]: key -> count
 
     def count(j: int, used: int) -> int:
-        if j > n:
-            return 1
         if j >= first:
             k = key(j, used, column)
             total = memo[j].get(k)
             if total is not None:
                 return total
         total = 0
+        shift = shifts[j - 1]
         for v in choices(j, used, column):
             column[j - 1] = v
-            total += count(j + 1, used | (v and 1 << v))
+            # a member ends at column n and counts 1 before its shifts
+            total += (count(j + 1, used | bit[v]) if j < n else 1) << shift[v]
         column[j - 1] = 0
         if j >= first:
             memo[j][k] = total

@@ -26,7 +26,7 @@ from .counting import (
     stirling2,
     triangular_census,
 )
-from .folding import fold, fold_images, unfold_preimages_constructive
+from .folding import fold, fold_images, unfold_preimages
 from .nilpotent import nilpotent_analysis
 from .order import bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
 from .partitions import enum_partitions, partition_to_rook, rook_to_partition
@@ -241,7 +241,7 @@ def _check_folding(l_val) -> list:
     mismatched_constructive = 0
     for i, a in enumerate(iter_family(FamilySpec(l_val, "rook"))):
         found = images.get(a, [])
-        if found != unfold_preimages_constructive(a):
+        if found != unfold_preimages(a):
             mismatched_constructive += 1
         reports.append(
             CountReport(

@@ -1,13 +1,15 @@
 """Slow reference routes that the tests compare the library with: powers of a
 rook, its split into triangular parts, inversion counts of permutations, the
 inclusion-exclusion form of the Stirling numbers, the leaf-by-leaf family
-descent and the member-by-member triangular census."""
+descent, the member-by-member triangular census and the member-by-member
+sum of the folding preimage weights."""
 
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
+from rooks.counting import preimage_weight
 from rooks.rook import Rook, identity_rook, multiply, rank, triangular_ranks
 from rooks.symplectic import FAMILIES, FamilySpec, iter_family
 
@@ -70,9 +72,16 @@ def stirling2_inclusion_exclusion(m: int, k: int) -> int:
 
 def census_by_members(n: int) -> Counter:
     """The number of size-n rooks with each triple of triangular ranks,
-    counted member by member: the oracle of `counting._census`, which counts
-    each prefix and each memoised tail once."""
+    counted member by member: the oracle of `counting._census`, which reads
+    them off one weighted walk over the rook states."""
     return Counter(map(triangular_ranks, iter_family(FamilySpec(n, "rook"))))
+
+
+def borel_sp_proof_form_by_members(l: int, k: int) -> int:
+    """The preimage weights summed over the rank-k rooks of size l, member
+    by member: the oracle of `counting.borel_sp_proof_form`, which sums
+    them over the census."""
+    return sum(map(preimage_weight, iter_family(FamilySpec(l, "rook", rank=k))))
 
 
 def iter_family_by_leaves(spec: FamilySpec) -> Iterator[Rook]:

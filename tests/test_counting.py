@@ -2,12 +2,17 @@ import json
 
 import pytest
 
-from rook_oracles import census_by_members, stirling2_inclusion_exclusion
+from rook_oracles import (
+    borel_sp_proof_form_by_members,
+    census_by_members,
+    stirling2_inclusion_exclusion,
+)
 from rooks.counting import (
     CountReport,
     _census,
     admissible_count,
     bell,
+    borel_sp_proof_form,
     borel_sp_rank_count,
     rank_count_rook,
     stirling2,
@@ -92,6 +97,12 @@ def test_triangular_census_small():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_census_by_blocks_matches_the_census_by_members(n):
     assert _census(n) == census_by_members(n)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
+def test_proof_form_by_census_matches_the_sum_by_members(l):
+    for k in range(l + 1):
+        assert borel_sp_proof_form(l, k) == borel_sp_proof_form_by_members(l, k), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -1,16 +1,9 @@
 import pytest
 
-from rooks.folding import (
-    PartialMatrix,
-    fold,
-    from_rook,
-    to_rook,
-    unfold_preimages,
-    unfold_preimages_constructive,
-)
+from rooks.folding import PartialMatrix, fold, fold_images, from_rook, to_rook, unfold_preimages
 from rooks.counting import preimage_weight
 from rooks.rook import identity_rook, is_permutation, rank
-from rooks.symplectic import FamilySpec, enum_family
+from rooks.symplectic import FamilySpec, ResourceLimitError, enum_family
 
 # an 8x8 worked example and its two folds, frozen cell-exactly
 X8 = (1, 0, 5, 0, 2, 0, 6, 0)
@@ -109,9 +102,10 @@ def test_unfold_zero_and_identity():
 
 
 def test_unfold_routes_agree_l2():
+    images = fold_images(2)
     for a in enum_family(FamilySpec(2, "rook")):
-        exhaustive = unfold_preimages(a)
-        assert exhaustive == unfold_preimages_constructive(a)
+        exhaustive = images.get(a, [])
+        assert exhaustive == unfold_preimages(a)
         assert len(exhaustive) == preimage_weight(a)
 
 
@@ -124,6 +118,11 @@ def test_preimages_partition_singular_borel_l2():
         assert not (pre & seen)
         seen |= pre
     assert seen == set(singular)
+
+
+def test_unfold_refuses_a_doubled_size_past_the_bound():
+    with pytest.raises(ResourceLimitError):
+        unfold_preimages((0,) * 5)
 
 
 def test_from_rook_round_trip():

@@ -1,10 +1,10 @@
 import hashlib
-import tracemalloc
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fresh_peak import fresh_peak
 from poset_oracles import pairwise_rows, per_pair_poset
 from rooks.order import (
     _rank_rows,
@@ -297,32 +297,28 @@ def test_build_poset_covers_match_bcr_le_rook_n5():
     assert hashlib.sha256(repr(covers).encode()).hexdigest() == ROOK_N5_COVERS_DIGEST
 
 
+BOREL_7 = """\
+from rooks.order import _rank_rows, build_poset
+from rooks.symplectic import FamilySpec, enum_family
+elements = enum_family(FamilySpec(7, "borel"))
+assert len(elements) == 4140"""
+
+
 def test_build_poset_holds_one_row_per_element():
     # m rows of m bits each take m^2/8 bytes; a second set of rows (the
-    # transpose) would take the peak past that bound
-    elements = enum_family(FamilySpec(7, "borel"))
-    m = len(elements)
-    assert m == 4140
-    tracemalloc.start()
-    try:
-        build_poset(elements)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # transpose) would take the peak past that bound (2.32 x m^2/8 read in
+    # a fresh interpreter)
+    m = 4140
+    peak, _ = fresh_peak(BOREL_7, "build_poset(elements)")
     assert peak < 2.8 * m * m / 8
 
 
 def test_rank_rows_hold_one_count_row_per_element():
     # the rows take m^2/8 bytes; next to them each element keeps one row of
-    # n rank counts, not all n^2 of them (those took the peak to 2.3 x m^2/8)
-    elements = enum_family(FamilySpec(7, "borel"))
-    m = len(elements)
-    tracemalloc.start()
-    try:
-        _rank_rows(elements)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # n rank counts, not all n^2 of them (those took the peak to 2.3 x m^2/8;
+    # 1.50 x m^2/8 read in a fresh interpreter)
+    m = 4140
+    peak, _ = fresh_peak(BOREL_7, "_rank_rows(elements)")
     assert peak < 1.8 * m * m / 8
 
 

@@ -1,10 +1,10 @@
-import tracemalloc
-from collections import deque
+from collections import Counter
 from itertools import islice, product
 from math import comb, factorial
 
 import pytest
 
+from fresh_peak import fresh_peak
 from rook_oracles import iter_family_by_leaves
 from rooks import symplectic
 from rooks.order import bcr_le
@@ -35,6 +35,12 @@ from rooks.verify import _renner_sp_proof
 from rooks.weyl import SYMPLECTIC, group_context, theta_perm
 
 SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
+
+# what the memory tests run in a fresh interpreter before tracing starts
+FAMILY_IMPORTS = """\
+from collections import deque
+from rooks.counting import _census
+from rooks.symplectic import FamilySpec, count_family, iter_family, iter_family_lines"""
 
 
 def test_is_admissible_examples():
@@ -122,13 +128,8 @@ def test_sp_descent_matches_filtered_rook_family_n6(family):
 def test_iter_family_is_lazy():
     # the first rook of size 8 comes without the other 1,441,728 (about
     # 190 MB as a list)
-    tracemalloc.start()
-    try:
-        first = next(iter_family(FamilySpec(8, "rook")))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == (0,) * 8
+    peak, out = fresh_peak(FAMILY_IMPORTS, "print(next(iter_family(FamilySpec(8, 'rook'))))")
+    assert out == f"{(0,) * 8}\n"
     assert peak < 2**20, peak
 
 
@@ -191,6 +192,25 @@ def test_rank_slice_counts_at_n8(family, form):
 
 @pytest.mark.parametrize(
     "family, n",
+    [(f, n) for f in FAMILIES for n in range(1, 7) if n % 2 == 0 or f not in SP_FAMILIES]
+    # the mirror-column keys of n=8, which the rook census never reaches
+    + [(f, 8) for f in SP_FAMILIES],
+)
+def test_weighted_count_reads_the_rank_histogram(family, n):
+    # weight w per filled cell: member x counts 2^(w rank(x)), so the count
+    # of rank k is the base-2^w digit k, and no digit reaches 2^w
+    for k in (None, *range(n + 1)):
+        spec = FamilySpec(n, family, rank=k)
+        w = count_family(spec).bit_length()
+        total = count_family(spec, lambda j, v: w * (v != 0))
+        digits = [(total >> w * r) & ((1 << w) - 1) for r in range(n + 1)]
+        hist = Counter(rank(x) for x in iter_family(spec))
+        assert total >> w * (n + 1) == 0, k
+        assert digits == [hist[r] for r in range(n + 1)], k
+
+
+@pytest.mark.parametrize(
+    "family, n",
     [
         (f, n)
         for f in FAMILIES
@@ -206,26 +226,25 @@ def test_line_stream_formats_each_member(family, n):
         assert list(iter_family_lines(spec)) == list(map(format_one_line, iter_family(spec))), k
 
 
-def _traced_peak(work) -> int:
-    tracemalloc.start()
-    try:
-        work()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _traced_peak(work: str) -> int:
+    return fresh_peak(FAMILY_IMPORTS, work)[0]
 
 
 def test_tail_memo_stays_bounded():
-    # the memos are bounded by n, not by the family: a count of all
-    # 1,441,729 rooks of size 8 keeps less than 256 KiB (about 62 KiB
-    # measured), a count of renner-sp n=8, whose keys carry the mirror
-    # columns, less than 512 KiB (about 330 KiB; about 590 KiB when every
-    # column is memoised, not only those from n/2+2 on), and a drain of the
-    # 130,922 rooks of size 7, as tuples or as lines, less than 1 MiB
-    assert _traced_peak(lambda: count_family(FamilySpec(8, "rook"))) < 2**18
-    assert _traced_peak(lambda: count_family(FamilySpec(8, "renner-sp"))) < 2**19
-    assert _traced_peak(lambda: deque(iter_family(FamilySpec(7, "rook")), 0)) < 2**20
-    assert _traced_peak(lambda: deque(iter_family_lines(FamilySpec(7, "rook")), 0)) < 2**20
+    # the memos are bounded by n, not by the family, each peak read in a
+    # fresh interpreter: a count of all 1,441,729 rooks of size 8 keeps
+    # less than 256 KiB (about 63 KiB measured), a count of renner-sp n=8,
+    # whose keys carry the mirror columns, less than 512 KiB (about 332
+    # KiB; about 590 KiB when every column is memoised, not only those from
+    # n/2+2 on), the census of size 8, whose memo holds one int of 26-bit
+    # digits per used-row state, less than 512 KiB (about 423 KiB), and a
+    # drain of the 130,922 rooks of size 7, as tuples or as lines, less
+    # than 1 MiB (about 156 KiB)
+    assert _traced_peak("count_family(FamilySpec(8, 'rook'))") < 2**18
+    assert _traced_peak("count_family(FamilySpec(8, 'renner-sp'))") < 2**19
+    assert _traced_peak("_census(8)") < 2**19
+    assert _traced_peak("deque(iter_family(FamilySpec(7, 'rook')), 0)") < 2**20
+    assert _traced_peak("deque(iter_family_lines(FamilySpec(7, 'rook')), 0)") < 2**20
 
 
 def test_enum_family_rank_filter():
