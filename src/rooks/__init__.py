@@ -5,7 +5,6 @@ from .counting import (
     CountReport,
     admissible_count,
     bell,
-    borel_sp_rank_count,
     preimage_weight,
     rank_count_rook,
     stirling2,

@@ -71,10 +71,11 @@ HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 CHUNK_LINES = 256
 
 
-def dot_export(h: HasseDiagram) -> str:
-    """Serialize a Hasse diagram as DOT text: one node statement per
-    element, one edge per cover (lower -> upper), everything in
-    lexicographic order."""
+def dot_export(h: HasseDiagram) -> list[str]:
+    """Serialize a Hasse diagram as the lines of its DOT text: one node
+    statement per element, one edge per cover (lower -> upper), everything
+    in lexicographic order.  A list, not a stream: the lines are formatted
+    before it returns, and the writer writes them in chunks."""
     names = [format_one_line(x) for x in h.elements]
     lines = ["digraph hasse {"]
     for name in sorted(names):
@@ -82,7 +83,7 @@ def dot_export(h: HasseDiagram) -> str:
     for a, b in sorted((names[i], names[j]) for i, j in h.covers):
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
-    return "\n".join(lines)
+    return lines
 
 
 def _emit_lines(lines, out: str | None) -> None:
@@ -173,7 +174,7 @@ def _cmd_hasse(args):
         )
     poset = build_poset(enum_family(spec))
     if args.format == "dot":
-        return [dot_export(poset)]
+        return dot_export(poset)
     if args.format == "count":
         return [f"nodes={len(poset.elements)}", f"edges={len(poset.covers)}"]
     return {

@@ -1,10 +1,16 @@
-"""Exact integer combinatorics and the three-way counting reports.
+"""Exact integer combinatorics, the triangular census and the three-way
+counting reports.
 
 Every count is reported as a comparison of up to three values: a brute-force
 enumeration oracle, a form reconstructed from a proof (expected to agree),
-and the closed form as printed (audited, allowed to disagree).  Nothing is
-asserted here; the reports carry agreement flags and the callers decide.
-All arithmetic uses unbounded integers.
+and the closed form as printed (audited, allowed to disagree).  This module
+holds the forms and the `CountReport` row.  The rank-k forms of a family at
+size n are functions of (n, k), `borel_sp_proof_form` and
+`borel_sp_paper_form` among them; `verify.RANK_FORMS` names them per family,
+and `verify.count_reports` is the one producer of rank-count rows, for
+`count` and `verify --check formula` alike.  Nothing is asserted here; the
+reports carry agreement flags and the callers decide.  All arithmetic uses
+unbounded integers.
 """
 
 from __future__ import annotations
@@ -148,16 +154,23 @@ def preimage_weight(x: Rook) -> int:
     return 2 ** (a + c) * 3**b
 
 
-def borel_sp_proof_form(l: int, k: int) -> int:
-    """Rank-k count of upper-triangular symplectic rooks at n = 2l from the
-    proof: the preimage weight 2^(a+c) 3^b over the census rows of size l
-    with a + b + c = k."""
+def borel_sp_proof_form(n: int, k: int) -> int:
+    """Rank-k count of upper-triangular symplectic rooks of size n = 2l from
+    the proof: up to rank l, the preimage weight 2^(a+c) 3^b over the census
+    rows of size l with a + b + c = k; above it only the identity, at k = n."""
+    l = n // 2
+    if k > l:
+        return int(k == n)
     return sum(m * 2 ** (a + c) * 3**b for (a, b, c), m in _census(l).items() if a + b + c == k)
 
 
-def borel_sp_paper_form(l: int, k: int) -> int:
+def borel_sp_paper_form(n: int, k: int) -> Optional[int]:
     """The same count by the printed closed form, summed over the
-    triangular splits k = a + b + c."""
+    triangular splits k = a + b + c; None above rank l = n/2, where nothing
+    is printed."""
+    l = n // 2
+    if k > l:
+        return None
     printed = 0
     for a in range(k + 1):
         for b in range(k + 1 - a):
@@ -170,16 +183,3 @@ def borel_sp_paper_form(l: int, k: int) -> int:
                 * stirling2(l + 1, l + 1 - c)
             )
     return printed
-
-
-def borel_sp_rank_count(l: int, k: int) -> CountReport:
-    """Rank-k count of upper-triangular symplectic rooks at n = 2l, three
-    ways: direct enumeration, the proof form and the printed closed form."""
-    if not 0 <= k <= l:
-        raise ValueError(f"k out of range 0..{l}")
-    return CountReport(
-        parameters=(("l", l), ("k", k)),
-        oracle=count_family(FamilySpec(2 * l, "borel-sp", rank=k)),
-        proof_form=borel_sp_proof_form(l, k),
-        paper_form=borel_sp_paper_form(l, k),
-    )

@@ -75,32 +75,20 @@ def _fold_index(i: int, half: int) -> int:
     return i - half if i > half else half + 1 - i
 
 
-def fold_tb(pm: PartialMatrix) -> PartialMatrix:
-    """Fold the top half onto the bottom half's index range."""
-    if pm.rows % 2:
-        raise ValueError(f"cannot fold {pm.rows} rows in half")
-    h = pm.rows // 2
-    occupied = {r for r, _ in pm.cells}
-    for r in occupied:
-        if r <= h and pm.rows + 1 - r in occupied:
-            raise ValueError(
-                f"rows {r} and {pm.rows + 1 - r} collide under folding"
-            )
+def _fold_half(pm: PartialMatrix, axis: int) -> PartialMatrix:
+    """Fold the first half of the rows (axis 0, TB) or of the columns
+    (axis 1, LR) onto the second half's index range."""
+    size, name = (pm.cols, "columns") if axis else (pm.rows, "rows")
+    if size % 2:
+        raise ValueError(f"cannot fold {size} {name} in half")
+    h = size // 2
+    occupied = {cell[axis] for cell in pm.cells}
+    for i in occupied:
+        if i <= h and size + 1 - i in occupied:
+            raise ValueError(f"{name} {i} and {size + 1 - i} collide under folding")
+    if axis:
+        return PartialMatrix(pm.rows, h, tuple((r, _fold_index(c, h)) for r, c in pm.cells))
     return PartialMatrix(h, pm.cols, tuple((_fold_index(r, h), c) for r, c in pm.cells))
-
-
-def fold_lr(pm: PartialMatrix) -> PartialMatrix:
-    """Fold the left half onto the right half's index range."""
-    if pm.cols % 2:
-        raise ValueError(f"cannot fold {pm.cols} columns in half")
-    w = pm.cols // 2
-    occupied = {c for _, c in pm.cells}
-    for c in occupied:
-        if c <= w and pm.cols + 1 - c in occupied:
-            raise ValueError(
-                f"columns {c} and {pm.cols + 1 - c} collide under folding"
-            )
-    return PartialMatrix(pm.rows, w, tuple((r, _fold_index(c, w)) for r, c in pm.cells))
 
 
 def fold(x, direction: str = "both"):
@@ -113,13 +101,11 @@ def fold(x, direction: str = "both"):
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}; choose from {DIRECTIONS}")
     pm = x if isinstance(x, PartialMatrix) else from_rook(tuple(x))
-    if direction == "tb":
-        return fold_tb(pm)
-    if direction == "lr":
-        return fold_lr(pm)
+    if direction != "both":
+        return _fold_half(pm, DIRECTIONS.index(direction))
     if pm.rows != pm.cols:
         raise ValueError("the full fold needs a square matrix")
-    return to_rook(fold_lr(fold_tb(pm)))
+    return to_rook(_fold_half(_fold_half(pm, 0), 1))
 
 
 def _candidate_cells(r: int, c: int, l: int) -> list[tuple[int, int]]:

@@ -20,7 +20,6 @@ from .counting import (
     bell,
     borel_sp_paper_form,
     borel_sp_proof_form,
-    borel_sp_rank_count,
     preimage_weight,
     rank_count_rook,
     stirling2,
@@ -62,16 +61,6 @@ def _renner_sp_proof(n: int, k: int) -> int:
     return admissible_count(n, k) ** 2 * factorial(k) if k <= l else 0
 
 
-def _borel_sp_proof(n: int, k: int) -> int:
-    if k <= n // 2:
-        return borel_sp_proof_form(n // 2, k)
-    return 1 if k == n else 0
-
-
-def _borel_sp_paper(n: int, k: int):
-    return borel_sp_paper_form(n // 2, k) if k <= n // 2 else None
-
-
 # family -> (proof form, printed form) of the rank-k count at size n; a
 # missing family (borel-sp-nil) or printed form has no closed form to audit.
 RANK_FORMS = {
@@ -79,7 +68,7 @@ RANK_FORMS = {
     "borel": (lambda n, k: stirling2(n + 1, n + 1 - k), None),
     "borel-nil": (lambda n, k: stirling2(n, n - k), None),
     "renner-sp": (_renner_sp_proof, None),
-    "borel-sp": (_borel_sp_proof, _borel_sp_paper),
+    "borel-sp": (borel_sp_proof_form, borel_sp_paper_form),
 }
 
 
@@ -220,15 +209,15 @@ def _check_triangular(ni) -> list:
 def _check_formula(l) -> list:
     reports = []
     for li in range(1, l + 1):
-        total = 0
-        for k in range(li + 1):
-            rep = borel_sp_rank_count(li, k)
-            total += rep.oracle
-            reports.append(rep)
-        members = count_family(FamilySpec(2 * li, "borel-sp"))
+        spec = FamilySpec(2 * li, "borel-sp")
+        rows = count_reports(spec)[: li + 1]
+        reports.extend(replace(rep, parameters=(("l", li), ("k", k))) for k, rep in enumerate(rows))
         reports.append(
             CountReport(
-                (("l", li),), total + 1, proof_form=members, label="ranks 0..l plus identity"
+                (("l", li),),
+                sum(rep.oracle for rep in rows) + 1,
+                proof_form=count_family(spec),
+                label="ranks 0..l plus identity",
             )
         )
     return reports

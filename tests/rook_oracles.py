@@ -79,8 +79,8 @@ def census_by_members(n: int) -> Counter:
 
 def borel_sp_proof_form_by_members(l: int, k: int) -> int:
     """The preimage weights summed over the rank-k rooks of size l, member
-    by member: the oracle of `counting.borel_sp_proof_form`, which sums
-    them over the census."""
+    by member: the oracle of `counting.borel_sp_proof_form(2l, k)`, which
+    sums them over the census."""
     return sum(map(preimage_weight, iter_family(FamilySpec(l, "rook", rank=k))))
 
 

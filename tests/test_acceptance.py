@@ -10,7 +10,7 @@ from jsonschema import Draft7Validator
 
 import rooks.cli as cli
 from poset_oracles import pairwise_rows
-from rooks.counting import bell, borel_sp_rank_count, stirling2, triangular_census
+from rooks.counting import bell, stirling2, triangular_census
 from rooks.folding import fold, fold_images, to_rook, unfold_preimages
 from rooks.nilpotent import nilpotent_analysis
 from rooks.order import _hasse_from_rows, bcr_le, bcr_le_ppr, build_poset, ehresmann_le, standard_form
@@ -32,6 +32,7 @@ from rooks.symplectic import (
     is_admissible,
     rank_slice_minimum,
 )
+from rooks.verify import count_reports
 from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context
 
 
@@ -271,15 +272,15 @@ def test_criterion_7_folding():
 def test_criterion_8_counting_audit():
     frozen = {(2, 0): 1, (2, 1): 10, (2, 2): 13}
     for l in range(1, 5):
-        for k in range(l + 1):
-            report = borel_sp_rank_count(l, k)
+        for k, report in enumerate(count_reports(FamilySpec(2 * l, "borel-sp"))[: l + 1]):
             assert report.agree_oracle_proof is True
             assert report.paper_form is not None
             if (l, k) in frozen:
                 assert report.oracle == frozen[(l, k)]
     # the printed closed form is evaluated and its delta recorded
-    assert borel_sp_rank_count(2, 1).paper_form == 18
-    assert borel_sp_rank_count(2, 1).agree_oracle_paper is False
+    report = count_reports(FamilySpec(4, "borel-sp", rank=1))[0]
+    assert report.paper_form == 18
+    assert report.agree_oracle_paper is False
     census = triangular_census(4)
     assert all(r.paper_form is not None for r in census)
     announce(8, "counting audit (oracle == proof form)")

@@ -53,6 +53,14 @@ SP_N8_DIGESTS = {
     "count --n 8 --family borel-sp": "6e64316efe734bc51488b669f47321c4084b0169ed0df9a5d8f351116472084c",
     "enum --n 8 --family borel-sp-nil --format oneline": "889d29c41f11df4a83735c714d8c820213b8bfb3d1b8867b3fcb3a56c2e13c06",
 }
+# SHA-256 of the borel-sp rank tables at l = 4 (n = 8) from both commands,
+# taken while `verify --check formula` still counted each rank with its own
+# `count_family` walk, apart from the rows of `count`.
+BOREL_SP_L4_DIGESTS = {
+    "verify --check formula --l 4": "ba74fb6e5bcfc0907c62d3b916e917d6f45bb531bdbba03323ba684e0270c3b9",
+    "verify --check formula --l 4 --format json": "c0c046fb4cf70004815f933ef855276d79843aaf29d31c4a60882e77f76e2c3c",
+    "count --n 8 --family borel-sp --format json": "4f5921cd84e62aaa0367fdfad6c8a5b70f0d5bcf661c581c0f0e7511f2c8b516",
+}
 
 # SHA-256 of `enum --format oneline` for each family at its largest size
 # below the n = 8 rook list, taken while the descent still built a list.
@@ -457,6 +465,12 @@ def test_count_reports_unchanged(capsys):
 
 def test_sp_families_at_n8_unchanged(capsys):
     for command, digest in SP_N8_DIGESTS.items():
+        code, out = run(capsys, *command.split())
+        assert code == 0 and sha256(out) == digest, command
+
+
+def test_borel_sp_rank_tables_at_l4_unchanged(capsys):
+    for command, digest in BOREL_SP_L4_DIGESTS.items():
         code, out = run(capsys, *command.split())
         assert code == 0 and sha256(out) == digest, command
 

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+import rooks.cli as cli
+import rooks.symplectic as symplectic
 from rook_oracles import (
     borel_sp_proof_form_by_members,
     census_by_members,
@@ -12,14 +15,15 @@ from rooks.counting import (
     _census,
     admissible_count,
     bell,
+    borel_sp_paper_form,
     borel_sp_proof_form,
-    borel_sp_rank_count,
     rank_count_rook,
     stirling2,
     triangular_census,
 )
 from rooks.rook import rank
 from rooks.symplectic import FamilySpec, ResourceLimitError, enum_admissible, enum_family
+from rooks.verify import count_reports
 
 
 def test_stirling_examples():
@@ -95,14 +99,15 @@ def test_triangular_census_small():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_census_by_blocks_matches_the_census_by_members(n):
+def test_census_by_states_matches_the_census_by_members(n):
     assert _census(n) == census_by_members(n)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
 def test_proof_form_by_census_matches_the_sum_by_members(l):
+    # n = 12 at l = 6, past `FamilySpec`: the form reads only `_census(l)`
     for k in range(l + 1):
-        assert borel_sp_proof_form(l, k) == borel_sp_proof_form_by_members(l, k), k
+        assert borel_sp_proof_form(2 * l, k) == borel_sp_proof_form_by_members(l, k), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -121,32 +126,53 @@ def test_census_desk_bound():
         triangular_census(9)
 
 
+def test_census_enumerates_no_member(capsys, monkeypatch):
+    # the census walks the column states only: with the block descent and
+    # the member stream raising under every name a module holds them by, it
+    # and its verify check still run at n = 8
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a family")
+
+    for original in (symplectic._blocks, symplectic.iter_family):
+        for name, module in list(sys.modules.items()):
+            if name == "rooks" or name.startswith("rooks."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, no_enumeration)
+    with pytest.raises(AssertionError):
+        symplectic.enum_family(FamilySpec(2, "rook"))
+    assert sum(_census(8).values()) == sum(rank_count_rook(8, k) for k in range(9))
+    assert cli.main(["verify", "--check", "triangular", "--n", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: ok"
+
+
 def test_borel_sp_rank_count_l2():
-    expected = {0: 1, 1: 10, 2: 13}
-    for k, value in expected.items():
-        rep = borel_sp_rank_count(2, k)
-        assert rep.oracle == value
-        assert rep.proof_form == value
-        assert rep.agree_oracle_proof is True
-    rep = borel_sp_rank_count(2, 1)
-    assert rep.paper_form == 18
-    assert rep.agree_oracle_paper is False
+    expected = [1, 10, 13, 0, 1]
+    rows = count_reports(FamilySpec(4, "borel-sp"))
+    assert [rep.oracle for rep in rows] == [rep.proof_form for rep in rows] == expected
+    assert all(rep.agree_oracle_proof for rep in rows)
+    assert rows[1].paper_form == 18
+    assert rows[1].agree_oracle_paper is False
+    assert [rep.paper_form is None for rep in rows] == [False, False, False, True, True]
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_borel_sp_rank_sums(l):
     # ranks 0..l plus the identity account for the whole family
-    total = sum(borel_sp_rank_count(l, k).oracle for k in range(l + 1))
+    total = sum(rep.oracle for rep in count_reports(FamilySpec(2 * l, "borel-sp"))[: l + 1])
     assert total + 1 == len(enum_family(FamilySpec(2 * l, "borel-sp")))
 
 
 def test_borel_sp_rank_count_validation():
+    # the forms take any rank of size n; the rows refuse what `FamilySpec` does
+    assert [borel_sp_proof_form(6, k) for k in range(4, 7)] == [0, 0, 1]
+    assert [borel_sp_paper_form(6, k) for k in range(4, 7)] == [None, None, None]
     with pytest.raises(ValueError):
-        borel_sp_rank_count(0, 0)
+        count_reports(FamilySpec(0, "borel-sp"))
+    with pytest.raises(ResourceLimitError):
+        count_reports(FamilySpec(10, "borel-sp"))
     with pytest.raises(ValueError):
-        borel_sp_rank_count(5, 1)
-    with pytest.raises(ValueError):
-        borel_sp_rank_count(2, 3)
+        count_reports(FamilySpec(4, "borel-sp", rank=5))
 
 
 def test_report_serialization():
