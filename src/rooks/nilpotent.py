@@ -9,7 +9,9 @@ geometric claims beyond them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .order import build_poset
 from .rook import Rook, format_one_line, right_product
@@ -47,26 +49,52 @@ class NilpotentReport:
         )
 
 
+def _closed_under_product(elements) -> bool:
+    """Whether every product x y of two of `elements` is one of them, by
+    the grouping of the right factors by their image that
+    `nilpotent_analysis` describes; only one image's restrictions are held
+    at a time."""
+    members = set(elements)
+    padded = [(0,) + x for x in elements]
+    by_image = defaultdict(list)
+    for y in elements:
+        by_image[tuple(sorted(filter(None, y)))].append(y)
+    for image, right_factors in by_image.items():
+        slots = dict(zip((0,) + image, range(len(image) + 1)))
+        # the zero rook's image is empty, and itemgetter(0) alone returns
+        # the entry, not a one-entry row
+        restrict = itemgetter(0, *image) if image else itemgetter(slice(0, 1))
+        restricted = set(map(restrict, padded))
+        for y in right_factors:
+            times_y = right_product(tuple(map(slots.__getitem__, y)))
+            if not members.issuperset(map(times_y, restricted)):
+                return False
+        del restricted
+    return True
+
+
 def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
     """Enumerate a nilpotent family, check product closure, and locate its
     maximal elements and longest chain inside the ambient order.
 
-    The closure test forms every product x y as `multiply` does, with the
-    per-element work done once: the padded row (0,) + x of each left factor
-    and the gather `right_product(y)` of each right factor.  Each pair then
-    costs one C-level gather and one set lookup.  The tests check the
-    result against `multiply` on every pair.
+    The closure test forms every distinct product x y, but not pair by
+    pair.  Entry j of x y is x_{y_j}, or 0 when y_j = 0, so x y depends on x
+    only through x restricted to the image of y: the row
+    r = (0, x_{i_1}, ..., x_{i_k}), where i_1 < ... < i_k are the nonzero
+    values of y.  The right factors are grouped by that sorted image.  For
+    each image the distinct restrictions of the left factors are gathered
+    once, and each y of the group, relabelled onto their slots (i_s -> s,
+    0 -> 0), is one gather `right_product` per distinct restriction.  At
+    borel-nil n = 7 (877 elements) that is 19,470 gathers, against 769,129
+    pair by pair; at n = 8, 234,623 against 17,139,600.  The tests check
+    the result against `multiply` on every pair.
     """
     if FAMILIES[spec.family].lag != 1:
         raise ValueError(f"family {spec.family!r} is not a nilpotent family")
     if spec.rank is not None:
         raise ValueError(f"nilpotent analysis needs the whole family, got rank {spec.rank}")
     elements = enum_family(spec)
-    members = set(elements)
-    padded = [(0,) + x for x in elements]
-    closed = all(
-        members.issuperset(map(right_product(y), padded)) for y in elements
-    )
+    closed = _closed_under_product(elements)
     poset = build_poset(elements)
     maximals = tuple(elements[i] for i in poset.maximals)
     longest = max(poset.rank_of[i] for i in poset.maximals)

@@ -16,7 +16,12 @@ profiles (`profile_le`); route two takes the standard form of each element
 `bcr_le_ppr` are those compositions on one pair.  Both per-element steps are
 cached, so a caller comparing many pairs, such as the verify check of the
 two routes, computes each element's profile and form once and pays for
-little more than the pair tests on each pair.
+little more than the pair tests on each pair.  The products that do not
+depend on the element are held once per rank: the standard-form search
+reads the coset products a e and the inverses b^{-1} of each rank
+(`_coset_data`), and the pair test reads each witness w as the gather
+of c w and the padded row of w^{-1} (`_witness_set`), so a candidate pair
+or a witness costs one or two C-level gathers.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
@@ -45,6 +50,7 @@ from .rook import (
     check_rook,
     multiply,
     rank,
+    right_product,
     transpose,
 )
 from .symplectic import is_symplectic_rook
@@ -129,14 +135,19 @@ class StandardForm:
 
 @lru_cache(maxsize=None)
 def _coset_data(kind: str, n: int, r: int):
-    """(e, D_*(e), D(e)) for the chain idempotent e of rank r."""
+    """(e, left, right) for the chain idempotent e of rank r: left pairs
+    each a in D_*(e) with the product a e, and right pairs each b in D(e)
+    with b^{-1}, so each candidate (a, b) of the search costs one
+    `multiply`."""
     ctx = group_context(kind, n)
     for e in ctx.chain:
         if rank(e) == r:
             data = parabolic_data(e, ctx)
             d_star = min_coset_reps(data.stabilizer_generators, ctx)
             d = min_coset_reps(data.commuting_generators, ctx)
-            return e, d_star, d
+            left = [(a, multiply(a, e)) for a in d_star]
+            right = [(b, transpose(b)) for b in d]
+            return e, left, right
     raise ValueError(f"no cross-section idempotent of rank {r} for {kind} size {n}")
 
 
@@ -145,19 +156,20 @@ def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
     x = check_rook(x, n)
     if kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
-    e, d_star, d = _coset_data(kind, n, rank(x))
+    r = rank(x)
+    e, left, right = _coset_data(kind, n, r)
     matches = [
-        (a, b)
-        for a in d_star
-        for b in d
-        if multiply(multiply(a, e), transpose(b)) == x
+        (a, b, b_inv)
+        for a, a_e in left
+        for b, b_inv in right
+        if multiply(a_e, b_inv) == x
     ]
     if len(matches) != 1:
         raise RuntimeError(
             f"standard form of {x} is not unique: {len(matches)} candidates"
         )
-    a, b = matches[0]
-    return StandardForm(a, e, b, rank(e), transpose(b))
+    a, b, b_inv = matches[0]
+    return StandardForm(a, e, b, r, b_inv)
 
 
 def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
@@ -169,14 +181,15 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
 
 
 @lru_cache(maxsize=None)
-def _witness_set(kind: str, n: int, f: Rook, e: Rook) -> tuple[tuple[Rook, Rook], ...]:
-    """The product set W(f) W(e) of the two centralizers, each w with its
-    inverse w^{-1}."""
+def _witness_set(kind: str, n: int, f: Rook, e: Rook) -> tuple:
+    """The product set W(f) W(e) of the two centralizers, each w held as
+    the gather `right_product(w)` and the padded row (0,) + w^{-1}: the two
+    halves of `multiply(c, w)` and `multiply(w^{-1}, d^{-1})`."""
     ctx = group_context(kind, n)
     zf = parabolic_data(f, ctx).centralizer
     ze = parabolic_data(e, ctx).centralizer
     witnesses = sorted({multiply(u, v) for u in zf for v in ze})
-    return tuple((w, transpose(w)) for w in witnesses)
+    return tuple((right_product(w), (0,) + transpose(w)) for w in witnesses)
 
 
 def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
@@ -184,13 +197,17 @@ def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
     y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
     the chain and some witness w in W(f)W(e) has a <= cw and
     w^{-1} d^{-1} <= b^{-1} in the Bruhat order.
+
+    The products are `multiply`'s gathers with the per-pair halves taken
+    once: the padded row of c and the gather of d^{-1}.
     """
     if sx.rank > sy.rank:
         return False
     a, b_inv = sx.a, sx.b_inv
-    c, d_inv = sy.a, sy.b_inv
-    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.e, sx.e):
-        if _dominance(a, multiply(c, w)) and _dominance(multiply(w_inv, d_inv), b_inv):
+    c_row = (0,) + sy.a
+    times_d_inv = right_product(sy.b_inv)
+    for times_w, w_inv_row in _witness_set(ctx.kind, ctx.n, sy.e, sx.e):
+        if _dominance(a, times_w(c_row)) and _dominance(times_d_inv(w_inv_row), b_inv):
             return True
     return False
 

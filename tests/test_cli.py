@@ -11,6 +11,7 @@ from jsonschema import Draft7Validator
 
 import rooks.cli as cli
 import rooks.counting as counting
+import rooks.nilpotent as nilpotent
 import rooks.order as order
 import rooks.verify as verify
 from fresh_peak import fresh_peak
@@ -542,6 +543,34 @@ def test_inrsn_counts_a_flipped_pair(monkeypatch, pair_test):
     assert rows["one-line vs standard-form disagreements"] == 1
     assert rows["ambient vs intrinsic symplectic disagreements"] == 0
     assert verify.proof_agreement(reports) is False
+
+
+def reversed_nonzero_products(right_product):
+    def broken(y):
+        times_y = right_product(y)
+
+        def product(row):
+            p = times_y(row)
+            return p[::-1] if any(p) else p
+
+        return product
+
+    return broken
+
+
+# one break of one route per row: (check, size flag, size, module, name,
+# the broken function made from the original)
+BROKEN_ROUTES = [
+    ("nilpotent", "--n", 3, nilpotent, "right_product", reversed_nonzero_products),
+]
+
+
+@pytest.mark.parametrize("check,flag,size,module,name,breaker", BROKEN_ROUTES)
+def test_a_broken_route_is_a_proof_mismatch(capsys, monkeypatch, check, flag, size, module, name, breaker):
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    code, out = run(capsys, "verify", "--check", check, flag, str(size))
+    assert code == 1
+    assert out.splitlines()[-1] == "result: PROOF MISMATCH"
 
 
 def test_check_sizes_bound_each_check(capsys):

@@ -12,13 +12,14 @@ from rooks.order import (
     bcr_le_ppr,
     build_poset,
     ehresmann_le,
+    forms_le,
     prefix_profile,
     profile_le,
     standard_form,
 )
 from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family, rank_slice_minimum
-from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context
+from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context, parabolic_data
 
 SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 
@@ -166,6 +167,31 @@ def test_comparators_agree_small(n):
     rooks = all_rooks(n)
     for x, y in product(rooks, repeat=2):
         assert bcr_le(x, y) == bcr_le_ppr(x, y, ctx)
+
+
+def forms_le_with_plain_products(sx, sy, ctx):
+    # the standard-form criterion as written: W(f)W(e) from the two
+    # centralizers, each witness taken through multiply and transpose
+    if sx.rank > sy.rank:
+        return False
+    zf = parabolic_data(sy.e, ctx).centralizer
+    ze = parabolic_data(sx.e, ctx).centralizer
+    return any(
+        ehresmann_le(sx.a, multiply(sy.a, w))
+        and ehresmann_le(multiply(transpose(w), transpose(sy.b)), transpose(sx.b))
+        for w in {multiply(u, v) for u in zf for v in ze}
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,family,n",
+    [(SYMMETRIC, "rook", 1), (SYMMETRIC, "rook", 2), (SYMMETRIC, "rook", 3), (SYMPLECTIC, "renner-sp", 4)],
+)
+def test_forms_le_matches_the_criterion_with_plain_products(kind, family, n):
+    ctx = group_context(kind, n)
+    forms = [standard_form(x, ctx) for x in enum_family(FamilySpec(n, family))]
+    for sx, sy in product(forms, repeat=2):
+        assert forms_le(sx, sy, ctx) == forms_le_with_plain_products(sx, sy, ctx), (sx, sy)
 
 
 def test_weyl_group_order_is_induced():
