@@ -32,7 +32,6 @@ from .rook import (
     Rook,
     diagonal_idempotent,
     format_one_line,
-    msp_membership,
     multiply,
     parse_one_line,
     rank,

@@ -16,17 +16,15 @@ unbounded integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .rook import Rook, triangular_ranks
 from .symplectic import FamilySpec, _check_even, count_family
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """One row of a verification table."""
 
     parameters: tuple[tuple[str, int], ...]

@@ -14,8 +14,8 @@ set; anything else raises instead of merging silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .rook import Rook, cells, is_permutation
 from .symplectic import FamilySpec, iter_family
@@ -23,26 +23,35 @@ from .symplectic import FamilySpec, iter_family
 DIRECTIONS = ("tb", "lr", "both")
 
 
-@dataclass(frozen=True)
-class PartialMatrix:
-    """A rectangular 0/1 matrix with at most one cell per row and column."""
-
+class _PartialMatrixFields(NamedTuple):
     rows: int
     cols: int
     cells: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.cells))
-        object.__setattr__(self, "cells", ordered)
+
+class PartialMatrix(_PartialMatrixFields):
+    """A rectangular 0/1 matrix with at most one cell per row and column,
+    its cells sorted.  Every construction is checked, `_replace` too, which
+    builds through `_make`."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, cells):
+        ordered = tuple(sorted(cells))
         seen_rows = set()
         seen_cols = set()
         for r, c in ordered:
-            if not (1 <= r <= self.rows and 1 <= c <= self.cols):
-                raise ValueError(f"cell ({r},{c}) outside {self.rows}x{self.cols}")
+            if not (1 <= r <= rows and 1 <= c <= cols):
+                raise ValueError(f"cell ({r},{c}) outside {rows}x{cols}")
             if r in seen_rows or c in seen_cols:
                 raise ValueError(f"two cells share a line at ({r},{c})")
             seen_rows.add(r)
             seen_cols.add(c)
+        return super().__new__(cls, rows, cols, ordered)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def text(self) -> str:
         body = " ".join(f"{r},{c}" for r, c in self.cells)

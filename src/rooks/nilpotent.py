@@ -10,19 +10,18 @@ geometric claims beyond them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .order import build_poset
 from .rook import Rook, format_one_line, right_product
 from .symplectic import FAMILIES, FamilySpec, enum_family
 
 
-@dataclass(frozen=True)
-class NilpotentReport:
+class NilpotentReport(NamedTuple):
     family: str
     n: int
-    count: int
+    count: int  # the field shadows tuple.count: report.count reads it
     maximals: tuple[Rook, ...]
     unique_max: bool
     closed_under_product: bool

@@ -40,10 +40,10 @@ pair by pair and feed them to the same reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import le
+from typing import NamedTuple
 
 from .rook import (
     Rook,
@@ -119,8 +119,7 @@ def _dominance(u: Rook, v: Rook) -> bool:
     return ehresmann_le(u, v)
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(NamedTuple):
     """The unique factorization x = a e b^{-1} with e the cross-section
     idempotent of equal rank, a and b minimal coset representatives; the
     rank of e (and of x) and b^{-1} are kept for `forms_le`, which runs on
@@ -218,8 +217,7 @@ def bcr_le_ppr(x: Rook, y: Rook, ctx: GroupContext) -> bool:
     return forms_le(standard_form(x, ctx), standard_form(y, ctx), ctx)
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """A finite poset: elements, covering edges (as index pairs, lower
     first), longest-chain ranks from the minimal elements, and extrema."""
 

@@ -38,7 +38,6 @@ its `Family` record, which the descent, the CLI, `nilpotent` and `verify` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -116,27 +115,37 @@ def is_symplectic_rook(x: Rook) -> bool:
     return is_admissible(domain(x), n) and is_admissible(range_of(x), n)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named enumeration: family, matrix size, optional rank slice."""
-
+class _FamilySpecFields(NamedTuple):
     n: int
     family: str
-    rank: Optional[int] = None
+    rank: Optional[int]
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(FAMILIES)}")
-        if check_int(self.n, "size") < 1:
+
+class FamilySpec(_FamilySpecFields):
+    """A named enumeration: family, matrix size, optional rank slice.
+
+    A NamedTuple, as every record of the package is: a dataclass would load
+    `dataclasses` and `inspect` at the start of every CLI process.  Every
+    construction is checked, `_replace` too, which builds through `_make`."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, family: str, rank: Optional[int] = None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
+        if check_int(n, "size") < 1:
             raise ValueError("size must be positive")
-        if FAMILIES[self.family].symplectic:
-            _check_even(self.n)
-        if self.rank is not None and not 0 <= check_int(self.rank, "rank") <= self.n:
-            raise ValueError(f"rank {self.rank} out of range 0..{self.n}")
-        if self.n > DESK_LIMIT:
-            raise ResourceLimitError(
-                f"enumeration supports sizes up to {DESK_LIMIT}, got {self.n}"
-            )
+        if FAMILIES[family].symplectic:
+            _check_even(n)
+        if rank is not None and not 0 <= check_int(rank, "rank") <= n:
+            raise ValueError(f"rank {rank} out of range 0..{n}")
+        if n > DESK_LIMIT:
+            raise ResourceLimitError(f"enumeration supports sizes up to {DESK_LIMIT}, got {n}")
+        return super().__new__(cls, n, family, rank)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:

@@ -11,7 +11,6 @@ logged.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from math import comb, factorial
 
 from .counting import (
@@ -120,7 +119,7 @@ def _check_stirling_borel(n) -> list:
     for ni in range(1, n + 1):
         reps = count_reports(FamilySpec(ni, "borel"))
         reports.extend(
-            replace(reps[r], parameters=(("n", ni), ("k", ni + 1 - r)), label=f"rank {r}")
+            reps[r]._replace(parameters=(("n", ni), ("k", ni + 1 - r)), label=f"rank {r}")
             for r in range(ni, -1, -1)
         )
     for m in range(1, min(n, 6) + 2):
@@ -211,7 +210,7 @@ def _check_formula(l) -> list:
     for li in range(1, l + 1):
         spec = FamilySpec(2 * li, "borel-sp")
         rows = count_reports(spec)[: li + 1]
-        reports.extend(replace(rep, parameters=(("l", li), ("k", k))) for k, rep in enumerate(rows))
+        reports.extend(rep._replace(parameters=(("l", li), ("k", k))) for k, rep in enumerate(rows))
         reports.append(
             CountReport(
                 (("l", li),),

@@ -12,8 +12,8 @@ cross-section chain together, and the rest reads both from the context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rook import Rook, diagonal_idempotent, identity_rook, multiply
 
@@ -71,16 +71,38 @@ def _bfs_closure(n: int, gens: tuple[Perm, ...]) -> dict[Perm, int]:
     return dist
 
 
-@dataclass(frozen=True)
-class GroupContext:
-    """A materialized Weyl group of one kind, with its cross-section chain."""
+class GroupContext(NamedTuple):
+    """A materialized Weyl group of one kind, with its cross-section chain.
+
+    Two contexts are equal, and hash alike, by (kind, n, generators) alone:
+    the rest is determined by them, and `lengths`, a dict, has no hash."""
 
     kind: str
     n: int
     generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...] = field(compare=False)
-    lengths: dict = field(compare=False, repr=False)
-    chain: tuple[Rook, ...] = field(compare=False)
+    elements: tuple[Perm, ...]
+    lengths: dict
+    chain: tuple[Rook, ...]
+
+    def _key(self):
+        return (self.kind, self.n, self.generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"GroupContext(kind={self.kind!r}, n={self.n!r}, generators={self.generators!r},"
+            f" elements={self.elements!r}, chain={self.chain!r})"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +168,7 @@ def min_coset_reps(gens, ctx: GroupContext) -> tuple[Perm, ...]:
     return tuple(sorted(reps))
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Centralizer and stabilizer data of a cross-section idempotent."""
 
     commuting_generators: tuple[Perm, ...]

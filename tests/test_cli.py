@@ -11,10 +11,13 @@ from jsonschema import Draft7Validator
 
 import rooks.cli as cli
 import rooks.counting as counting
+import rooks.folding as folding
 import rooks.nilpotent as nilpotent
 import rooks.order as order
+import rooks.symplectic as symplectic
 import rooks.verify as verify
 from fresh_peak import fresh_peak
+from patch_everywhere import patch_everywhere
 from rooks.counting import CountReport
 from rooks.symplectic import FAMILIES, FamilySpec, count_family, enum_family
 
@@ -558,17 +561,58 @@ def reversed_nonzero_products(right_product):
     return broken
 
 
-# one break of one route per row: (check, size flag, size, module, name,
-# the broken function made from the original)
+def dropping_last_preimage(unfold_preimages):
+    return lambda a: unfold_preimages(a)[:-1]
+
+
+def one_more_at_rank_0(rank_count_rook):
+    return lambda n, k: rank_count_rook(n, k) + (k == 0)
+
+
+def dropping_last_member(iter_family):
+    return lambda spec: iter(list(iter_family(spec))[:-1])
+
+
+def always_true(_):
+    return lambda u, v: True
+
+
+# one break of one route per row, at the smallest size where it shows:
+# (check, size flag, size, module, name, the broken function made from the
+# original)
 BROKEN_ROUTES = [
     ("nilpotent", "--n", 3, nilpotent, "right_product", reversed_nonzero_products),
+    ("folding", "--l", 1, folding, "unfold_preimages", dropping_last_preimage),
+    ("triangular", "--n", 1, counting, "rank_count_rook", one_more_at_rank_0),
+    ("rank-counts", "--n", 1, symplectic, "iter_family", dropping_last_member),
+    ("standard-form", "--n", 2, order, "ehresmann_le", always_true),
 ]
+
+
+def clear_order_caches():
+    for cached in (
+        order.prefix_profile,
+        order._dominance,
+        order._coset_data,
+        order._standard_form_cached,
+        order._witness_set,
+    ):
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("check,flag,size,module,name,breaker", BROKEN_ROUTES)
 def test_a_broken_route_is_a_proof_mismatch(capsys, monkeypatch, check, flag, size, module, name, breaker):
-    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
-    code, out = run(capsys, "verify", "--check", check, flag, str(size))
+    # the break is patched under every name a module holds the function by,
+    # and the caches of `order` are emptied on both sides of it, so no result
+    # of the unbroken route is read during the run, nor one of the broken
+    # route after it
+    original = getattr(module, name)
+    patch_everywhere(monkeypatch, original, breaker(original))
+    clear_order_caches()
+    try:
+        code, out = run(capsys, "verify", "--check", check, flag, str(size))
+    finally:
+        clear_order_caches()
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
 

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import rooks
 
-# The exact-rational block of rook.py.  ROADMAP item 4 turns it into the
-# exact linear-algebra module behind a verify check; until then only the
-# tests call it.
-FRACTION_BLOCK = {"rook.rational_matrix", "rook.rook_matrix", "rook.msp_membership"}
+# The exact-rational module.  ROADMAP item 4 turns it into the exact
+# linear-algebra module behind a verify check; until then only the tests
+# call it.
+FRACTION_BLOCK = {"exact.rational_matrix", "exact.rook_matrix", "exact.msp_membership"}
 
 
 def unreferenced_definitions(package: Path) -> set[str]:

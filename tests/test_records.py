@@ -1,0 +1,145 @@
+"""The records of the package: what a caller may rely on, whatever class
+machinery builds them, and a start-up that does not load `dataclasses`,
+`inspect` or `fractions` for them."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rooks
+from rooks.counting import CountReport
+from rooks.folding import PartialMatrix
+from rooks.nilpotent import nilpotent_analysis
+from rooks.order import build_poset, standard_form
+from rooks.symplectic import FamilySpec, ResourceLimitError, enum_family
+from rooks.weyl import SYMMETRIC, GroupContext, group_context, parabolic_data
+
+# The same check runs as a step of .github/workflows/tests.yml.  `-S` keeps
+# the machine's `site` from loading any of these modules first.
+STARTUP_CHECK = (
+    "import sys, rooks.cli; rooks.cli.build_parser(); "
+    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules); "
+    "sys.exit(f'loaded at start-up: {sorted(heavy)}' if heavy else 0)"
+)
+
+
+def test_cli_startup_loads_no_dataclasses_inspect_or_fractions():
+    # in a fresh interpreter: pytest itself has loaded dataclasses and inspect
+    src = Path(rooks.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_CHECK],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def replaced(record, **changes):
+    """The record with `changes`, by the record's own copy-with-changes."""
+    if hasattr(record, "_replace"):
+        return record._replace(**changes)
+    return dataclasses.replace(record, **changes)
+
+
+@pytest.mark.parametrize(
+    "args,error,text",
+    [
+        ((4, "bogus"), ValueError, "unknown family 'bogus'; choose from ("),
+        ((0, "rook"), ValueError, "size must be positive"),
+        ((2.5, "rook"), ValueError, "size must be an integer, got 2.5"),
+        ((3, "renner-sp"), ValueError, "size must be even and positive, got 3"),
+        ((4, "rook", 5), ValueError, "rank 5 out of range 0..4"),
+        ((4, "rook", "2"), ValueError, "rank must be an integer, got '2'"),
+        ((9, "rook"), ResourceLimitError, "enumeration supports sizes up to 8, got 9"),
+    ],
+)
+def test_family_spec_checks_every_construction(args, error, text):
+    with pytest.raises(error) as direct:
+        FamilySpec(*args)
+    assert str(direct.value).startswith(text)
+    if direct.type is not ResourceLimitError:
+        assert not isinstance(direct.value, ResourceLimitError)
+    changes = dict(zip(("n", "family", "rank"), args))
+    with pytest.raises(error) as copied:
+        replaced(FamilySpec(4, "rook"), **changes)
+    assert str(copied.value) == str(direct.value)
+    if hasattr(FamilySpec, "_make"):
+        with pytest.raises(error):
+            FamilySpec._make((*args, None)[:3])
+
+
+def test_family_spec_keeps_its_values():
+    spec = FamilySpec(6, "borel-sp", 2)
+    assert (spec.n, spec.family, spec.rank) == (6, "borel-sp", 2)
+    assert FamilySpec(6, "borel-sp").rank is None
+    assert replaced(spec, rank=None) == FamilySpec(6, "borel-sp")
+    assert repr(spec) == "FamilySpec(n=6, family='borel-sp', rank=2)"
+
+
+def test_partial_matrix_sorts_and_checks_every_construction():
+    pm = PartialMatrix(2, 3, [(2, 1), (1, 3)])
+    assert pm.cells == ((1, 3), (2, 1))
+    assert replaced(pm, cells=((2, 3), (1, 1))).cells == ((1, 1), (2, 3))
+    for args, text in (
+        ((2, 3, ((3, 1),)), "cell (3,1) outside 2x3"),
+        ((2, 3, ((1, 1), (1, 2))), "two cells share a line at (1,2)"),
+        ((2, 3, ((1, 1), (2, 1))), "two cells share a line at (2,1)"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            PartialMatrix(*args)
+        assert str(excinfo.value) == text
+    with pytest.raises(ValueError) as excinfo:
+        replaced(pm, rows=1)
+    assert str(excinfo.value) == "cell (2,1) outside 1x3"
+    if hasattr(PartialMatrix, "_make"):
+        with pytest.raises(ValueError):
+            PartialMatrix._make((1, 3, pm.cells))
+
+
+def test_group_context_compares_and_hashes_by_kind_size_and_generators():
+    ctx = group_context(SYMMETRIC, 3)
+    bare = GroupContext(ctx.kind, ctx.n, ctx.generators, (), {}, ())
+    assert ctx == bare and not ctx != bare
+    assert hash(ctx) == hash(bare) == hash((ctx.kind, ctx.n, ctx.generators))
+    other = group_context(SYMMETRIC, 4)
+    assert ctx != other and not ctx == other
+    assert len({ctx, bare, other}) == 2
+    assert "lengths" not in repr(ctx)
+
+
+def test_nilpotent_report_count_is_the_field():
+    report = nilpotent_analysis(FamilySpec(3, "borel-nil"))
+    # as a NamedTuple the field shadows tuple.count; it must read the field
+    assert report.count == len(enum_family(FamilySpec(3, "borel-nil"))) == 5
+
+
+def all_records():
+    ctx = group_context(SYMMETRIC, 2)
+    return [
+        CountReport((("n", 1),), 1),
+        PartialMatrix(2, 2, ((2, 1),)),
+        nilpotent_analysis(FamilySpec(3, "borel-nil")),
+        standard_form((0, 1), ctx),
+        build_poset(enum_family(FamilySpec(2, "borel"))),
+        FamilySpec(4, "rook"),
+        ctx,
+        parabolic_data(ctx.chain[1], ctx),
+    ]
+
+
+@pytest.mark.parametrize("record", all_records(), ids=lambda r: type(r).__name__)
+def test_every_record_refuses_attribute_assignment(record):
+    if hasattr(record, "_fields"):
+        names = record._fields
+    else:
+        names = [field.name for field in dataclasses.fields(record)]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rook_oracles import power, triangular_decompose
+from rooks.exact import msp_membership, rational_matrix, rook_matrix
 from rooks.rook import (
     check_rook,
     diagonal_idempotent,
     format_one_line,
     identity_rook,
-    msp_membership,
     multiply,
     one_line_head,
     one_line_tail,
     parse_one_line,
     rank,
-    rational_matrix,
-    rook_matrix,
     transpose,
     triangular_ranks,
 )
