@@ -182,10 +182,10 @@ def _cmd_hasse(args):
         "family": args.family,
         "rank": args.rank,
         "elements": [format_one_line(x) for x in poset.elements],
-        "covers": [list(c) for c in poset.covers],
-        "rank_of": list(poset.rank_of),
-        "minimals": list(poset.minimals),
-        "maximals": list(poset.maximals),
+        "covers": poset.covers,
+        "rank_of": poset.rank_of,
+        "minimals": poset.minimals,
+        "maximals": poset.maximals,
         "graded": poset.graded,
     }
 

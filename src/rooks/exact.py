@@ -19,9 +19,14 @@ RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def rational_matrix(rows) -> RationalMatrix:
-    """Build a square matrix of exact rationals; no floats are accepted."""
+    """Build a square matrix of exact rationals from `int` and `Fraction`
+    entries; any other entry, a float say, is a ValueError."""
     out = []
     for row in rows:
+        row = tuple(row)
+        for v in row:
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"matrix entry {v!r} is not an int or a Fraction")
         out.append(tuple(Fraction(v) for v in row))
     n = len(out)
     if n == 0 or any(len(row) != n for row in out):

@@ -5,9 +5,11 @@ Permutations are total rooks: tuples ``(w_1, ..., w_n)`` with every value
 breadth-first closure over their simple generators, which is cheap at desk
 scale and keeps lengths, cosets, centralizers, and stabilizers exact: the
 closure's table of word lengths answers membership and Coxeter length for
-either kind, and `inversions` in tests/rook_oracles.py checks it in S_n.  Only
-`group_context` branches on the kind: it picks the generators and the
-cross-section chain together, and the rest reads both from the context.
+either kind, and `inversions` in tests/rook_oracles.py checks it in S_n.  The
+same table gives the minimal coset representatives, as the elements with no
+right descent in the parabolic generators.  Only `group_context` branches on
+the kind: it picks the generators and the cross-section chain together, and
+the rest reads both from the context.
 """
 
 from __future__ import annotations
@@ -72,10 +74,7 @@ def _bfs_closure(n: int, gens: tuple[Perm, ...]) -> dict[Perm, int]:
 
 
 class GroupContext(NamedTuple):
-    """A materialized Weyl group of one kind, with its cross-section chain.
-
-    Two contexts are equal, and hash alike, by (kind, n, generators) alone:
-    the rest is determined by them, and `lengths`, a dict, has no hash."""
+    """A materialized Weyl group of one kind, with its cross-section chain."""
 
     kind: str
     n: int
@@ -83,26 +82,6 @@ class GroupContext(NamedTuple):
     elements: tuple[Perm, ...]
     lengths: dict
     chain: tuple[Rook, ...]
-
-    def _key(self):
-        return (self.kind, self.n, self.generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"GroupContext(kind={self.kind!r}, n={self.n!r}, generators={self.generators!r},"
-            f" elements={self.elements!r}, chain={self.chain!r})"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -149,23 +128,24 @@ def generated_subgroup(gens, ctx: GroupContext) -> tuple[Perm, ...]:
 
 
 def min_coset_reps(gens, ctx: GroupContext) -> tuple[Perm, ...]:
-    """Minimal-length representatives of the left cosets of the parabolic
-    subgroup generated by ``gens``; each coset has a unique one.
+    """Minimal-length representatives of the left cosets w W_J of the
+    parabolic subgroup W_J generated by ``gens``, in lexicographic order:
+    the w with l(ws) > l(w) for every s in J (Bjorner-Brenti, Prop. 2.4.4).
+    A coset's shortest element is one, so there are |W| / |W_J| of them
+    exactly when each coset has one; any other count is a RuntimeError.
     """
+    gens = tuple(gens)
     subgroup = generated_subgroup(gens, ctx)
-    assigned = set()
-    reps = []
-    for x in ctx.elements:
-        if x in assigned:
-            continue
-        coset = sorted(multiply(x, w) for w in subgroup)
-        lengths = [coxeter_length(y, ctx) for y in coset]
-        best = min(lengths)
-        if lengths.count(best) != 1:
-            raise RuntimeError(f"coset of {x} has no unique shortest element")
-        reps.append(coset[lengths.index(best)])
-        assigned.update(coset)
-    return tuple(sorted(reps))
+    reps = tuple(
+        w
+        for w in ctx.elements
+        if all(coxeter_length(multiply(w, s), ctx) > coxeter_length(w, ctx) for s in gens)
+    )
+    if len(reps) * len(subgroup) != len(ctx.elements):
+        raise RuntimeError(
+            f"{len(reps)} descent-free elements for {len(ctx.elements) // len(subgroup)} cosets"
+        )
+    return reps
 
 
 class ParabolicData(NamedTuple):

@@ -16,6 +16,7 @@ import rooks.nilpotent as nilpotent
 import rooks.order as order
 import rooks.symplectic as symplectic
 import rooks.verify as verify
+import rooks.weyl as weyl
 from fresh_peak import fresh_peak
 from patch_everywhere import patch_everywhere
 from rooks.counting import CountReport
@@ -577,6 +578,26 @@ def always_true(_):
     return lambda u, v: True
 
 
+def one_more_at_k_1(form):
+    return lambda n, k: form(n, k) + (k == 1)
+
+
+def one_more(count):
+    return lambda *args: count(*args) + 1
+
+
+def dropping_last(listing):
+    return lambda *args: listing(*args)[:-1]
+
+
+def reversed_result(make):
+    return lambda *args: make(*args)[::-1]
+
+
+def negated(pair_test):
+    return lambda *args: not pair_test(*args)
+
+
 # one break of one route per row, at the smallest size where it shows:
 # (check, size flag, size, module, name, the broken function made from the
 # original)
@@ -586,7 +607,20 @@ BROKEN_ROUTES = [
     ("triangular", "--n", 1, counting, "rank_count_rook", one_more_at_rank_0),
     ("rank-counts", "--n", 1, symplectic, "iter_family", dropping_last_member),
     ("standard-form", "--n", 2, order, "ehresmann_le", always_true),
+    ("admissible", "--l", 1, counting, "admissible_count", one_more_at_k_1),
+    ("admissible", "--l", 1, symplectic, "enum_admissible", dropping_last),
+    ("formula", "--l", 1, symplectic, "count_family", one_more),
+    ("stirling-borel", "--n", 1, counting, "stirling2", one_more_at_k_1),
+    ("maxelements", "--l", 2, symplectic, "rank_slice_minimum", reversed_result),
+    ("parabolic", "--l", 2, weyl, "generated_subgroup", dropping_last),
+    ("inrsn", "--n", 1, order, "forms_le", negated),
+    ("inrsn", "--n", 1, order, "profile_le", negated),
+    ("standard-form", "--n", 2, weyl, "min_coset_reps", dropping_last),
 ]
+
+
+def test_every_check_has_a_broken_route():
+    assert set(verify.CHECKS) - {row[0] for row in BROKEN_ROUTES} == set()
 
 
 def clear_order_caches():

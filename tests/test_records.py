@@ -16,7 +16,7 @@ from rooks.folding import PartialMatrix
 from rooks.nilpotent import nilpotent_analysis
 from rooks.order import build_poset, standard_form
 from rooks.symplectic import FamilySpec, ResourceLimitError, enum_family
-from rooks.weyl import SYMMETRIC, GroupContext, group_context, parabolic_data
+from rooks.weyl import SYMMETRIC, group_context, parabolic_data
 
 # The same check runs as a step of .github/workflows/tests.yml.  `-S` keeps
 # the machine's `site` from loading any of these modules first.
@@ -99,17 +99,6 @@ def test_partial_matrix_sorts_and_checks_every_construction():
     if hasattr(PartialMatrix, "_make"):
         with pytest.raises(ValueError):
             PartialMatrix._make((1, 3, pm.cells))
-
-
-def test_group_context_compares_and_hashes_by_kind_size_and_generators():
-    ctx = group_context(SYMMETRIC, 3)
-    bare = GroupContext(ctx.kind, ctx.n, ctx.generators, (), {}, ())
-    assert ctx == bare and not ctx != bare
-    assert hash(ctx) == hash(bare) == hash((ctx.kind, ctx.n, ctx.generators))
-    other = group_context(SYMMETRIC, 4)
-    assert ctx != other and not ctx == other
-    assert len({ctx, bare, other}) == 2
-    assert "lengths" not in repr(ctx)
 
 
 def test_nilpotent_report_count_is_the_field():

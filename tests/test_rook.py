@@ -208,6 +208,13 @@ def test_msp_membership_scaled_identity():
     assert msp_membership(scaled) == Fraction(9, 4)
 
 
+@pytest.mark.parametrize("rows", [[[0.1]], [[0.5, 0], [0, 2.0]]])
+def test_rational_matrix_refuses_floats(rows):
+    # a float is not exact: Fraction(0.1) is 3602879701896397 / 2**55
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        rational_matrix(rows)
+
+
 def test_singular_symplectic_rooks_have_zero_scalar():
     for x in enum_family(FamilySpec(4, "renner-sp")):
         if rank(x) < 4:

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -180,16 +180,28 @@ def test_min_coset_reps_examples():
         min_coset_reps([(2, 3, 1, 4)], ctx)  # not a simple generator
 
 
+# the six hand-picked cases first, so their ids stay subset0..subset5, then
+# every other subset of the simple generators of S_4, S_5, Sp_4, Sp_6, Sp_8
+PICKED_SUBSETS = [
+    (SYMMETRIC, 4, (1,)),
+    (SYMMETRIC, 4, (1, 3)),
+    (SYMMETRIC, 5, (2, 4)),
+    (SYMPLECTIC, 4, (1,)),
+    (SYMPLECTIC, 6, (1, 3)),
+    (SYMPLECTIC, 6, (2,)),
+]
+EVERY_SUBSET = [
+    (kind, n, subset)
+    for kind, n, rank in [(SYMMETRIC, 4, 3), (SYMMETRIC, 5, 4)]
+    + [(SYMPLECTIC, n, n // 2) for n in (4, 6, 8)]
+    for size in range(rank + 1)
+    for subset in combinations(range(1, rank + 1), size)
+]
+
+
 @pytest.mark.parametrize(
     "kind,n,subset",
-    [
-        (SYMMETRIC, 4, (1,)),
-        (SYMMETRIC, 4, (1, 3)),
-        (SYMMETRIC, 5, (2, 4)),
-        (SYMPLECTIC, 4, (1,)),
-        (SYMPLECTIC, 6, (1, 3)),
-        (SYMPLECTIC, 6, (2,)),
-    ],
+    PICKED_SUBSETS + [case for case in EVERY_SUBSET if case not in PICKED_SUBSETS],
 )
 def test_min_coset_reps_properties(kind, n, subset):
     ctx = group_context(kind, n)
@@ -218,3 +230,13 @@ def test_min_coset_reps_properties(kind, n, subset):
         )
     }
     assert defined == set(reps)
+
+
+def test_min_coset_reps_refuses_a_corrupted_length_table():
+    # with every length 0 no element has l(ws) > l(w), so the count of
+    # descent-free elements cannot be the number of cosets
+    ctx = group_context(SYMMETRIC, 4)
+    flat = ctx._replace(lengths=dict.fromkeys(ctx.lengths, 0))
+    with pytest.raises(RuntimeError):
+        min_coset_reps(ctx.generators[:1], flat)
+    assert min_coset_reps(ctx.generators[:1], ctx) != ()
