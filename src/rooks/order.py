@@ -16,12 +16,15 @@ profiles (`profile_le`); route two takes the standard form of each element
 `bcr_le_ppr` are those compositions on one pair.  Both per-element steps are
 cached, so a caller comparing many pairs, such as the verify check of the
 two routes, computes each element's profile and form once and pays for
-little more than the pair tests on each pair.  The products that do not
-depend on the element are held once per rank: the standard-form search
-reads the coset products a e and the inverses b^{-1} of each rank
-(`_coset_data`), and the pair test reads each witness w as the gather
-of c w and the padded row of w^{-1} (`_witness_set`), so a candidate pair
-or a witness costs one or two C-level gathers.
+little more than the pair tests on each pair.  Route two runs on the
+positions of the Weyl group's elements in `group_context(kind, n).elements`:
+one table per group (`_dominance`) holds the product of any two elements
+and, for each element, the bitset of the elements below it in the Bruhat
+order.  A standard form keeps the positions of a and b^{-1}, each witness w
+is held as the positions of w and w^{-1} (`_witness_set`), and the pair test
+is integer work on that table.  The standard-form search reads the
+products a e of each rank, grouped by product (`_coset_data`), and finds
+a e b^{-1} = x as a e = x b: one gather per b.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
@@ -64,12 +67,14 @@ from .weyl import (
 
 
 # Bound of the per-element caches below, which a library caller could
-# otherwise fill with one entry per rook (or pair of permutations) at any n.
-# The verify checks fill them with at most 266 standard forms (the 209 rooks
-# and 57 symplectic rooks of size 4), 576 dominance pairs (S_4 x S_4) and
-# 209 prefix profiles that they reuse.  Only the nilpotent check at n = 8
-# overflows the profile cache: it compares each of about 5,300 rooks once
-# with one fixed rook, so it evicts only profiles it never asks for again.
+# otherwise fill with one entry per rook at any n.  The verify checks fill
+# them with at most 266 standard forms (the 209 rooks and 57 symplectic
+# rooks of size 4) and 209 prefix profiles that they reuse.  Only the
+# nilpotent check at n = 8 overflows the profile cache: it compares each of
+# about 5,300 rooks once with one fixed rook, so it evicts only profiles it
+# never asks for again.  `_dominance`, `_coset_data` and `_witness_set` are
+# not per element: like `weyl.group_context`, they hold one entry per group,
+# per rank or per pair of ranks of a group.
 ELEMENT_CACHE_SIZE = 4096
 
 
@@ -114,40 +119,75 @@ def bcr_le(x: Rook, y: Rook) -> bool:
     return profile_le(prefix_profile(x), prefix_profile(y))
 
 
-@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
-def _dominance(u: Rook, v: Rook) -> bool:
-    return ehresmann_le(u, v)
+class Dominance(NamedTuple):
+    """The product and the Bruhat order of one Weyl group on the positions
+    of its elements: index[w] is the position of w, times[i][j] the
+    position of el_i el_j, and bit i of below[j] is set iff el_i <= el_j."""
+
+    index: dict
+    times: tuple
+    below: tuple
+
+
+@lru_cache(maxsize=None)
+def _dominance(kind: str, n: int) -> Dominance:
+    """The table of the Weyl group of one kind and size, over the elements
+    of `group_context(kind, n)` in their order, built from `ehresmann_le`
+    and `right_product` alone: nothing of the one-line route (its profiles
+    or rank rows) enters it, so the two routes stay independent.
+
+    The cost is |W|^2 `ehresmann_le` calls: 3 ms for S_4, under 1 ms for
+    Sp_4, 16-19 ms for Sp_6, 0.08-0.10 s for S_5, 1.1-1.2 s for Sp_8 and
+    2.9-3.3 s for S_6 (one CPU of a 2-CPU Xeon, Python 3.11).
+    """
+    elements = group_context(kind, n).elements
+    index = {w: i for i, w in enumerate(elements)}
+    rows = [(0,) + u for u in elements]
+    columns = [[index[times_v(row)] for row in rows] for times_v in map(right_product, elements)]
+    below = tuple(
+        sum(1 << i for i, u in enumerate(elements) if ehresmann_le(u, v)) for v in elements
+    )
+    return Dominance(index, tuple(zip(*columns)), below)
 
 
 class StandardForm(NamedTuple):
     """The unique factorization x = a e b^{-1} with e the cross-section
     idempotent of equal rank, a and b minimal coset representatives; the
-    rank of e (and of x) and b^{-1} are kept for `forms_le`, which runs on
-    every pair of a check and would otherwise recompute them there."""
+    rank of e (and of x), b^{-1}, and the positions of a and b^{-1} in the
+    group's elements are kept for `forms_le`, which runs on every pair of a
+    check and reads the group's table (`_dominance`) at those positions."""
 
     a: Rook
     e: Rook
     b: Rook
     rank: int
     b_inv: Rook
+    a_index: int
+    b_inv_index: int
+
+
+def _chain_idempotent(ctx: GroupContext, r: int) -> Rook:
+    for e in ctx.chain:
+        if rank(e) == r:
+            return e
+    raise ValueError(f"no cross-section idempotent of rank {r} for {ctx.kind} size {ctx.n}")
 
 
 @lru_cache(maxsize=None)
 def _coset_data(kind: str, n: int, r: int):
-    """(e, left, right) for the chain idempotent e of rank r: left pairs
-    each a in D_*(e) with the product a e, and right pairs each b in D(e)
-    with b^{-1}, so each candidate (a, b) of the search costs one
-    `multiply`."""
+    """(e, left_of, right) for the chain idempotent e of rank r: left_of
+    maps each product a e, a in D_*(e), to the list of its a's, and right
+    pairs each b in D(e) with b^{-1}.  Since b is a permutation,
+    a e b^{-1} = x iff a e = x b, so the search for x costs one gather x b
+    per b and one dict lookup."""
     ctx = group_context(kind, n)
-    for e in ctx.chain:
-        if rank(e) == r:
-            data = parabolic_data(e, ctx)
-            d_star = min_coset_reps(data.stabilizer_generators, ctx)
-            d = min_coset_reps(data.commuting_generators, ctx)
-            left = [(a, multiply(a, e)) for a in d_star]
-            right = [(b, transpose(b)) for b in d]
-            return e, left, right
-    raise ValueError(f"no cross-section idempotent of rank {r} for {kind} size {n}")
+    e = _chain_idempotent(ctx, r)
+    data = parabolic_data(e, ctx)
+    left_of: dict = {}
+    for a in min_coset_reps(data.stabilizer_generators, ctx):
+        left_of.setdefault(multiply(a, e), []).append(a)
+    right = [(b, transpose(b)) for b in min_coset_reps(data.commuting_generators, ctx)]
+    return e, left_of, right
 
 
 @lru_cache(maxsize=ELEMENT_CACHE_SIZE)
@@ -156,19 +196,19 @@ def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
     if kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
     r = rank(x)
-    e, left, right = _coset_data(kind, n, r)
+    e, left_of, right = _coset_data(kind, n, r)
     matches = [
         (a, b, b_inv)
-        for a, a_e in left
         for b, b_inv in right
-        if multiply(a_e, b_inv) == x
+        for a in left_of.get(multiply(x, b), ())
     ]
     if len(matches) != 1:
         raise RuntimeError(
             f"standard form of {x} is not unique: {len(matches)} candidates"
         )
     a, b, b_inv = matches[0]
-    return StandardForm(a, e, b, r, b_inv)
+    index = _dominance(kind, n).index
+    return StandardForm(a, e, b, r, b_inv, index[a], index[b_inv])
 
 
 def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
@@ -180,15 +220,18 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
 
 
 @lru_cache(maxsize=None)
-def _witness_set(kind: str, n: int, f: Rook, e: Rook) -> tuple:
-    """The product set W(f) W(e) of the two centralizers, each w held as
-    the gather `right_product(w)` and the padded row (0,) + w^{-1}: the two
-    halves of `multiply(c, w)` and `multiply(w^{-1}, d^{-1})`."""
+def _witness_set(kind: str, n: int, f_rank: int, e_rank: int) -> tuple:
+    """The product set W(f) W(e) of the centralizers of the chain
+    idempotents f and e of the two ranks, each w held as the pair of
+    positions (w, w^{-1}) in the group's table (`_dominance`), in the
+    lexicographic order of w."""
     ctx = group_context(kind, n)
-    zf = parabolic_data(f, ctx).centralizer
-    ze = parabolic_data(e, ctx).centralizer
-    witnesses = sorted({multiply(u, v) for u in zf for v in ze})
-    return tuple((right_product(w), (0,) + transpose(w)) for w in witnesses)
+    table = _dominance(kind, n)
+    index, times = table.index, table.times
+    zf = [index[u] for u in parabolic_data(_chain_idempotent(ctx, f_rank), ctx).centralizer]
+    ze = [index[v] for v in parabolic_data(_chain_idempotent(ctx, e_rank), ctx).centralizer]
+    witnesses = sorted({times[u][v] for u in zf for v in ze})
+    return tuple((w, index[transpose(ctx.elements[w])]) for w in witnesses)
 
 
 def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
@@ -197,16 +240,19 @@ def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
     the chain and some witness w in W(f)W(e) has a <= cw and
     w^{-1} d^{-1} <= b^{-1} in the Bruhat order.
 
-    The products are `multiply`'s gathers with the per-pair halves taken
-    once: the padded row of c and the gather of d^{-1}.
+    Both comparisons are bit tests on the group's table at the positions
+    the forms and the witnesses keep: no product is formed, no tuple built
+    and nothing hashed per witness.
     """
     if sx.rank > sy.rank:
         return False
-    a, b_inv = sx.a, sx.b_inv
-    c_row = (0,) + sy.a
-    times_d_inv = right_product(sy.b_inv)
-    for times_w, w_inv_row in _witness_set(ctx.kind, ctx.n, sy.e, sx.e):
-        if _dominance(a, times_w(c_row)) and _dominance(times_d_inv(w_inv_row), b_inv):
+    table = _dominance(ctx.kind, ctx.n)
+    times, below = table.times, table.below
+    a, d_inv = sx.a_index, sy.b_inv_index
+    times_c = times[sy.a_index]
+    below_b_inv = below[sx.b_inv_index]
+    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.rank, sx.rank):
+        if below[times_c[w]] >> a & 1 and below_b_inv >> times[w_inv][d_inv] & 1:
             return True
     return False
 

@@ -14,6 +14,7 @@ import rooks.counting as counting
 import rooks.folding as folding
 import rooks.nilpotent as nilpotent
 import rooks.order as order
+import rooks.partitions as partitions
 import rooks.symplectic as symplectic
 import rooks.verify as verify
 import rooks.weyl as weyl
@@ -598,6 +599,26 @@ def negated(pair_test):
     return lambda *args: not pair_test(*args)
 
 
+def dropping_one_image_of_each(fold_images):
+    return lambda l: {a: preimages[:-1] for a, preimages in fold_images(l).items()}
+
+
+def losing_a_maximal(build_poset):
+    def broken(elements):
+        poset = build_poset(elements)
+        return poset._replace(maximals=poset.maximals[:-1])
+
+    return broken
+
+
+def ranks_one_higher(build_poset):
+    def broken(elements):
+        poset = build_poset(elements)
+        return poset._replace(rank_of=tuple(r + 1 for r in poset.rank_of))
+
+    return broken
+
+
 # one break of one route per row, at the smallest size where it shows:
 # (check, size flag, size, module, name, the broken function made from the
 # original)
@@ -616,6 +637,12 @@ BROKEN_ROUTES = [
     ("inrsn", "--n", 1, order, "forms_le", negated),
     ("inrsn", "--n", 1, order, "profile_le", negated),
     ("standard-form", "--n", 2, weyl, "min_coset_reps", dropping_last),
+    ("inrsn", "--n", 2, order, "ehresmann_le", always_true),
+    ("folding", "--l", 1, folding, "fold_images", dropping_one_image_of_each),
+    ("folding", "--l", 1, counting, "preimage_weight", one_more),
+    ("stirling-borel", "--n", 1, partitions, "rook_to_partition", dropping_last),
+    ("maxelements", "--l", 2, order, "build_poset", losing_a_maximal),
+    ("nilpotent", "--n", 3, order, "build_poset", ranks_one_higher),
 ]
 
 

@@ -1,12 +1,16 @@
 import hashlib
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fresh_peak import fresh_peak
+from patch_everywhere import patch_everywhere
 from poset_oracles import pairwise_rows, per_pair_poset
+from rooks import order, rook, verify
 from rooks.order import (
+    _dominance,
     _rank_rows,
     bcr_le,
     bcr_le_ppr,
@@ -17,9 +21,9 @@ from rooks.order import (
     profile_le,
     standard_form,
 )
-from rooks.rook import identity_rook, is_upper_triangular, multiply, transpose
+from rooks.rook import identity_rook, is_upper_triangular, multiply, rank, transpose
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family, rank_slice_minimum
-from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context, parabolic_data
+from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context, min_coset_reps, parabolic_data
 
 SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 
@@ -169,29 +173,140 @@ def test_comparators_agree_small(n):
         assert bcr_le(x, y) == bcr_le_ppr(x, y, ctx)
 
 
+@cache
+def plain_witnesses(kind, n, f, e):
+    # W(f)W(e) from the two centralizers, through multiply
+    ctx = group_context(kind, n)
+    zf = parabolic_data(f, ctx).centralizer
+    ze = parabolic_data(e, ctx).centralizer
+    return {multiply(u, v) for u in zf for v in ze}
+
+
 def forms_le_with_plain_products(sx, sy, ctx):
-    # the standard-form criterion as written: W(f)W(e) from the two
-    # centralizers, each witness taken through multiply and transpose
+    # the standard-form criterion as written: each witness taken through
+    # multiply and transpose, each comparison through ehresmann_le
     if sx.rank > sy.rank:
         return False
-    zf = parabolic_data(sy.e, ctx).centralizer
-    ze = parabolic_data(sx.e, ctx).centralizer
     return any(
         ehresmann_le(sx.a, multiply(sy.a, w))
         and ehresmann_le(multiply(transpose(w), transpose(sy.b)), transpose(sx.b))
-        for w in {multiply(u, v) for u in zf for v in ze}
+        for w in plain_witnesses(ctx.kind, ctx.n, sy.e, sx.e)
     )
 
 
 @pytest.mark.parametrize(
     "kind,family,n",
-    [(SYMMETRIC, "rook", 1), (SYMMETRIC, "rook", 2), (SYMMETRIC, "rook", 3), (SYMPLECTIC, "renner-sp", 4)],
+    [
+        (SYMMETRIC, "rook", 1),
+        (SYMMETRIC, "rook", 2),
+        (SYMMETRIC, "rook", 3),
+        (SYMPLECTIC, "renner-sp", 4),
+        (SYMPLECTIC, "renner-sp", 6),
+    ],
 )
 def test_forms_le_matches_the_criterion_with_plain_products(kind, family, n):
     ctx = group_context(kind, n)
-    forms = [standard_form(x, ctx) for x in enum_family(FamilySpec(n, family))]
+    elems = enum_family(FamilySpec(n, family))
+    if n == 6:
+        elems = elems[::13]  # the 59-element sample of test_comparators_agree_on_sample_at_n6
+    forms = [standard_form(x, ctx) for x in elems]
     for sx, sy in product(forms, repeat=2):
         assert forms_le(sx, sy, ctx) == forms_le_with_plain_products(sx, sy, ctx), (sx, sy)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(SYMMETRIC, n) for n in range(1, 6)] + [(SYMPLECTIC, n) for n in (2, 4, 6)],
+)
+def test_dominance_table_matches_ehresmann_le_and_multiply(kind, n):
+    elements = group_context(kind, n).elements
+    table = _dominance(kind, n)
+    assert table.index == {w: i for i, w in enumerate(elements)}
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            assert elements[table.times[i][j]] == multiply(u, v)
+            assert (table.below[j] >> i & 1) == ehresmann_le(u, v), (u, v)
+    assert all(row < 1 << len(elements) for row in table.below)
+
+
+@cache
+def coset_representatives(kind, n, r):
+    # (e, D_*(e), D(e)) for the chain idempotent e of rank r
+    ctx = group_context(kind, n)
+    e = next(f for f in ctx.chain if rank(f) == r)
+    data = parabolic_data(e, ctx)
+    return (
+        e,
+        min_coset_reps(data.stabilizer_generators, ctx),
+        min_coset_reps(data.commuting_generators, ctx),
+    )
+
+
+def standard_forms_by_scan(x, ctx):
+    # every (a, b) in D_*(e) x D(e) with a e b^{-1} = x, by the exhaustive
+    # left x right scan with plain products
+    e, d_star, d = coset_representatives(ctx.kind, ctx.n, rank(x))
+    return [(a, b) for a in d_star for b in d if multiply(multiply(a, e), transpose(b)) == x]
+
+
+@pytest.mark.parametrize(
+    "kind,family,n",
+    [(SYMMETRIC, "rook", n) for n in range(1, 5)]
+    + [(SYMPLECTIC, "renner-sp", n) for n in (2, 4, 6)],
+)
+def test_standard_form_matches_the_left_right_scan(kind, family, n):
+    ctx = group_context(kind, n)
+    for x in enum_family(FamilySpec(n, family)):
+        form = standard_form(x, ctx)
+        assert standard_forms_by_scan(x, ctx) == [(form.a, form.b)], x
+        assert form.b_inv == transpose(form.b)
+        assert ctx.elements[form.a_index] == form.a
+        assert ctx.elements[form.b_inv_index] == form.b_inv
+
+
+def count_right_products(monkeypatch):
+    # every call of rook.right_product, under every name a module holds it
+    # by, multiply's included
+    gather = rook.right_product
+    made = [0]
+
+    def counted(y):
+        made[0] += 1
+        return gather(y)
+
+    patch_everywhere(monkeypatch, gather, counted)
+    return made
+
+
+def test_a_warm_inrsn_check_forms_no_products(monkeypatch):
+    # with every standard form cached, the pair tests are bit tests on the
+    # group's table; a pair test that gathers its products makes at least
+    # one on each pair with rank(x) <= rank(y) (31,754 at n = 4)
+    verify._check_inrsn(4)
+    made = count_right_products(monkeypatch)
+    verify._check_inrsn(4)
+    assert made[0] == 0
+
+
+def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
+    # the search for x reads a e = x b, one gather per b in D(e_x); the
+    # left x right scan gathers once per pair (a, b), 15,233 times over the
+    # rooks of size 4.  The table of S_4, built again here, may take one
+    # product per pair of elements
+    ctx = group_context(SYMMETRIC, 4)
+    elems = all_rooks(4)
+    for x in elems:
+        standard_form(x, ctx)  # the per-rank coset data, built once
+    bound = len(ctx.elements) ** 2 + sum(
+        len(coset_representatives(SYMMETRIC, 4, rank(x))[2]) for x in elems
+    )
+    assert bound == 1481
+    order._standard_form_cached.cache_clear()
+    order._dominance.cache_clear()
+    made = count_right_products(monkeypatch)
+    for x in elems:
+        standard_form(x, ctx)
+    assert 0 < made[0] <= bound, made[0]
 
 
 def test_weyl_group_order_is_induced():
