@@ -16,10 +16,10 @@ from .order import (
     HasseDiagram,
     StandardForm,
     bcr_le,
-    bcr_le_ppr,
     build_poset,
     ehresmann_le,
     standard_form,
+    standard_form_rows,
 )
 from .partitions import (
     SetPartition,

@@ -95,6 +95,8 @@ def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
     elements = enum_family(spec)
     closed = _closed_under_product(elements)
     poset = build_poset(elements)
+    if not poset.maximals:
+        raise RuntimeError(f"the {spec.family} poset of size {spec.n} has no maximal element")
     maximals = tuple(elements[i] for i in poset.maximals)
     longest = max(poset.rank_of[i] for i in poset.maximals)
     return NilpotentReport(

@@ -9,22 +9,22 @@ unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
 
-Each route is a per-element step followed by a pair test: route one takes
-the prefix profile of each element (`prefix_profile`) and compares two
-profiles (`profile_le`); route two takes the standard form of each element
-(`standard_form`) and compares two forms (`forms_le`).  `bcr_le` and
-`bcr_le_ppr` are those compositions on one pair.  Both per-element steps are
-cached, so a caller comparing many pairs, such as the verify check of the
-two routes, computes each element's profile and form once and pays for
-little more than the pair tests on each pair.  Route two runs on the
-positions of the Weyl group's elements in `group_context(kind, n).elements`:
-one table per group (`_dominance`) holds the product of any two elements
-and, for each element, the bitset of the elements below it in the Bruhat
-order.  A standard form keeps the positions of a and b^{-1}, each witness w
-is held as the positions of w and w^{-1} (`_witness_set`), and the pair test
-is integer work on that table.  The standard-form search reads the
-products a e of each rank, grouped by product (`_coset_data`), and finds
-a e b^{-1} = x as a e = x b: one gather per b.
+Each route has a per-element step, cached: route one takes the prefix
+profile of each element (`prefix_profile`), route two its standard form
+(`standard_form`).  `bcr_le` compares two profiles (`profile_le`) on one
+pair.  Route two has no pair test in the library: `standard_form_rows`
+builds its order on a whole monoid as one bitset row per member, and the
+pair-by-pair criterion on two forms lives beside the tests as the oracle of
+those rows.  Route two runs on the positions of the Weyl group's elements
+in `group_context(kind, n).elements`: one table per group (`_dominance`)
+holds the product of any two elements and, for each element, the bitset of
+the elements below it in the Bruhat order.  A standard form keeps the
+positions of a and b^{-1}, each witness w is held as the positions of w and
+w^{-1} (`_witness_set`), and per rank two tables read off the Bruhat
+bitsets (`_slot_table`) turn each witness into one block of a row.  The
+standard-form search reads the products a e of each rank, grouped by
+product (`_coset_data`), and finds a e b^{-1} = x as a e = x b: one gather
+per b.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
@@ -37,8 +37,9 @@ it.  The Hasse diagram is read off the rows in one pass over the rank
 layers: each layer is found with one bitset test per remaining element, and
 the covers of x are its row on the layer just below; only a cover that
 skips a layer, which a graded poset has none of, takes a further bitset
-step.  The standard-form route enters no poset: the tests build its rows
-pair by pair and feed them to the same reduction.
+step.  The verify check of the two routes sets these rows, built on the
+members in the slot order of `standard_form_rows`, against route two's
+rows, row by row.
 """
 
 from __future__ import annotations
@@ -68,13 +69,13 @@ from .weyl import (
 
 # Bound of the per-element caches below, which a library caller could
 # otherwise fill with one entry per rook at any n.  The verify checks fill
-# them with at most 266 standard forms (the 209 rooks and 57 symplectic
-# rooks of size 4) and 209 prefix profiles that they reuse.  Only the
-# nilpotent check at n = 8 overflows the profile cache: it compares each of
-# about 5,300 rooks once with one fixed rook, so it evicts only profiles it
-# never asks for again.  `_dominance`, `_coset_data` and `_witness_set` are
-# not per element: like `weyl.group_context`, they hold one entry per group,
-# per rank or per pair of ranks of a group.
+# the standard-form cache with at most 1,546 forms, one per rook of size 5
+# (`inrsn --n 5`); no check reuses a prefix profile, since the order check
+# builds rows and the nilpotent check compares each of about 5,300 rooks
+# (n = 8) once with one fixed rook, evicting only profiles it never asks
+# for again.  `_dominance`, `_coset_data`, `_slot_table` and `_witness_set`
+# are not per element: like `weyl.group_context`, they hold one entry per
+# group, per rank or per pair of ranks of a group.
 ELEMENT_CACHE_SIZE = 4096
 
 
@@ -154,8 +155,8 @@ class StandardForm(NamedTuple):
     """The unique factorization x = a e b^{-1} with e the cross-section
     idempotent of equal rank, a and b minimal coset representatives; the
     rank of e (and of x), b^{-1}, and the positions of a and b^{-1} in the
-    group's elements are kept for `forms_le`, which runs on every pair of a
-    check and reads the group's table (`_dominance`) at those positions."""
+    group's elements are kept for `standard_form_rows`, which reads the
+    group's table (`_dominance`) and the slot tables at those positions."""
 
     a: Rook
     e: Rook
@@ -234,33 +235,102 @@ def _witness_set(kind: str, n: int, f_rank: int, e_rank: int) -> tuple:
     return tuple((w, index[transpose(ctx.elements[w])]) for w in witnesses)
 
 
-def forms_le(sx: StandardForm, sy: StandardForm, ctx: GroupContext) -> bool:
-    """The pair test of the standard-form route: with x = a e b^{-1} and
-    y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
-    the chain and some witness w in W(f)W(e) has a <= cw and
-    w^{-1} d^{-1} <= b^{-1} in the Bruhat order.
+class SlotTable(NamedTuple):
+    """The slots and the row blocks of the members of one rank r, on the
+    positions of the group's elements.  With e the chain idempotent of
+    rank r, a_slot maps the position of each a in D_*(e) to its place i and
+    b_slot the position of each b^{-1}, b in D(e), to its place j; the
+    member a e b^{-1} takes bit i |D(e)| + j of the block of rank r.  Bit
+    i |D(e)| of spread[g] is set iff a_i <= g, and bit j of right[h] iff
+    h <= b_j^{-1}, so spread[g] * right[h] is the block
+    {a <= g} x {b^{-1} >= h}: right[h] is below 2^|D(e)|, and the product
+    has no carries."""
 
-    Both comparisons are bit tests on the group's table at the positions
-    the forms and the witnesses keep: no product is formed, no tuple built
-    and nothing hashed per witness.
+    a_slot: dict
+    b_slot: dict
+    spread: tuple
+    right: tuple
+
+
+@lru_cache(maxsize=None)
+def _slot_table(kind: str, n: int, r: int) -> SlotTable:
+    """The slot table of rank r, read off the group's table (`_dominance`)
+    and the coset representatives of `_coset_data` alone."""
+    table = _dominance(kind, n)
+    index, below = table.index, table.below
+    _, left_of, right_reps = _coset_data(kind, n, r)
+    a_positions = [index[a] for group in left_of.values() for a in group]
+    b_inv_positions = [index[b_inv] for _, b_inv in right_reps]
+    width = len(b_inv_positions)
+    spread = tuple(
+        sum(1 << i * width for i, a in enumerate(a_positions) if row >> a & 1) for row in below
+    )
+    right = tuple(
+        sum(1 << j for j, b_inv in enumerate(b_inv_positions) if below[b_inv] >> h & 1)
+        for h in range(len(below))
+    )
+    return SlotTable(
+        {a: i for i, a in enumerate(a_positions)},
+        {b_inv: j for j, b_inv in enumerate(b_inv_positions)},
+        spread,
+        right,
+    )
+
+
+def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]:
+    """The standard-form order on the whole monoid of ctx as bitset rows:
+    the members in slot order, and bit i of rows[j] set iff
+    members[i] <= members[j].
+
+    The member x = a e b^{-1} takes the slot offset(rank e) +
+    i |D(e)| + j, where a is the i-th element of D_*(e) and b the j-th of
+    D(e) (`SlotTable`); offset(r) is the size of the blocks of lower rank.
+    Two members in one slot, or a count other than the sum of
+    |D_*(e)| |D(e)| over the chain, is a RuntimeError: the slots are a
+    bijection only if the standard form is unique.  With y = c f d^{-1},
+    x <= y iff rank e <= rank f and some witness w in W(f)W(e) has
+    a <= cw and w^{-1} d^{-1} <= b^{-1}, so the block of y's row on rank
+    e is the union over the witnesses of spread[cw] * right[w^{-1} d^{-1}]:
+    one product and one OR per witness, no pair test.
     """
-    if sx.rank > sy.rank:
-        return False
-    table = _dominance(ctx.kind, ctx.n)
-    times, below = table.times, table.below
-    a, d_inv = sx.a_index, sy.b_inv_index
-    times_c = times[sy.a_index]
-    below_b_inv = below[sx.b_inv_index]
-    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.rank, sx.rank):
-        if below[times_c[w]] >> a & 1 and below_b_inv >> times[w_inv][d_inv] & 1:
-            return True
-    return False
-
-
-def bcr_le_ppr(x: Rook, y: Rook, ctx: GroupContext) -> bool:
-    """The standard-form criterion: `forms_le` on the standard forms of x
-    and y."""
-    return forms_le(standard_form(x, ctx), standard_form(y, ctx), ctx)
+    kind, n = ctx.kind, ctx.n
+    times = _dominance(kind, n).times
+    blocks = {}  # rank -> (offset, slot table), ranks ascending
+    total = 0
+    for e in ctx.chain:
+        slots = _slot_table(kind, n, rank(e))
+        blocks[rank(e)] = (total, slots)
+        total += len(slots.a_slot) * len(slots.b_slot)
+    if len(elems) != total:
+        raise RuntimeError(
+            f"{len(elems)} members for the {total} standard-form slots of {kind} size {n}"
+        )
+    members: list = [None] * total
+    forms: list = [None] * total
+    for x in elems:
+        form = standard_form(x, ctx)
+        offset, slots = blocks[form.rank]
+        i, j = slots.a_slot[form.a_index], slots.b_slot[form.b_inv_index]
+        slot = offset + i * len(slots.b_slot) + j
+        if members[slot] is not None:
+            raise RuntimeError(f"{members[slot]} and {x} share one standard-form slot")
+        members[slot] = x
+        forms[slot] = form
+    rows = []
+    for form in forms:
+        times_c = times[form.a_index]
+        d_inv = form.b_inv_index
+        row = 0
+        for r, (offset, slots) in blocks.items():
+            if r > form.rank:
+                break
+            spread, right = slots.spread, slots.right
+            block = 0
+            for w, w_inv in _witness_set(kind, n, form.rank, r):
+                block |= spread[times_c[w]] * right[times[w_inv][d_inv]]
+            row |= block << offset
+        rows.append(row)
+    return members, rows
 
 
 class HasseDiagram(NamedTuple):

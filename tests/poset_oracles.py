@@ -1,8 +1,36 @@
-"""Slow reference routes for `rooks.order.build_poset`: order rows from a
-comparator on every ordered pair, and the transitive reduction that tests
-every comparable pair on its own, with ranks by longest chains."""
+"""Slow reference routes for `rooks.order`: the standard-form criterion on
+one pair (the oracle of `standard_form_rows`), order rows from a comparator
+on every ordered pair, and the transitive reduction that tests every
+comparable pair on its own, with ranks by longest chains (the oracle of
+`build_poset`)."""
 
-from rooks.order import HasseDiagram
+from rooks.order import HasseDiagram, _dominance, _witness_set, standard_form
+
+
+def forms_le(sx, sy, ctx) -> bool:
+    """The standard-form criterion on one pair: with x = a e b^{-1} and
+    y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
+    the chain and some witness w in W(f)W(e) has a <= cw and
+    w^{-1} d^{-1} <= b^{-1} in the Bruhat order.  Both comparisons are bit
+    tests on the group's table at the positions the forms and the
+    witnesses keep."""
+    if sx.rank > sy.rank:
+        return False
+    table = _dominance(ctx.kind, ctx.n)
+    times, below = table.times, table.below
+    a, d_inv = sx.a_index, sy.b_inv_index
+    times_c = times[sy.a_index]
+    below_b_inv = below[sx.b_inv_index]
+    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.rank, sx.rank):
+        if below[times_c[w]] >> a & 1 and below_b_inv >> times[w_inv][d_inv] & 1:
+            return True
+    return False
+
+
+def bcr_le_ppr(x, y, ctx) -> bool:
+    """The standard-form criterion: `forms_le` on the standard forms of x
+    and y."""
+    return forms_le(standard_form(x, ctx), standard_form(y, ctx), ctx)
 
 
 def pairwise_rows(elems, le):

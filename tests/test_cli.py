@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
+import poset_oracles
 import rooks.cli as cli
 import rooks.counting as counting
 import rooks.folding as folding
@@ -261,21 +262,21 @@ def test_out_holds_what_stdout_prints(capsysbinary, tmp_path, argv):
 
 @pytest.mark.parametrize("fmt", ["report", "json"])
 def test_out_holds_a_proof_mismatch(capsysbinary, monkeypatch, tmp_path, fmt):
-    # the first pair test of each run flipped, as in
+    # one bit of the first rows of each run flipped, as in
     # test_inrsn_counts_a_flipped_pair
-    profile_le, run_check = order.profile_le, cli.run_check
+    rank_rows, run_check = order._rank_rows, cli.run_check
     calls = []
 
     def flip_first(*args):
         calls.append(args)
-        result = profile_le(*args)
-        return not result if len(calls) == 1 else result
+        rows = rank_rows(*args)
+        return flip_a_pair(rows) if len(calls) == 1 else rows
 
     def fresh_run(*args):
         calls.clear()
         return run_check(*args)
 
-    monkeypatch.setattr(order, "profile_le", flip_first)
+    patch_everywhere(monkeypatch, rank_rows, flip_first)
     monkeypatch.setattr(cli, "run_check", fresh_run)
     argv = ["verify", "--check", "inrsn", "--n", "2", "--format", fmt]
     assert out_matches_stdout(capsysbinary, tmp_path, argv) == 1
@@ -528,26 +529,50 @@ def test_census_that_misses_a_rank_exits_1(capsys, monkeypatch):
     assert "n=3 k=0  oracle=2 proof=1 paper=-  proof:MISMATCH paper:-  # census sum" in lines
 
 
-@pytest.mark.parametrize("pair_test", ["profile_le", "forms_le"])
-def test_inrsn_counts_a_flipped_pair(monkeypatch, pair_test):
-    # one wrong answer from either route's pair test must show as one
-    # disagreement, so the check cannot be comparing a route with itself
-    original = getattr(order, pair_test)
-    flipped = []
+def flip_a_pair(rows):
+    # bit 1 of row 0: one pair, and not a member with itself
+    return [rows[0] ^ 0b10, *rows[1:]]
+
+
+@pytest.mark.parametrize("builder", ["_rank_rows", "standard_form_rows"])
+def test_inrsn_counts_a_flipped_pair(monkeypatch, builder):
+    # one wrong bit in the rows of either route must show as one
+    # disagreement, so the check cannot be comparing a route with itself;
+    # only the first rows built, the rook route's, are changed
+    original = getattr(order, builder)
+    built = []
 
     def flip_first(*args):
-        result = original(*args)
-        if flipped:
-            return result
-        flipped.append(args)
-        return not result
+        made = original(*args)
+        built.append(args)
+        if len(built) > 1:
+            return made
+        if builder == "standard_form_rows":
+            members, rows = made
+            return members, flip_a_pair(rows)
+        return flip_a_pair(made)
 
-    monkeypatch.setattr(order, pair_test, flip_first)
+    patch_everywhere(monkeypatch, original, flip_first)
     reports = verify.run_check("inrsn", n=2)
     rows = {rep.label: rep.oracle for rep in reports}
     assert rows["one-line vs standard-form disagreements"] == 1
     assert rows["ambient vs intrinsic symplectic disagreements"] == 0
     assert verify.proof_agreement(reports) is False
+
+
+def test_the_inrsn_check_makes_no_pair_test(capsys, monkeypatch):
+    # both routes build rows: no pair test of either route runs, under any
+    # name a module holds it by, and the report is the pinned one
+    def refused(*args):
+        raise AssertionError(f"pair test called on {args}")
+
+    for pair_test in (order.bcr_le, order.profile_le):
+        patch_everywhere(monkeypatch, pair_test, refused)
+    monkeypatch.setattr(poset_oracles, "bcr_le_ppr", refused)
+    monkeypatch.setattr(poset_oracles, "forms_le", refused)
+    code, out = run(capsys, "verify", "--check", "inrsn", "--n", "4")
+    assert code == 0
+    assert sha256(out) == VERIFY_DIGESTS["inrsn"]
 
 
 def reversed_nonzero_products(right_product):
@@ -595,8 +620,21 @@ def reversed_result(make):
     return lambda *args: make(*args)[::-1]
 
 
-def negated(pair_test):
-    return lambda *args: not pair_test(*args)
+def complemented(rows):
+    full = (1 << len(rows)) - 1
+    return [full ^ row for row in rows]
+
+
+def complemented_rank_rows(rank_rows):
+    return lambda elems: complemented(rank_rows(elems))
+
+
+def complemented_form_rows(standard_form_rows):
+    def broken(elems, ctx):
+        members, rows = standard_form_rows(elems, ctx)
+        return members, complemented(rows)
+
+    return broken
 
 
 def dropping_one_image_of_each(fold_images):
@@ -634,8 +672,8 @@ BROKEN_ROUTES = [
     ("stirling-borel", "--n", 1, counting, "stirling2", one_more_at_k_1),
     ("maxelements", "--l", 2, symplectic, "rank_slice_minimum", reversed_result),
     ("parabolic", "--l", 2, weyl, "generated_subgroup", dropping_last),
-    ("inrsn", "--n", 1, order, "forms_le", negated),
-    ("inrsn", "--n", 1, order, "profile_le", negated),
+    ("inrsn", "--n", 1, order, "standard_form_rows", complemented_form_rows),
+    ("inrsn", "--n", 1, order, "_rank_rows", complemented_rank_rows),
     ("standard-form", "--n", 2, weyl, "min_coset_reps", dropping_last),
     ("inrsn", "--n", 2, order, "ehresmann_le", always_true),
     ("folding", "--l", 1, folding, "fold_images", dropping_one_image_of_each),
@@ -655,6 +693,7 @@ def clear_order_caches():
         order.prefix_profile,
         order._dominance,
         order._coset_data,
+        order._slot_table,
         order._standard_form_cached,
         order._witness_set,
     ):
@@ -676,6 +715,17 @@ def test_a_broken_route_is_a_proof_mismatch(capsys, monkeypatch, check, flag, si
         clear_order_caches()
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
+
+
+def test_a_poset_without_a_maximal_element_is_an_internal_error(capsys, monkeypatch):
+    # borel-nil n = 3 has one maximal element; a poset that loses it is a
+    # fault of the library, not of the command line
+    original = order.build_poset
+    patch_everywhere(monkeypatch, original, losing_a_maximal(original))
+    assert cli.main(["verify", "--check", "nilpotent", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: the borel-nil poset of size 3 has no maximal element\n"
 
 
 def test_check_sizes_bound_each_check(capsys):

@@ -7,19 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from fresh_peak import fresh_peak
 from patch_everywhere import patch_everywhere
-from poset_oracles import pairwise_rows, per_pair_poset
+from poset_oracles import bcr_le_ppr, forms_le, pairwise_rows, per_pair_poset
 from rooks import order, rook, verify
 from rooks.order import (
     _dominance,
     _rank_rows,
     bcr_le,
-    bcr_le_ppr,
     build_poset,
     ehresmann_le,
-    forms_le,
     prefix_profile,
     profile_le,
     standard_form,
+    standard_form_rows,
 )
 from rooks.rook import identity_rook, is_upper_triangular, multiply, rank, transpose
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family, rank_slice_minimum
@@ -264,6 +263,62 @@ def test_standard_form_matches_the_left_right_scan(kind, family, n):
         assert ctx.elements[form.b_inv_index] == form.b_inv
 
 
+def forms_rows(members, ctx):
+    # bit i of row j iff forms_le on (members[i], members[j]), pair by pair
+    forms = [standard_form(x, ctx) for x in members]
+    return [sum(1 << i for i, sx in enumerate(forms) if forms_le(sx, sy, ctx)) for sy in forms]
+
+
+@pytest.mark.parametrize(
+    "kind,family,n",
+    [(SYMMETRIC, "rook", n) for n in range(1, 5)]
+    + [(SYMPLECTIC, "renner-sp", n) for n in (2, 4, 6)],
+)
+def test_standard_form_rows_match_forms_le(kind, family, n):
+    ctx = group_context(kind, n)
+    members, rows = standard_form_rows(enum_family(FamilySpec(n, family)), ctx)
+    assert rows == forms_rows(members, ctx)
+
+
+@pytest.mark.parametrize(
+    "kind,family,n",
+    [(SYMMETRIC, "rook", n) for n in range(1, 6)]
+    + [(SYMPLECTIC, "renner-sp", n) for n in (2, 4, 6)],
+)
+def test_standard_form_slots_are_a_bijection(kind, family, n):
+    # the members fill the slots of D_*(e) x D(e) over the chain, one each,
+    # and every (rank, a, b) is taken once
+    ctx = group_context(kind, n)
+    elems = enum_family(FamilySpec(n, family))
+    slots = 0
+    for e in ctx.chain:
+        _, d_star, d = coset_representatives(kind, n, rank(e))
+        slots += len(d_star) * len(d)
+    members, rows = standard_form_rows(elems, ctx)
+    assert len(members) == len(rows) == slots
+    assert sorted(members) == sorted(elems)
+    forms = {(form.rank, form.a, form.b) for form in (standard_form(x, ctx) for x in elems)}
+    assert len(forms) == slots
+
+
+def test_two_members_in_one_slot_raise(monkeypatch):
+    ctx = group_context(SYMMETRIC, 3)
+    elems = all_rooks(3)
+    original = order.standard_form
+    # the last rook takes the standard form of the first
+    monkeypatch.setattr(
+        order, "standard_form", lambda x, ctx: original(elems[0] if x == elems[-1] else x, ctx)
+    )
+    with pytest.raises(RuntimeError, match="share one standard-form slot"):
+        standard_form_rows(elems, ctx)
+
+
+def test_a_member_short_of_the_slots_raises():
+    ctx = group_context(SYMMETRIC, 3)
+    with pytest.raises(RuntimeError, match="33 members for the 34 standard-form slots"):
+        standard_form_rows(all_rooks(3)[:-1], ctx)
+
+
 def count_right_products(monkeypatch):
     # every call of rook.right_product, under every name a module holds it
     # by, multiply's included
@@ -279,9 +334,9 @@ def count_right_products(monkeypatch):
 
 
 def test_a_warm_inrsn_check_forms_no_products(monkeypatch):
-    # with every standard form cached, the pair tests are bit tests on the
-    # group's table; a pair test that gathers its products makes at least
-    # one on each pair with rank(x) <= rank(y) (31,754 at n = 4)
+    # with every standard form and slot table cached, the rows are bit work
+    # on the group's table; a pair test that gathers its products makes at
+    # least one on each pair with rank(x) <= rank(y) (31,754 at n = 4)
     verify._check_inrsn(4)
     made = count_right_products(monkeypatch)
     verify._check_inrsn(4)
