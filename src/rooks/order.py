@@ -345,7 +345,7 @@ class HasseDiagram(NamedTuple):
     graded: bool
 
 
-def _rank_rows(elems: list[Rook]) -> list[int]:
+def rank_rows(elems: list[Rook]) -> list[int]:
     """The one-line order as bitset rows: bit i of down[j] is set iff
     elems[i] < elems[j].
 
@@ -447,7 +447,7 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
 
 def build_poset(elements) -> HasseDiagram:
     """The Hasse diagram of the one-line order on distinct rooks of one
-    size: order rows from rank-count bitsets (`_rank_rows`), then rank
+    size: order rows from rank-count bitsets (`rank_rows`), then rank
     layers and covers in one pass (`_hasse_from_rows`).  Ranks are
     longest-chain lengths from the minimal elements, and everything is a
     deterministic function of the rows."""
@@ -456,4 +456,4 @@ def build_poset(elements) -> HasseDiagram:
         raise ValueError("duplicate elements")
     if elems and len({len(x) for x in elems}) != 1:
         raise ValueError("elements must share one size")
-    return _hasse_from_rows(elems, _rank_rows(elems))
+    return _hasse_from_rows(elems, rank_rows(elems))

@@ -27,10 +27,10 @@ from .counting import (
 from .folding import fold, fold_images, unfold_preimages
 from .nilpotent import nilpotent_analysis
 from .order import (
-    _rank_rows,
     bcr_le,
     build_poset,
     ehresmann_le,
+    rank_rows,
     standard_form,
     standard_form_rows,
 )
@@ -149,7 +149,7 @@ def _check_inrsn(ni) -> list:
     symplectic rooks in the symplectic group context.  Each route builds
     its order as one bitset row per member: route two's rows and the slot
     order of the members come from `standard_form_rows`, route one's from
-    `_rank_rows` on the members in that order, with each member's own bit
+    `rank_rows` on the members in that order, with each member's own bit
     set (a prefix profile is below itself).  The disagreements are the
     popcount of the XOR of the two rows, summed over the members."""
     routes = [("rook", "one-line vs standard-form disagreements")]
@@ -160,7 +160,7 @@ def _check_inrsn(ni) -> list:
         elems = enum_family(FamilySpec(ni, family))
         ctx = group_context(SYMPLECTIC if FAMILIES[family].symplectic else SYMMETRIC, ni)
         members, form_rows = standard_form_rows(elems, ctx)
-        profile_rows = _rank_rows(members)
+        profile_rows = rank_rows(members)
         bad = sum(
             ((profile_row | 1 << j) ^ form_row).bit_count()
             for j, (profile_row, form_row) in enumerate(zip(profile_rows, form_rows))

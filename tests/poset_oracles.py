@@ -35,7 +35,7 @@ def bcr_le_ppr(x, y, ctx) -> bool:
 
 def pairwise_rows(elems, le):
     """Strict order rows, bit i of down[j] iff le(elems[i], elems[j]) with
-    i != j; the layout of `order._rank_rows`."""
+    i != j; the layout of `order.rank_rows`."""
     m = len(elems)
     return [
         sum(1 << i for i in range(m) if i != j and le(elems[i], elems[j]))

@@ -11,12 +11,12 @@ from poset_oracles import bcr_le_ppr, forms_le, pairwise_rows, per_pair_poset
 from rooks import order, rook, verify
 from rooks.order import (
     _dominance,
-    _rank_rows,
     bcr_le,
     build_poset,
     ehresmann_le,
     prefix_profile,
     profile_le,
+    rank_rows,
     standard_form,
     standard_form_rows,
 )
@@ -428,7 +428,7 @@ def test_build_poset_covers_are_reduced():
 
 
 def profile_rows(elems):
-    """The order rows of `_rank_rows`, from `profile_le` on all pairs."""
+    """The order rows of `rank_rows`, from `profile_le` on all pairs."""
     profiles = {x: prefix_profile(x) for x in elems}
     return pairwise_rows(elems, lambda x, y: profile_le(profiles[x], profiles[y]))
 
@@ -449,7 +449,7 @@ def test_rank_rows_match_profile_rows(n):
     families = ["rook", "borel", "borel-nil"] + (["borel-sp"] if n % 2 == 0 else [])
     for family in families:
         elems = enum_family(FamilySpec(n, family))
-        assert _rank_rows(elems) == profile_rows(elems), family
+        assert rank_rows(elems) == profile_rows(elems), family
 
 
 def _as_rook(values):
@@ -473,7 +473,7 @@ def rook_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(rook_sets())
 def test_rank_rows_match_profile_rows_on_random_sets(elems):
-    assert _rank_rows(elems) == profile_rows(elems)
+    assert rank_rows(elems) == profile_rows(elems)
 
 
 def test_build_poset_covers_match_bcr_le_borel_sp_n6():
@@ -494,7 +494,7 @@ def test_build_poset_covers_match_bcr_le_rook_n5():
 
 
 BOREL_7 = """\
-from rooks.order import _rank_rows, build_poset
+from rooks.order import build_poset, rank_rows
 from rooks.symplectic import FamilySpec, enum_family
 elements = enum_family(FamilySpec(7, "borel"))
 assert len(elements) == 4140"""
@@ -514,7 +514,7 @@ def test_rank_rows_hold_one_count_row_per_element():
     # n rank counts, not all n^2 of them (those took the peak to 2.3 x m^2/8;
     # 1.50 x m^2/8 read in a fresh interpreter)
     m = 4140
-    peak, _ = fresh_peak(BOREL_7, "_rank_rows(elements)")
+    peak, _ = fresh_peak(BOREL_7, "rank_rows(elements)")
     assert peak < 1.8 * m * m / 8
 
 
@@ -530,7 +530,7 @@ def poset_fields(poset):
 )
 def test_layer_reduction_matches_per_pair_reduction(family, n):
     elements = enum_family(FamilySpec(n, family))
-    expected = per_pair_poset(elements, _rank_rows(elements))
+    expected = per_pair_poset(elements, rank_rows(elements))
     assert poset_fields(build_poset(elements)) == poset_fields(expected)
 
 
