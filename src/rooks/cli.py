@@ -24,7 +24,9 @@ import json
 import math
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, NamedTuple
 
 from .folding import fold, unfold_preimages
 from .order import HasseDiagram, bcr_le, build_poset
@@ -63,19 +65,21 @@ from .verify import (
 HASSE_ROW_BYTES = 78_125_000
 HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
-# Lines joined into one write by `_emit_lines`.  One write per line took
-# about a third of the time of `enum --n 8 --family rook --format oneline`
-# into /dev/null (0.62-0.97 s against 0.45-0.64 s in process); 4096 lines
-# per write were no faster than 256 and raised the peak resident size by
-# about 0.7 MB.
+# Items, most of them one line, joined into one write by `_emit_lines`.
+# One write per line took about a third of the time of
+# `enum --n 8 --family rook --format oneline` into /dev/null (0.62-0.97 s
+# against 0.45-0.64 s in process); 4096 lines per write were no faster than
+# 256 and raised the peak resident size by about 0.7 MB.
 CHUNK_LINES = 256
 
 
 def dot_export(h: HasseDiagram) -> list[str]:
     """Serialize a Hasse diagram as the lines of its DOT text: one node
     statement per element, one edge per cover (lower -> upper), everything
-    in lexicographic order.  A list, not a stream: the lines are formatted
-    before it returns, and the writer writes them in chunks."""
+    in lexicographic order.  A list, not a stream: the names are sorted, so
+    every line is formatted before the first is written, a few bytes per
+    line beside the poset's m^2/8 bytes of rows; `_emit_lines` writes them
+    in chunks."""
     names = [format_one_line(x) for x in h.elements]
     lines = ["digraph hasse {"]
     for name in sorted(names):
@@ -87,14 +91,15 @@ def dot_export(h: HasseDiagram) -> list[str]:
 
 
 def _emit_lines(lines, out: str | None) -> None:
-    """Write each line with its newline, to `out` or stdout, in chunks of
-    CHUNK_LINES lines joined into one write: the one writer, which `main`
-    calls with the output of every command.  An empty stream writes a single
-    newline.  The first line is drawn before `out` is opened, so an
-    enumeration that is refused leaves no file behind.  Python sets
-    `sys.stdout` to None when the process starts with file descriptor 1
-    closed; stdout output then fails as an output error, and `--out` never
-    touches stdout."""
+    """Write each item with a newline after it, to `out` or stdout, in
+    chunks of CHUNK_LINES items joined into one write: the one writer, which
+    `main` calls with the output of every command.  An item may hold several
+    lines (`json_lines` gives a whole list of numbers as one item).  An
+    empty stream writes a single newline.  The first item is drawn before
+    `out` is opened, so an enumeration that is refused leaves no file
+    behind.  Python sets `sys.stdout` to None when the process starts with
+    file descriptor 1 closed; stdout output then fails as an output error,
+    and `--out` never touches stdout."""
     lines = iter(lines)
     chunk = [next(lines, "")]
     stream = open(out, "w", encoding="utf-8") if out else sys.stdout
@@ -111,11 +116,91 @@ def _emit_lines(lines, out: str | None) -> None:
             stream.close()
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+class JsonStream(NamedTuple):
+    """A JSON list of `count` strings that `json_lines` draws from `items`
+    one line at a time, so the list is never held; an `items` of any other
+    length is a RuntimeError once the writer reaches its end."""
+
+    count: int
+    items: Iterable[str]
 
 
-# --- subcommands: each returns its output, lines or a dict for `_json` ---
+def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
+    """The text of `json.dumps(value, indent=2, sort_keys=True)` as items
+    for `_emit_lines`, the first after `head` and the last before `tail`,
+    at the depth of `indent`.  `value` holds dicts with str keys, lists,
+    tuples, `JsonStream`s and scalars.
+
+    A list of ints or of strs is one item, formatted by one join, and a
+    list of int pairs (the covers of a Hasse diagram) one item from one
+    template; only other lists and dicts recurse.  A `JsonStream` gives one
+    item per line.
+
+    >>> for item in json_lines({"b": [(0, 1)], "a": JsonStream(1, ["x"])}):
+    ...     print(item)
+    {
+      "a": [
+        "x"
+      ],
+      "b": [
+        [
+          0,
+          1
+        ]
+      ]
+    }
+    """
+    inner = indent + "  "
+    if isinstance(value, JsonStream):
+        items = iter(value.items)
+        if value.count:
+            yield head + "["
+            yield from map(f"{inner}%s,".__mod__, map(_quote, islice(items, value.count - 1)))
+        rest = list(islice(items, 2))  # the last item, and none after it
+        if len(rest) != (value.count > 0):
+            raise RuntimeError(
+                f"a JSON list counted at {value.count} items held {'more' if rest else 'fewer'}"
+            )
+        if rest:
+            yield inner + _quote(rest[0])
+            yield indent + "]" + tail
+        else:
+            yield head + "[]" + tail
+    elif isinstance(value, dict):
+        if not value:
+            yield head + "{}" + tail
+            return
+        yield head + "{"
+        keys = sorted(value)
+        last = keys[-1]
+        for key in keys:
+            yield from json_lines(value[key], f"{inner}{_quote(key)}: ", inner, "," if key != last else "")
+        yield indent + "}" + tail
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield head + "[]" + tail
+            return
+        yield head + "["
+        types = set(map(type, value))
+        if types == {int} or types == {str}:
+            yield inner + f",\n{inner}".join(map(str if types == {int} else _quote, value))
+        elif (
+            types == {tuple}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+            yield ",\n".join(map(pair.__mod__, value))
+        else:
+            last = len(value) - 1
+            for i, item in enumerate(value):
+                yield from json_lines(item, inner, inner, "," if i < last else "")
+        yield indent + "]" + tail
+    else:
+        yield head + json.dumps(value) + tail
+
+
+# --- subcommands: each returns its output, lines or a dict for `json_lines` ---
 
 
 def _cmd_enum(args):
@@ -124,13 +209,13 @@ def _cmd_enum(args):
         return [str(count_family(spec))]
     if args.format == "oneline":
         return iter_family_lines(spec)
-    elements = list(iter_family_lines(spec))
+    count = count_family(spec)
     return {
         "n": args.n,
         "family": args.family,
         "rank": args.rank,
-        "count": len(elements),
-        "elements": elements,
+        "count": count,
+        "elements": JsonStream(count, iter_family_lines(spec)),
     }
 
 
@@ -351,7 +436,7 @@ def main(argv=None) -> int:
     try:
         output = args.func(args)
         output, code = output if isinstance(output, tuple) else (output, 0)
-        _emit_lines([_json(output)] if isinstance(output, dict) else output, args.out)
+        _emit_lines(json_lines(output) if isinstance(output, dict) else output, args.out)
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

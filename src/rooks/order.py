@@ -37,9 +37,10 @@ it.  The Hasse diagram is read off the rows in one pass over the rank
 layers: each layer is found with one bitset test per remaining element, and
 the covers of x are its row on the layer just below; only a cover that
 skips a layer, which a graded poset has none of, takes a further bitset
-step.  The verify check of the two routes sets these rows, built on the
-members in the slot order of `standard_form_rows`, against route two's
-rows, row by row.
+step.  The covers and extrema are sorted by one lexicographic ordinal per
+element, not by the rooks themselves.  The verify check of the two routes
+sets these rows, built on the members in the slot order of
+`standard_form_rows`, against route two's rows, row by row.
 """
 
 from __future__ import annotations
@@ -395,6 +396,12 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
     left of the row holds everything strictly between its own elements and
     j, so its covers are those below none of the rest.  It is empty on
     every element exactly when the poset is graded.
+
+    The covers, minimals and maximals come out in the lexicographic order
+    of their elements, sorted by one ordinal per element, place[i], from
+    one sort of the elements: a cover's key is the int
+    place[i] m + place[j], not a pair of rooks.  The elements are distinct,
+    so this is the order of the pairs (elems[i], elems[j]).
     """
     m = len(elems)
     rank_of = [0] * m
@@ -431,10 +438,13 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
         level += 1
         remaining = rest
 
-    minimals = sorted((i for i in range(m) if not down[i]), key=lambda i: elems[i])
+    place = [0] * m  # the lexicographic ordinal of each element
+    for k, i in enumerate(sorted(range(m), key=elems.__getitem__)):
+        place[i] = k
+    minimals = sorted((i for i in range(m) if not down[i]), key=place.__getitem__)
     lower_ends = {i for i, _ in covers}
-    maximals = sorted((i for i in range(m) if i not in lower_ends), key=lambda i: elems[i])
-    covers.sort(key=lambda ij: (elems[ij[0]], elems[ij[1]]))
+    maximals = sorted((i for i in range(m) if i not in lower_ends), key=place.__getitem__)
+    covers.sort(key=lambda ij: place[ij[0]] * m + place[ij[1]])
     return HasseDiagram(
         tuple(elems),
         tuple(covers),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,15 @@ ENUM_ONELINE_DIGESTS = {
     "enum --n 8 --family borel-sp": "97b2d60ff4d3bf95747ff8f9022f13b23baf2715f608be8cd8090866c084457d",
     "enum --n 8 --family borel-sp-nil": "889d29c41f11df4a83735c714d8c820213b8bfb3d1b8867b3fcb3a56c2e13c06",
 }
+# SHA-256 of `--format json` of the two commands that print long lists,
+# taken while the JSON text was one `json.dumps(indent=2, sort_keys=True)`
+# string.
+JSON_DIGESTS = {
+    "hasse --n 5 --family rook": "0d4f323f973f3e04111af8c91c0d9421be58a74a02c86e0584ce3d6a379bdd3e",
+    "hasse --n 6 --family renner-sp": "61aca34b6820ebab5e609cf02daf1d5fdad213eb8d411d60d7d012fa3dc59ed6",
+    "hasse --n 8 --family borel-sp-nil": "cd21893cea29bf49f306999141e609eb0867d38ec27c6df0ff84566879516197",
+    "enum --n 8 --family renner-sp": "05d9d60e31f6ee44e35bd2be0933ac5cd2f10cbef41c54f5b5e915bcaf0a94f9",
+}
 
 
 def run(capsys, *argv):
@@ -138,8 +148,10 @@ def test_enum_out_matches_stdout(capsys, tmp_path):
     code, out = run(capsys, *argv)
     assert code == 0 and path.read_text(encoding="utf-8") == out
     refused = tmp_path / "refused.txt"
-    assert cli.main(["enum", "--n", "9", "--family", "rook", "--out", str(refused)]) == 2
-    assert not refused.exists()
+    for fmt in ("oneline", "json"):
+        argv = ["enum", "--n", "9", "--family", "rook", "--format", fmt, "--out", str(refused)]
+        assert cli.main(argv) == 2, fmt
+        assert not refused.exists(), fmt
 
 
 @pytest.mark.parametrize("m", [1, 2, cli.CHUNK_LINES, cli.CHUNK_LINES + 1, 3 * cli.CHUNK_LINES + 7])
@@ -295,6 +307,82 @@ def test_counting_a_family_streams(argv):
     counts = re.findall(r"oracle=(\d+)", out) if argv[0] == "count" else [out]
     assert sum(map(int, counts)) == 130922
     assert peak < 2 * 2**20, peak
+
+
+def test_listing_a_family_as_json_streams():
+    # the lines are drawn one by one from `iter_family_lines`, and the
+    # command peaks at 0.43 MiB in a fresh interpreter; holding them all and
+    # then one `json.dumps` string peaked at 22 MiB
+    argv = ["enum", "--n", "7", "--family", "rook", "--format", "json"]
+    peak, out = fresh_peak("from rooks import cli", f"assert cli.main({argv!r}) == 0")
+    obj = json.loads(out)
+    assert obj["count"] == len(obj["elements"]) == 130922
+    assert peak < 2 * 2**20, peak
+
+
+def test_json_output_unchanged(capsys):
+    for command, digest in JSON_DIGESTS.items():
+        code, out = run(capsys, *command.split(), "--format", "json")
+        assert code == 0 and sha256(out) == digest, command
+
+
+EMPTY_SLICES = [
+    [command, "--n", "2", "--family", "borel-nil", "--rank", "2", "--format", "json"]
+    for command in ("enum", "hasse")
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in every_format() if a[-1] == "json"] + EMPTY_SLICES, ids=" ".join
+)
+def test_json_is_what_json_dumps_writes(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(check_json(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_empty_slices_print_empty_lists(capsys):
+    enum, hasse = (check_json(run(capsys, *argv)[1]) for argv in EMPTY_SLICES)
+    assert enum["count"] == 0 and enum["elements"] == []
+    assert hasse["covers"] == hasse["elements"] == []
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (),
+        None,
+        True,
+        {},
+        {"b": {"d": {"e": []}, "c": None}, "a": [False, 1.5, "\u00e9\"\n"]},
+        [{"k": (1, 2)}, {}, {"j": [[3, 4], (5, True)]}],
+        {"covers": ((0, 1), (0, 2)), "ints": (3, 1, 2), "strs": ["(0,1)", "x"]},
+    ],
+    ids=repr,
+)
+def test_json_lines_matches_json_dumps(value):
+    assert "\n".join(cli.json_lines(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", '"'], ["x"] * 300])
+def test_a_json_stream_writes_a_list(items):
+    streamed = cli.json_lines({"elements": cli.JsonStream(len(items), iter(items))})
+    assert "\n".join(streamed) == json.dumps({"elements": items}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "listed, held",
+    [(lambda lines: list(lines)[:-1], "fewer"), (lambda lines: chain(lines, ["(3,3,3)"]), "more")],
+    ids=["last line dropped", "one line added"],
+)
+def test_enum_json_that_misses_its_count_exits_3(capsys, monkeypatch, listed, held):
+    # the count comes from `count_family` and the lines from
+    # `iter_family_lines`: a listing of another length is an internal error
+    lines = cli.iter_family_lines
+    monkeypatch.setattr(cli, "iter_family_lines", lambda spec: listed(lines(spec)))
+    assert cli.main(["enum", "--n", "3", "--family", "rook", "--format", "json"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: internal: a JSON list counted at 34 items held {held}\n", err
 
 
 def test_enum_json_schema(capsys):
