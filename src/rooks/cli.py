@@ -97,12 +97,18 @@ def _emit_lines(lines, out: str | None) -> None:
     lines (`json_lines` gives a whole list of numbers as one item).  An
     empty stream writes a single newline.  The first item is drawn before
     `out` is opened, so an enumeration that is refused leaves no file
-    behind.  Python sets `sys.stdout` to None when the process starts with
-    file descriptor 1 closed; stdout output then fails as an output error,
-    and `--out` never touches stdout."""
+    behind.  A regular `out` is written under a sibling name and renamed
+    onto `out` once every item is written, so output that fails part way
+    leaves no file and an old file at `out` as it was; a device or a pipe
+    at `out` is written in place.  Python sets `sys.stdout` to None when
+    the process starts with file descriptor 1 closed; stdout output then
+    fails as an output error, and `--out` never touches stdout."""
     lines = iter(lines)
     chunk = [next(lines, "")]
-    stream = open(out, "w", encoding="utf-8") if out else sys.stdout
+    renamed = out and (os.path.isfile(out) or not os.path.exists(out))
+    target = os.path.realpath(out) if renamed else out  # a link stays a link
+    path = f"{target}.{os.getpid()}.part" if renamed else out
+    stream = open(path, "w", encoding="utf-8") if out else sys.stdout
     if stream is None:
         raise OSError("stdout is closed")
     try:
@@ -111,6 +117,13 @@ def _emit_lines(lines, out: str | None) -> None:
             stream.write("\n".join(chunk))
             chunk = list(islice(lines, CHUNK_LINES))
         stream.flush()
+        if renamed:
+            stream.close()
+            os.replace(path, target)
+    except BaseException:
+        if renamed:
+            os.unlink(path)
+        raise
     finally:
         if out:
             stream.close()

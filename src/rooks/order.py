@@ -9,22 +9,23 @@ unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
 
-Each route has a per-element step, cached: route one takes the prefix
-profile of each element (`prefix_profile`), route two its standard form
-(`standard_form`).  `bcr_le` compares two profiles (`profile_le`) on one
-pair.  Route two has no pair test in the library: `standard_form_rows`
-builds its order on a whole monoid as one bitset row per member, and the
-pair-by-pair criterion on two forms lives beside the tests as the oracle of
-those rows.  Route two runs on the positions of the Weyl group's elements
-in `group_context(kind, n).elements`: one table per group (`_dominance`)
-holds the product of any two elements and, for each element, the bitset of
-the elements below it in the Bruhat order.  A standard form keeps the
-positions of a and b^{-1}, each witness w is held as the positions of w and
-w^{-1} (`_witness_set`), and per rank two tables read off the Bruhat
-bitsets (`_slot_table`) turn each witness into one block of a row.  The
-standard-form search reads the products a e of each rank, grouped by
-product (`_coset_data`), and finds a e b^{-1} = x as a e = x b: one gather
-per b.
+Each route has one plain per-element step: route one takes the prefix
+profile of an element (`prefix_profile`), route two its standard form
+(`standard_form`).  Only tables per group, per rank or per pair of ranks are
+cached, never a result per element.  `bcr_le` compares two profiles
+(`profile_le`) on one pair.  Route two has no pair test in the library:
+`standard_form_rows` builds its order on a whole monoid as one bitset row
+per member, and the pair-by-pair criterion on two forms lives beside the
+tests as the oracle of those rows.  Route two runs on the positions of the
+Weyl group's elements in `group_context(kind, n).elements`: one table per
+group (`_dominance`) holds the product of any two elements and, for each
+element, the bitset of the elements below it in the Bruhat order.  A
+standard form keeps the positions of a and b^{-1}, each witness w is held as
+the positions of w and w^{-1} (`_witness_set`), and per rank two tables read
+off the Bruhat bitsets (`_slot_table`) turn each witness into one block of a
+row.  The standard-form search reads the products a e of each rank, grouped
+by product (`_coset_data`), and finds a e b^{-1} = x as a e = x b: one
+gather per b.
 
 `build_poset` applies route one in its rank-matrix form: prefix dominance is
 entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
@@ -68,23 +69,10 @@ from .weyl import (
 )
 
 
-# Bound of the per-element caches below, which a library caller could
-# otherwise fill with one entry per rook at any n.  The verify checks fill
-# the standard-form cache with at most 1,546 forms, one per rook of size 5
-# (`inrsn --n 5`); no check reuses a prefix profile, since the order check
-# builds rows and the nilpotent check compares each of about 5,300 rooks
-# (n = 8) once with one fixed rook, evicting only profiles it never asks
-# for again.  `_dominance`, `_coset_data`, `_slot_table` and `_witness_set`
-# are not per element: like `weyl.group_context`, they hold one entry per
-# group, per rank or per pair of ranks of a group.
-ELEMENT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
 def prefix_profile(x: Rook) -> tuple[int, ...]:
     """The decreasing rearrangements of the prefixes of length 1..n, zeros
     kept as values, concatenated: the per-element step of the one-line
-    route, cached.  Profiles of one size line up position by position."""
+    route.  Profiles of one size line up position by position."""
     return tuple(
         chain.from_iterable(sorted(x[:i], reverse=True) for i in range(1, len(x) + 1))
     )
@@ -192,8 +180,12 @@ def _coset_data(kind: str, n: int, r: int):
     return e, left_of, right
 
 
-@lru_cache(maxsize=ELEMENT_CACHE_SIZE)
-def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
+def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
+    """Factor x over the cross-section chain of the context, by exhaustive
+    search over the coset representatives, with a uniqueness check: the
+    per-element step of the standard-form route.  The per-rank coset data
+    (`_coset_data`) is cached; the check of x and its search are not."""
+    kind, n = ctx.kind, ctx.n
     x = check_rook(x, n)
     if kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
@@ -211,14 +203,6 @@ def _standard_form_cached(kind: str, n: int, x: Rook) -> StandardForm:
     a, b, b_inv = matches[0]
     index = _dominance(kind, n).index
     return StandardForm(a, e, b, r, b_inv, index[a], index[b_inv])
-
-
-def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
-    """Factor x over the cross-section chain of the context, by exhaustive
-    search over the coset representatives, with a uniqueness check: the
-    per-element step of the standard-form route.  The check of x and the
-    search are cached, so each runs once per element."""
-    return _standard_form_cached(ctx.kind, ctx.n, tuple(x))
 
 
 @lru_cache(maxsize=None)

@@ -27,9 +27,10 @@ from .counting import (
 from .folding import fold, fold_images, unfold_preimages
 from .nilpotent import nilpotent_analysis
 from .order import (
-    bcr_le,
     build_poset,
     ehresmann_le,
+    prefix_profile,
+    profile_le,
     rank_rows,
     standard_form,
     standard_form_rows,
@@ -284,9 +285,9 @@ def _check_nilpotent(n) -> list:
         r0 = (0,) + tuple(range(1, ni))
         reports.append(CountReport(params, int(rep.maximals == (r0,)), proof_form=1, label="maximum is r0"))
         reports.append(CountReport(params, rep.longest_chain, proof_form=comb(ni, 2), label="longest chain"))
-        dominated = sum(
-            1 for x in iter_family(FamilySpec(ni, "borel-nil")) if not bcr_le(x, r0)
-        )
+        top = prefix_profile(r0)
+        members = iter_family(FamilySpec(ni, "borel-nil"))
+        dominated = sum(1 for x in members if not profile_le(prefix_profile(x), top))
         reports.append(_zero_row(params, dominated, "elements above r0"))
     rep = nilpotent_analysis(FamilySpec(4, "borel-sp-nil"))
     reports.append(rep)

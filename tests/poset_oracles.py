@@ -33,6 +33,13 @@ def bcr_le_ppr(x, y, ctx) -> bool:
     return forms_le(standard_form(x, ctx), standard_form(y, ctx), ctx)
 
 
+def bcr_le_ppr_on(elems, ctx):
+    """`bcr_le_ppr` on the pairs of elems, with the standard form of each
+    element taken once, for the callers that compare all pairs."""
+    forms = {x: standard_form(x, ctx) for x in elems}
+    return lambda x, y: forms_le(forms[x], forms[y], ctx)
+
+
 def pairwise_rows(elems, le):
     """Strict order rows, bit i of down[j] iff le(elems[i], elems[j]) with
     i != j; the layout of `order.rank_rows`."""

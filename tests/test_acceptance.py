@@ -9,7 +9,7 @@ from pathlib import Path
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
-from poset_oracles import bcr_le_ppr, pairwise_rows
+from poset_oracles import bcr_le_ppr_on, pairwise_rows
 from rooks.counting import bell, stirling2, triangular_census
 from rooks.folding import fold, fold_images, to_rook, unfold_preimages
 from rooks.nilpotent import nilpotent_analysis
@@ -157,22 +157,22 @@ def test_criterion_3_stirling_bridge():
 
 def test_criterion_4_order_equivalence():
     rooks4 = enum_family(FamilySpec(4, "rook"))
-    ctx = group_context(SYMMETRIC, 4)
+    ppr = bcr_le_ppr_on(rooks4, group_context(SYMMETRIC, 4))
     disagreements = sum(
         1
         for x in rooks4
         for y in rooks4
-        if bcr_le(x, y) != bcr_le_ppr(x, y, ctx)
+        if bcr_le(x, y) != ppr(x, y)
     )
     assert disagreements == 0
     symplectic = enum_family(FamilySpec(4, "renner-sp"))
     assert len(symplectic) == 57
-    ctx_sp = group_context(SYMPLECTIC, 4)
+    ppr_sp = bcr_le_ppr_on(symplectic, group_context(SYMPLECTIC, 4))
     disagreements_sp = sum(
         1
         for x in symplectic
         for y in symplectic
-        if bcr_le(x, y) != bcr_le_ppr(x, y, ctx_sp)
+        if bcr_le(x, y) != ppr_sp(x, y)
     )
     assert disagreements_sp == 0
     announce(4, "order equivalence on R_4 and R_Sp4")
@@ -189,9 +189,8 @@ def test_criterion_5_figure_reproduction():
     assert edges == BSP4_COVER_EDGES
     # the standard-form route: rows from bcr_le_ppr on every pair, through
     # the same reduction
-    ctx_sp = group_context(SYMPLECTIC, 4)
     poset_ppr = _hasse_from_rows(
-        elements, pairwise_rows(elements, lambda x, y: bcr_le_ppr(x, y, ctx_sp))
+        elements, pairwise_rows(elements, bcr_le_ppr_on(elements, group_context(SYMPLECTIC, 4)))
     )
     edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.covers}
     assert edges_ppr == edges

@@ -154,6 +154,46 @@ def test_enum_out_matches_stdout(capsys, tmp_path):
         assert not refused.exists(), fmt
 
 
+def test_out_that_fails_part_way_leaves_no_file(monkeypatch, tmp_path):
+    # the listing fails after `{` is written: no file at `--out`, an old
+    # file there keeps its bytes, and no sibling file is left behind
+    lines = cli.iter_family_lines
+    monkeypatch.setattr(cli, "iter_family_lines", lambda spec: list(lines(spec))[:-1])
+    argv = ["enum", "--n", "3", "--family", "rook", "--format", "json", "--out"]
+    fresh = tmp_path / "fresh.json"
+    assert cli.main([*argv, str(fresh)]) == 3
+    assert not fresh.exists()
+    old = tmp_path / "old.json"
+    old.write_bytes(b"old bytes\n")
+    assert cli.main([*argv, str(old)]) == 3
+    assert old.read_bytes() == b"old bytes\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["old.json"]
+
+
+def test_out_writes_through_a_link_and_into_a_pipe(capsys, tmp_path):
+    # only a regular file is replaced by the renamed sibling: a link to one
+    # stays a link, and a pipe (or a device such as /dev/null) is written
+    # in place, never replaced by a file
+    argv = ["enum", "--n", "2", "--family", "rook"]
+    _, expected = run(capsys, *argv)
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert cli.main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text(encoding="utf-8") == expected
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE, text=True)
+    try:
+        assert cli.main([*argv, "--out", str(fifo)]) == 0
+        assert reader.communicate(timeout=10)[0] == expected
+    finally:
+        reader.kill()
+    assert fifo.is_fifo()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "link.txt", "real.txt"]
+
+
 @pytest.mark.parametrize("m", [1, 2, cli.CHUNK_LINES, cli.CHUNK_LINES + 1, 3 * cli.CHUNK_LINES + 7])
 def test_lines_are_written_in_chunks(monkeypatch, m):
     # the first line alone (it is drawn before the file is opened), then
@@ -777,11 +817,9 @@ def test_every_check_has_a_broken_route():
 
 def clear_order_caches():
     for cached in (
-        order.prefix_profile,
         order._dominance,
         order._coset_data,
         order._slot_table,
-        order._standard_form_cached,
         order._witness_set,
     ):
         cached.cache_clear()

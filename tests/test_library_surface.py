@@ -4,6 +4,8 @@ own body.  Reference routes that only the tests call live beside the tests,
 in `rook_oracles.py` and `poset_oracles.py`."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import rooks
@@ -43,3 +45,23 @@ def unreferenced_definitions(package: Path) -> set[str]:
 def test_every_library_definition_is_used_by_the_library():
     unused = unreferenced_definitions(Path(rooks.__file__).parent)
     assert sorted(unused - FRACTION_BLOCK) == []
+
+
+def test_the_only_caches_are_keyed_by_group_or_rank():
+    # every cache of the library, by the module that defines it, with its
+    # key: a group (kind, n), one of its ranks or a pair of its ranks.  No
+    # cache is keyed by an element, so none grows with the monoid
+    package = Path(rooks.__file__).parent
+    caches = {}
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"rooks.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{path.stem}.{name}"] = list(inspect.signature(value).parameters)
+    assert caches == {
+        "weyl.group_context": ["kind", "n"],
+        "order._dominance": ["kind", "n"],
+        "order._coset_data": ["kind", "n", "r"],
+        "order._slot_table": ["kind", "n", "r"],
+        "order._witness_set": ["kind", "n", "f_rank", "e_rank"],
+    }

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fresh_peak import fresh_peak
 from patch_everywhere import patch_everywhere
-from poset_oracles import bcr_le_ppr, forms_le, pairwise_rows, per_pair_poset
+from poset_oracles import bcr_le_ppr, bcr_le_ppr_on, forms_le, pairwise_rows, per_pair_poset
 from rooks import order, rook, verify
 from rooks.order import (
     _dominance,
@@ -142,10 +142,10 @@ def test_standard_form_scales_past_the_chain_jump():
 def test_comparators_agree_on_sample_at_n6():
     sp6 = enum_family(FamilySpec(6, "renner-sp"))
     sample = sp6[::13]  # deterministic stratified slice, 59 elements
-    ctx = group_context(SYMPLECTIC, 6)
+    ppr = bcr_le_ppr_on(sample, group_context(SYMPLECTIC, 6))
     for x in sample:
         for y in sample:
-            assert bcr_le(x, y) == bcr_le_ppr(x, y, ctx)
+            assert bcr_le(x, y) == ppr(x, y)
 
 
 def test_standard_form_rejects_non_members():
@@ -166,10 +166,10 @@ def test_ppr_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_comparators_agree_small(n):
-    ctx = group_context(SYMMETRIC, n)
     rooks = all_rooks(n)
+    ppr = bcr_le_ppr_on(rooks, group_context(SYMMETRIC, n))
     for x, y in product(rooks, repeat=2):
-        assert bcr_le(x, y) == bcr_le_ppr(x, y, ctx)
+        assert bcr_le(x, y) == ppr(x, y)
 
 
 @cache
@@ -333,14 +333,25 @@ def count_right_products(monkeypatch):
     return made
 
 
-def test_a_warm_inrsn_check_forms_no_products(monkeypatch):
-    # with every standard form and slot table cached, the rows are bit work
-    # on the group's table; a pair test that gathers its products makes at
-    # least one on each pair with rank(x) <= rank(y) (31,754 at n = 4)
+def test_a_warm_inrsn_check_gathers_once_per_right_representative(monkeypatch):
+    # with the group and slot tables cached, the only products are those of
+    # each member's standard-form search, one per b in D(e_x); the rows are
+    # bit work on the group's table.  A pair test that gathers its products
+    # makes at least one on each pair with rank(x) <= rank(y) (31,754 at
+    # n = 4), and a rebuilt group table one per pair of group elements
+    routes = [(SYMMETRIC, "rook"), (SYMPLECTIC, "renner-sp")]
+    expected = [
+        sum(
+            len(coset_representatives(kind, 4, rank(x))[2])
+            for x in enum_family(FamilySpec(4, family))
+        )
+        for kind, family in routes
+    ]
+    assert expected == [905, 201]
     verify._check_inrsn(4)
     made = count_right_products(monkeypatch)
     verify._check_inrsn(4)
-    assert made[0] == 0
+    assert made[0] == sum(expected)
 
 
 def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
@@ -356,7 +367,6 @@ def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
         len(coset_representatives(SYMMETRIC, 4, rank(x))[2]) for x in elems
     )
     assert bound == 1481
-    order._standard_form_cached.cache_clear()
     order._dominance.cache_clear()
     made = count_right_products(monkeypatch)
     for x in elems:
@@ -368,8 +378,9 @@ def test_weyl_group_order_is_induced():
     # on theta-fixed permutations the intrinsic symplectic order agrees
     # with the ambient one
     ctx = group_context(SYMPLECTIC, 4)
+    ppr = bcr_le_ppr_on(ctx.elements, ctx)
     for u, v in product(ctx.elements, repeat=2):
-        assert bcr_le_ppr(u, v, ctx) == ehresmann_le(u, v)
+        assert ppr(u, v) == ehresmann_le(u, v)
 
 
 def test_triangularity_iff_a_le_b():
