@@ -145,9 +145,10 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
     tuples, `JsonStream`s and scalars.
 
     A list of ints or of strs is one item, formatted by one join, and a
-    list of int pairs (the covers of a Hasse diagram) one item from one
-    template; only other lists and dicts recurse.  A `JsonStream` gives one
-    item per line.
+    list of int pairs (the covers of a Hasse diagram) one item per
+    CHUNK_LINES pairs, each joined from one template, so no item grows with
+    the covers; only other lists and dicts recurse.  A `JsonStream` gives
+    one item per line.
 
     >>> for item in json_lines({"b": [(0, 1)], "a": JsonStream(1, ["x"])}):
     ...     print(item)
@@ -203,7 +204,10 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
             and set(map(type, chain.from_iterable(value))) == {int}
         ):
             pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-            yield ",\n".join(map(pair.__mod__, value))
+            for start in range(0, len(value), CHUNK_LINES):
+                end = start + CHUNK_LINES
+                comma = "," if end < len(value) else ""
+                yield ",\n".join(map(pair.__mod__, value[start:end])) + comma
         else:
             last = len(value) - 1
             for i, item in enumerate(value):

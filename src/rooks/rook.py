@@ -73,19 +73,14 @@ def format_one_line(x: Rook) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
 
 
-def one_line_head(prefix: Rook) -> str:
-    """The text of the one-line form up to the last column of `prefix`:
-    one_line_head(p) + one_line_tail(t) == format_one_line(p + t) for
-    every nonempty t.
+def one_line_tail(tail: Rook) -> str:
+    """The text of the one-line form from the first column of `tail` on:
+    the text of the columns before it, each as "v,", after "(", joined to
+    this is `format_one_line` of the whole rook.
 
-    >>> one_line_head((3, 0)) + one_line_tail((4, 0))
+    >>> "(3,0," + one_line_tail((4, 0))
     '(3,0,4,0)'
     """
-    return "(" + "".join(f"{v}," for v in prefix)
-
-
-def one_line_tail(tail: Rook) -> str:
-    """The text of the one-line form from the first column of `tail` on."""
     return ",".join(str(v) for v in tail) + ")"
 
 
@@ -104,7 +99,9 @@ def range_of(x: Rook) -> tuple[int, ...]:
 
 
 def rank(x: Rook) -> int:
-    return sum(1 for v in x if v)
+    """The number of nonzero entries, counted by one C-level `count` of the
+    zeros (the enumerated rank histograms call it once per member)."""
+    return len(x) - x.count(0)
 
 
 def cells(x: Rook) -> tuple[tuple[int, int], ...]:

@@ -11,17 +11,19 @@ A family is fixed column by column in lexicographic order by one rule,
 rows, and for a symplectic family the mirror columns still ahead).  Two
 walks share it: `_blocks` lists the members, and `count_family` counts them.
 
-- `_blocks` lists: it walks the first n-2 columns and yields each prefix
-  with the list of its two-column tails, which come from a memo keyed by
-  `key` that lives for one call.  `iter_family` streams the members, each
-  prefix joined to each tail: a caller that folds over a family holds one
+- `_blocks` lists: it walks the first n-2 columns, growing each prefix's
+  head by one column per node of the walk, and yields each head with the
+  list of its two-column tails, which come from a memo keyed by `key` that
+  lives for one call.  `iter_family` streams the members, each head (a
+  tuple) joined to each tail: a caller that folds over a family holds one
   prefix and the memo, not the family.  `iter_family_lines` streams the
   one-line text that `enum --format oneline` and `--format json` print: the
-  memo holds each tail's text, so each prefix is formatted once and each
-  memoised tail once, and a member's line is one string join (rook n=8,
-  1,441,729 lines, in about 0.6 s to /dev/null on a 2-CPU Xeon).
-  `enum_family` is the stream as a list, for callers that index or pair the
-  elements.
+  head is the prefix's text, grown by one "v," per column, the memo holds
+  each tail's text, and a member's line is one string join, so the Python
+  work grows with the nodes of the walk and the memoised tails, not with
+  the members (rook n=8, 1,441,729 lines, in about 0.5 s through a pipe on
+  a 2-CPU Xeon).  `enum_family` is the stream as a list, for callers that
+  index or pair the elements.
 - `count_family` counts: it memoises the number of completions of each
   column per `key`, so its work grows with the states, not the members or
   the prefixes (rook n=8 in 3-5 ms in process on a 2-CPU Xeon), and it
@@ -46,7 +48,6 @@ from .rook import (
     check_int,
     domain,
     is_permutation,
-    one_line_head,
     one_line_tail,
     range_of,
 )
@@ -157,7 +158,11 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
     `choices(j, used, column)` gives the values column j may take: 0 or an
     unused row up to the family's bound, pruned to completions of the
     requested rank and, for a symplectic family, to prefixes that can still
-    complete to a member, so every completion is one.
+    complete to a member, so every completion is one.  It reads the unused
+    rows from a table keyed by `used` alone, filled on first use: at most
+    2^n lists, which live as long as the two functions (one call of
+    `_blocks` or `count_family`).  The list it returns may be one of the
+    table's, so a caller only reads it.
 
     `key(j, used, column)` is all of that state that `choices` reads at
     columns j..n: `used` (which also gives the rank so far), and for a
@@ -167,9 +172,16 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
     target = spec.rank
     lag, symplectic = FAMILIES[spec.family]
 
+    free: dict[int, list[int]] = {}  # used -> [0, every unused row]
+
     def choices(j: int, used: int, column: list[int]) -> list[int]:
-        top = n if lag is None else j - lag
-        values = [0] + [v for v in range(1, top + 1) if not used >> v & 1]
+        values = free.get(used)
+        if values is None:
+            values = free[used] = [0] + [v for v in range(1, n + 1) if not used >> v & 1]
+        if lag is not None:
+            # every used row lies below j - lag, so the free rows up to
+            # j - lag are the first j - lag - |used| of them
+            values = values[: j - lag - used.bit_count() + 1]
         if target is not None:
             # only 0 once the rank is reached, no 0 when every remaining
             # column must be nonzero to reach it
@@ -210,16 +222,20 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
     return choices, key
 
 
-def _blocks(spec: FamilySpec, finish: Callable = tuple) -> Iterator[tuple[Rook, list]]:
-    """Yield the members of a family as blocks `(prefix, tails)`, in
-    lexicographic order: the block's members are `prefix + tail` for each
-    tail in turn.  Each tail is stored as `finish` of the list of its
-    entries, once per memo entry: a tuple by default, or its one-line text
+def _blocks(spec: FamilySpec, head, piece: Callable, finish: Callable) -> Iterator[tuple]:
+    """Yield the members of a family as blocks `(head, tails)`, in
+    lexicographic order: the block's members are `head + tail` for each
+    tail in turn.  `head` is the given start grown by `piece(v)` for each
+    value v of the prefix, and each tail is stored as `finish` of the list
+    of its entries, once per memo entry: tuples (`()`, `(v,)` and `tuple`)
+    for `iter_family`, or one-line text (`"("`, `"v,"` and `one_line_tail`)
     for `iter_family_lines`.  This walk only lists; `count_family` counts.
 
-    One recursive generator, `walk(j, stop, used)`, fills columns j..stop
-    with each value `choices` of `_rules` allows and yields the used rows
-    once per completion, with `column` holding it.  The prefixes are the
+    One recursive generator, `walk(j, stop, used, head)`, fills columns
+    j..stop with each value `choices` of `_rules` allows, growing `head` by
+    one piece per column, and yields `(used, head)` once per completion,
+    with `column` holding it.  So a head costs one join per node of the
+    walk, not one per column of each member.  The prefixes are the
     completions of the first n-2 columns (a single empty one when n <= 2).
     The tails of the last two columns depend only on the `key` of `_rules`
     at column n-1 (`used`, with the first two columns, their mirrors, for a
@@ -230,24 +246,26 @@ def _blocks(spec: FamilySpec, finish: Callable = tuple) -> Iterator[tuple[Rook, 
     n = spec.n
     choices, key = _rules(spec)
     column = [0] * n
+    pieces = [piece(v) for v in range(n + 1)]
+    bit = [0] + [1 << v for v in range(1, n + 1)]
 
-    def walk(j: int, stop: int, used: int) -> Iterator[int]:
+    def walk(j: int, stop: int, used: int, head) -> Iterator[tuple]:
         if j > stop:
-            yield used
+            yield used, head
             return
         for v in choices(j, used, column):
             column[j - 1] = v
-            yield from walk(j + 1, stop, used | (v and 1 << v))
+            yield from walk(j + 1, stop, used | bit[v], head + pieces[v])
         column[j - 1] = 0
 
     depth = max(n - 2, 0)
     memo: dict = {}
-    for used in walk(1, depth, 0):
+    for used, prefix in walk(1, depth, 0, head):
         k = key(depth + 1, used, column)
         tails = memo.get(k)
         if tails is None:
-            tails = memo[k] = [finish(column[depth:]) for _ in walk(depth + 1, n, used)]
-        yield tuple(column[:depth]), tails
+            tails = memo[k] = [finish(column[depth:]) for _ in walk(depth + 1, n, used, head)]
+        yield prefix, tails
 
 
 def iter_family(spec: FamilySpec) -> Iterator[Rook]:
@@ -255,21 +273,21 @@ def iter_family(spec: FamilySpec) -> Iterator[Rook]:
     each block of `_blocks` in turn, its prefix joined to every memoised
     two-column tail.  The stream holds the current prefix and the memo, not
     the family."""
-    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in _blocks(spec))
+    blocks = _blocks(spec, (), lambda v: (v,), tuple)
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in blocks)
 
 
 def iter_family_lines(spec: FamilySpec) -> Iterator[str]:
     """The one-line text of each member of a family, in the order of
-    `iter_family`: each block's prefix is formatted once, each memoised tail
-    once per memo entry, and a member's line is the one joined to the other.
+    `iter_family`: the walk of `_blocks` grows each prefix's text by one
+    `"v,"` per column, each memoised tail is formatted once per memo entry,
+    and a member's line is the one joined to the other.
 
     >>> list(iter_family_lines(FamilySpec(2, "borel-nil")))
     ['(0,0)', '(0,1)']
     """
-    return chain.from_iterable(
-        map(one_line_head(prefix).__add__, tails)
-        for prefix, tails in _blocks(spec, one_line_tail)
-    )
+    blocks = _blocks(spec, "(", "{},".format, one_line_tail)
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in blocks)
 
 
 def enum_family(spec: FamilySpec) -> list[Rook]:

@@ -83,7 +83,7 @@ def count_reports(spec: FamilySpec) -> list[CountReport]:
     """One row per rank of the family (or the one rank of the spec): the
     enumerated count against the forms in RANK_FORMS."""
     n = spec.n
-    hist = Counter(rank(x) for x in iter_family(spec))
+    hist = Counter(map(rank, iter_family(spec)))
     proof_form, paper_form = RANK_FORMS.get(spec.family, (None, None))
     return [
         CountReport(

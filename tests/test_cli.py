@@ -397,11 +397,20 @@ def test_empty_slices_print_empty_lists(capsys):
         {"b": {"d": {"e": []}, "c": None}, "a": [False, 1.5, "\u00e9\"\n"]},
         [{"k": (1, 2)}, {}, {"j": [[3, 4], (5, True)]}],
         {"covers": ((0, 1), (0, 2)), "ints": (3, 1, 2), "strs": ["(0,1)", "x"]},
+        # covers across two chunk boundaries, the last chunk part full
+        pytest.param({"covers": tuple((i, i + 1) for i in range(600))}, id="600 covers"),
     ],
     ids=repr,
 )
 def test_json_lines_matches_json_dumps(value):
     assert "\n".join(cli.json_lines(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_covers_are_written_in_chunks():
+    # no item of the writer holds more than CHUNK_LINES covers
+    m = 2 * cli.CHUNK_LINES + 88
+    items = list(cli.json_lines({"covers": tuple((i, i + 1) for i in range(m))}))
+    assert [item.count("[") for item in items[2:-2]] == [cli.CHUNK_LINES] * 2 + [88]
 
 
 @pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", '"'], ["x"] * 300])

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from rook_oracles import power, triangular_decompose
+from rook_oracles import power, rank_by_entries, triangular_decompose
 from rooks.exact import msp_membership, rational_matrix, rook_matrix
 from rooks.rook import (
     check_rook,
@@ -12,7 +12,6 @@ from rooks.rook import (
     format_one_line,
     identity_rook,
     multiply,
-    one_line_head,
     one_line_tail,
     parse_one_line,
     rank,
@@ -130,11 +129,21 @@ def test_nilpotency_examples():
 
 
 def test_head_and_tail_join_to_the_one_line_form():
-    # every split of every rook up to size 5, the empty head included
+    # every split of every rook up to size 5, the empty head included: the
+    # head is "(" and one "v," per column, as the family walk grows it
     for n in range(1, 6):
         for x in all_rooks(n):
             for i in range(n):
-                assert one_line_head(x[:i]) + one_line_tail(x[i:]) == format_one_line(x)
+                head = "(" + "".join(f"{v}," for v in x[:i])
+                assert head + one_line_tail(x[i:]) == format_one_line(x)
+
+
+def test_rank_counts_the_nonzero_entries():
+    # the zero count against the entry-by-entry oracle, on every rook up to
+    # size 5, as a tuple and as a list
+    for n in range(1, 6):
+        for x in all_rooks(n):
+            assert rank(x) == rank(list(x)) == rank_by_entries(x), x
 
 
 def test_triangular_examples():

@@ -135,21 +135,25 @@ def test_iter_family_is_lazy():
 
 @pytest.mark.parametrize("spec", [FamilySpec(5, "rook"), FamilySpec(6, "renner-sp")])
 def test_concurrent_streams_keep_separate_state(spec):
-    # two live streams of one spec, one taking two steps to the other's one,
-    # and a count of the spec in the middle of a third: each walk keeps its
-    # own columns, rows and memo
-    expected = enum_family(spec)
-    a, b = iter_family(spec), iter_family(spec)
-    seen_a, seen_b = [], []
-    for x in a:
-        seen_a.append(x)
-        if len(seen_a) % 2:
-            seen_b.append(next(b))
-    assert seen_a == expected and seen_b + list(b) == expected
-    c = iter_family(spec)
-    head = list(islice(c, len(expected) // 2))
-    assert count_family(spec) == len(expected)
-    assert head + list(c) == expected
+    # two live streams of one spec, of one kind or of both (tuples and
+    # lines), one taking two steps to the other's one, and a count of the
+    # spec in the middle of a third: each walk keeps its own columns, rows,
+    # heads and memo
+    expected = {iter_family: enum_family(spec)}
+    expected[iter_family_lines] = list(map(format_one_line, expected[iter_family]))
+    for fast, slow in product(expected, repeat=2):
+        a, b = fast(spec), slow(spec)
+        seen_a, seen_b = [], []
+        for x in a:
+            seen_a.append(x)
+            if len(seen_a) % 2:
+                seen_b.append(next(b))
+        assert seen_a == expected[fast] and seen_b + list(b) == expected[slow]
+    for stream, listed in expected.items():
+        c = stream(spec)
+        head = list(islice(c, len(listed) // 2))
+        assert count_family(spec) == len(listed)
+        assert head + list(c) == listed
 
 
 @pytest.mark.parametrize(
