@@ -17,7 +17,6 @@ from .order import (
     StandardForm,
     bcr_le,
     build_poset,
-    ehresmann_le,
     standard_form,
     standard_form_rows,
 )

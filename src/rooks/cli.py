@@ -73,21 +73,23 @@ HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 CHUNK_LINES = 256
 
 
-def dot_export(h: HasseDiagram) -> list[str]:
-    """Serialize a Hasse diagram as the lines of its DOT text: one node
+def dot_export(h: HasseDiagram):
+    """The lines of the DOT text of a Hasse diagram, one at a time: one node
     statement per element, one edge per cover (lower -> upper), everything
-    in lexicographic order.  A list, not a stream: the names are sorted, so
-    every line is formatted before the first is written, a few bytes per
-    line beside the poset's m^2/8 bytes of rows; `_emit_lines` writes them
-    in chunks."""
+    in the order of the names.  The names are sorted once, and the covers
+    by one ordinal per name, place[i] m + place[j]: the names are distinct,
+    so this is the order of the pairs of names."""
     names = [format_one_line(x) for x in h.elements]
-    lines = ["digraph hasse {"]
-    for name in sorted(names):
-        lines.append(f'  "{name}";')
-    for a, b in sorted((names[i], names[j]) for i, j in h.covers):
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return lines
+    m = len(names)
+    by_name = sorted(range(m), key=names.__getitem__)
+    place = [0] * m
+    for k, i in enumerate(by_name):
+        place[i] = k
+    yield "digraph hasse {"
+    yield from (f'  "{names[i]}";' for i in by_name)
+    for i, j in sorted(h.covers, key=lambda ij: place[ij[0]] * m + place[ij[1]]):
+        yield f'  "{names[i]}" -> "{names[j]}";'
+    yield "}"
 
 
 def _emit_lines(lines, out: str | None) -> None:

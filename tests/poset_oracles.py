@@ -1,10 +1,24 @@
-"""Slow reference routes for `rooks.order`: the standard-form criterion on
-one pair (the oracle of `standard_form_rows`), order rows from a comparator
-on every ordered pair, and the transitive reduction that tests every
-comparable pair on its own, with ranks by longest chains (the oracle of
-`build_poset`)."""
+"""Slow reference routes for `rooks.order`: the Bruhat order of
+permutations by sorted prefixes (the oracle of the group's table,
+`_dominance`), the standard-form criterion on one pair (the oracle of
+`standard_form_rows`), order rows from a comparator on every ordered pair,
+and the transitive reduction that tests every comparable pair on its own,
+with ranks by longest chains (the oracle of `build_poset`)."""
 
 from rooks.order import HasseDiagram, _dominance, _witness_set, standard_form
+
+
+def ehresmann_le(u, v) -> bool:
+    """Classical Bruhat-Chevalley dominance for permutations: every
+    decreasingly sorted prefix of u is entrywise at most that of v."""
+    if len(u) != len(v):
+        raise ValueError(f"size mismatch: {len(u)} vs {len(v)}")
+    for i in range(1, len(u)):
+        us = sorted(u[:i], reverse=True)
+        vs = sorted(v[:i], reverse=True)
+        if any(a > b for a, b in zip(us, vs)):
+            return False
+    return True
 
 
 def forms_le(sx, sy, ctx) -> bool:

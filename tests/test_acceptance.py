@@ -9,11 +9,11 @@ from pathlib import Path
 from jsonschema import Draft7Validator
 
 import rooks.cli as cli
-from poset_oracles import bcr_le_ppr_on, pairwise_rows
+from poset_oracles import bcr_le_ppr_on, ehresmann_le, pairwise_rows
 from rooks.counting import bell, stirling2, triangular_census
 from rooks.folding import fold, fold_images, to_rook, unfold_preimages
 from rooks.nilpotent import nilpotent_analysis
-from rooks.order import _hasse_from_rows, bcr_le, build_poset, ehresmann_le, standard_form
+from rooks.order import _hasse_from_rows, bcr_le, build_poset, standard_form
 from rooks.partitions import enum_partitions, partition_to_rook, rook_to_partition
 from rooks.rook import (
     diagonal_idempotent,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -736,8 +737,26 @@ def dropping_last_member(iter_family):
     return lambda spec: iter(list(iter_family(spec))[:-1])
 
 
-def always_true(_):
-    return lambda u, v: True
+def weak_order(dominance):
+    # the group's table with `below` closed over the simple reflections
+    # alone: the weak order, which is the Bruhat order on S_2 and Sp_2 and
+    # strictly inside it from S_3 on.  A cache of its own, so that
+    # `clear_order_caches` can empty it while it is patched in
+    @lru_cache(maxsize=None)
+    def broken(kind, n):
+        table = dominance(kind, n)
+        ctx = weyl.group_context(kind, n)
+        length = [ctx.lengths[w] for w in ctx.elements]
+        below = [0] * len(length)
+        for v in sorted(range(len(length)), key=length.__getitem__):
+            below[v] = 1 << v
+            for s in ctx.generators:
+                u = table.times[v][table.index[s]]
+                if length[u] < length[v]:
+                    below[v] |= below[u]
+        return table._replace(below=tuple(below))
+
+    return broken
 
 
 def one_more_at_k_1(form):
@@ -801,7 +820,7 @@ BROKEN_ROUTES = [
     ("folding", "--l", 1, folding, "unfold_preimages", dropping_last_preimage),
     ("triangular", "--n", 1, counting, "rank_count_rook", one_more_at_rank_0),
     ("rank-counts", "--n", 1, symplectic, "iter_family", dropping_last_member),
-    ("standard-form", "--n", 2, order, "ehresmann_le", always_true),
+    ("standard-form", "--n", 3, order, "_dominance", weak_order),
     ("admissible", "--l", 1, counting, "admissible_count", one_more_at_k_1),
     ("admissible", "--l", 1, symplectic, "enum_admissible", dropping_last),
     ("formula", "--l", 1, symplectic, "count_family", one_more),
@@ -811,7 +830,7 @@ BROKEN_ROUTES = [
     ("inrsn", "--n", 1, order, "standard_form_rows", complemented_form_rows),
     ("inrsn", "--n", 1, order, "rank_rows", complemented_rank_rows),
     ("standard-form", "--n", 2, weyl, "min_coset_reps", dropping_last),
-    ("inrsn", "--n", 2, order, "ehresmann_le", always_true),
+    ("inrsn", "--n", 3, order, "_dominance", weak_order),
     ("folding", "--l", 1, folding, "fold_images", dropping_one_image_of_each),
     ("folding", "--l", 1, counting, "preimage_weight", one_more),
     ("stirling-borel", "--n", 1, partitions, "rook_to_partition", dropping_last),
