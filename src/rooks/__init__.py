@@ -44,7 +44,8 @@ from .symplectic import (
     is_admissible,
     is_symplectic_rook,
     iter_family,
-    iter_family_lines,
+    iter_family_ranks,
+    line_blocks,
 )
 from .weyl import (
     GroupContext,

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, NamedTuple
 
@@ -43,7 +43,7 @@ from .symplectic import (
     ResourceLimitError,
     count_family,
     enum_family,
-    iter_family_lines,
+    line_blocks,
 )
 from .verify import (
     VERIFY_CHECKS,
@@ -65,11 +65,15 @@ from .verify import (
 HASSE_ROW_BYTES = 78_125_000
 HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
-# Items, most of them one line, joined into one write by `_emit_lines`.
+# Lines per write of `_emit_lines`, which joins whole items (a line, or
+# the lines of one block of the family walk) until a write holds this many.
 # One write per line took about a third of the time of
 # `enum --n 8 --family rook --format oneline` into /dev/null (0.62-0.97 s
 # against 0.45-0.64 s in process); 4096 lines per write were no faster than
-# 256 and raised the peak resident size by about 0.7 MB.
+# 256 and raised the peak resident size by about 0.7 MB.  With one item per
+# block, 256 items per write (about 3,600 lines at rook n=7) raised the
+# VmHWM of `enum --n 7 --family rook` from 14,952 to 16,268 KB (median of
+# 7 on a 2-CPU Xeon); counted by lines, it peaks at 14,936 KB.
 CHUNK_LINES = 256
 
 
@@ -94,12 +98,14 @@ def dot_export(h: HasseDiagram):
 
 def _emit_lines(lines, out: str | None) -> None:
     """Write each item with a newline after it, to `out` or stdout, in
-    chunks of CHUNK_LINES items joined into one write: the one writer, which
-    `main` calls with the output of every command.  An item may hold several
-    lines (`json_lines` gives a whole list of numbers as one item).  An
-    empty stream writes a single newline.  The first item is drawn before
-    `out` is opened, so an enumeration that is refused leaves no file
-    behind.  A regular `out` is written under a sibling name and renamed
+    chunks of whole items joined into one write, each chunk holding at
+    least CHUNK_LINES lines (or the rest of the stream): the one writer,
+    which `main` calls with the output of every command.  An item may hold
+    several lines, which are counted (`json_lines` gives a whole list of
+    numbers as one item, and a listing one item per block of the family
+    walk).  An empty stream writes a single newline.  The first item is
+    drawn before `out` is opened, so an enumeration that is refused leaves
+    no file behind.  A regular `out` is written under a sibling name and renamed
     onto `out` once every item is written, so output that fails part way
     leaves no file and an old file at `out` as it was; a device or a pipe
     at `out` is written in place.  Python sets `sys.stdout` to None when
@@ -117,7 +123,12 @@ def _emit_lines(lines, out: str | None) -> None:
         while chunk:
             chunk.append("")  # the newline after the chunk's last line
             stream.write("\n".join(chunk))
-            chunk = list(islice(lines, CHUNK_LINES))
+            chunk, held = [], 0
+            for item in lines:
+                chunk.append(item)
+                held += item.count("\n") + 1
+                if held >= CHUNK_LINES:
+                    break
         stream.flush()
         if renamed:
             stream.close()
@@ -132,12 +143,18 @@ def _emit_lines(lines, out: str | None) -> None:
 
 
 class JsonStream(NamedTuple):
-    """A JSON list of `count` strings that `json_lines` draws from `items`
-    one line at a time, so the list is never held; an `items` of any other
-    length is a RuntimeError once the writer reaches its end."""
+    """A JSON list of `count` strings that `json_lines` draws from `blocks`
+    one block at a time, so the list is never held.  Each block is a pair
+    `(prefix, tails)` standing for the strings `prefix + tail`, as
+    `symplectic.line_blocks` gives them, and becomes one item: its lines
+    joined by one quoted, indented separator.  The strings are written as
+    they are, so none may hold a character that JSON escapes (one-line
+    forms hold digits, commas and parentheses).  Blocks that hold other
+    than `count` strings in all are a RuntimeError once the writer passes
+    the count or reaches the end."""
 
     count: int
-    items: Iterable[str]
+    blocks: Iterable[tuple[str, list[str]]]
 
 
 def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
@@ -150,13 +167,15 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
     list of int pairs (the covers of a Hasse diagram) one item per
     CHUNK_LINES pairs, each joined from one template, so no item grows with
     the covers; only other lists and dicts recurse.  A `JsonStream` gives
-    one item per line.
+    one item per block.
 
-    >>> for item in json_lines({"b": [(0, 1)], "a": JsonStream(1, ["x"])}):
+    >>> stream = JsonStream(2, [("(0,", ["0)", "1)"])])
+    >>> for item in json_lines({"b": [(0, 1)], "a": stream}):
     ...     print(item)
     {
       "a": [
-        "x"
+        "(0,0)",
+        "(0,1)"
       ],
       "b": [
         [
@@ -168,20 +187,23 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
     """
     inner = indent + "  "
     if isinstance(value, JsonStream):
-        items = iter(value.items)
-        if value.count:
+        count = value.count
+        held = 0
+        if count:
             yield head + "["
-            yield from map(f"{inner}%s,".__mod__, map(_quote, islice(items, value.count - 1)))
-        rest = list(islice(items, 2))  # the last item, and none after it
-        if len(rest) != (value.count > 0):
+        quote = inner + '"'
+        for prefix, tails in value.blocks:
+            held += len(tails)
+            if held > count:
+                break
+            # the comma after the block's last line, unless the list ends there
+            end = '",' if held < count else '"'
+            yield quote + prefix + ('",\n' + quote + prefix).join(tails) + end
+        if held != count:
             raise RuntimeError(
-                f"a JSON list counted at {value.count} items held {'more' if rest else 'fewer'}"
+                f"a JSON list counted at {count} items held {'more' if held > count else 'fewer'}"
             )
-        if rest:
-            yield inner + _quote(rest[0])
-            yield indent + "]" + tail
-        else:
-            yield head + "[]" + tail
+        yield indent + "]" + tail if count else head + "[]" + tail
     elif isinstance(value, dict):
         if not value:
             yield head + "{}" + tail
@@ -227,14 +249,15 @@ def _cmd_enum(args):
     if args.format == "count":
         return [str(count_family(spec))]
     if args.format == "oneline":
-        return iter_family_lines(spec)
+        # one item per block of the walk: its lines, joined in one call
+        return (prefix + ("\n" + prefix).join(tails) for prefix, tails in line_blocks(spec))
     count = count_family(spec)
     return {
         "n": args.n,
         "family": args.family,
         "rank": args.rank,
         "count": count,
-        "elements": JsonStream(count, iter_family_lines(spec)),
+        "elements": JsonStream(count, line_blocks(spec)),
     }
 
 

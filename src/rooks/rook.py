@@ -100,7 +100,7 @@ def range_of(x: Rook) -> tuple[int, ...]:
 
 def rank(x: Rook) -> int:
     """The number of nonzero entries, counted by one C-level `count` of the
-    zeros (the enumerated rank histograms call it once per member)."""
+    zeros (`symplectic.iter_family_ranks` calls it once per memoised tail)."""
     return len(x) - x.count(0)
 
 

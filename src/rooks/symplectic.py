@@ -14,16 +14,16 @@ walks share it: `_blocks` lists the members, and `count_family` counts them.
 - `_blocks` lists: it walks the first n-2 columns, growing each prefix's
   head by one column per node of the walk, and yields each head with the
   list of its two-column tails, which come from a memo keyed by `key` that
-  lives for one call.  `iter_family` streams the members, each head (a
-  tuple) joined to each tail: a caller that folds over a family holds one
-  prefix and the memo, not the family.  `iter_family_lines` streams the
-  one-line text that `enum --format oneline` and `--format json` print: the
-  head is the prefix's text, grown by one "v," per column, the memo holds
-  each tail's text, and a member's line is one string join, so the Python
-  work grows with the nodes of the walk and the memoised tails, not with
-  the members (rook n=8, 1,441,729 lines, in about 0.5 s through a pipe on
-  a 2-CPU Xeon).  `enum_family` is the stream as a list, for callers that
-  index or pair the elements.
+  lives for one call.  Every consumer pays once per block and does the
+  work per member inside one C call: `iter_family` streams the members as
+  tuples (a caller that folds over a family holds one prefix and the memo,
+  not the family) and `iter_family_ranks` their ranks, each by a mapped
+  `__add__` of head and tails; `line_blocks` hands out each block's
+  one-line text, which `enum --format oneline` and `--format json` print
+  with one string join per block (rook n=8, 1,441,729 lines in 93,289
+  blocks, in about 0.2-0.35 s through a pipe on a 2-CPU Xeon, start-up
+  included).  `enum_family` is the tuple stream as a list, for callers
+  that index or pair the elements.
 - `count_family` counts: it memoises the number of completions of each
   column per `key`, so its work grows with the states, not the members or
   the prefixes (rook n=8 in 3-5 ms in process on a 2-CPU Xeon), and it
@@ -40,6 +40,7 @@ its `Family` record, which the descent, the CLI, `nilpotent` and `verify` read.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import chain, combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -50,6 +51,7 @@ from .rook import (
     is_permutation,
     one_line_tail,
     range_of,
+    rank,
 )
 from .weyl import theta_perm
 
@@ -158,11 +160,15 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
     `choices(j, used, column)` gives the values column j may take: 0 or an
     unused row up to the family's bound, pruned to completions of the
     requested rank and, for a symplectic family, to prefixes that can still
-    complete to a member, so every completion is one.  It reads the unused
-    rows from a table keyed by `used` alone, filled on first use: at most
-    2^n lists, which live as long as the two functions (one call of
-    `_blocks` or `count_family`).  The list it returns may be one of the
-    table's, so a caller only reads it.
+    complete to a member, so every completion is one.  It reads the rows
+    from a table keyed by `used` alone, filled on first use: 0 and every
+    unused row, and for a symplectic family only the rows whose mirror row
+    n+1-v is unused too (the singular route's values).  The table holds at
+    most 2^n lists, which live as long as the two functions (one call of
+    `_blocks` or `count_family`).  A symplectic column whose mirror column
+    is filled reads no table: it takes 0, the mirror's partner row, both or
+    neither, returned as a constant tuple.  What it returns may be one of
+    the table's lists, so a caller only reads it.
 
     `key(j, used, column)` is all of that state that `choices` reads at
     columns j..n: `used` (which also gives the rank so far), and for a
@@ -172,29 +178,15 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
     target = spec.rank
     lag, symplectic = FAMILIES[spec.family]
 
-    free: dict[int, list[int]] = {}  # used -> [0, every unused row]
+    # used -> [0, every row v that is unused and, for a symplectic family,
+    # whose mirror row n+1-v is unused]: the values of the singular route
+    free: dict[int, list[int]] = {}
 
-    def choices(j: int, used: int, column: list[int]) -> list[int]:
-        values = free.get(used)
-        if values is None:
-            values = free[used] = [0] + [v for v in range(1, n + 1) if not used >> v & 1]
-        if lag is not None:
-            # every used row lies below j - lag, so the free rows up to
-            # j - lag are the first j - lag - |used| of them
-            values = values[: j - lag - used.bit_count() + 1]
-        if target is not None:
-            # only 0 once the rank is reached, no 0 when every remaining
-            # column must be nonzero to reach it
-            need = target - used.bit_count()
-            if need == 0:
-                values = values[:1]
-            elif need == n - j + 1:
-                values = values[1:]
-        if not symplectic:
-            return values
-        # A member is either singular, with admissible domain and range, or
-        # a theta-fixed permutation, x_{n+1-j} = n+1-x_j; so a prefix stays
-        # open on one of two routes, both read off the prefix itself:
+    def choices(j: int, used: int, column: list[int]):
+        # A symplectic member is either singular, with admissible domain and
+        # range, or a theta-fixed permutation, x_{n+1-j} = n+1-x_j; so a
+        # prefix stays open on one of two routes, both read off the prefix
+        # itself:
         #
         # - singular: column j may be nonzero only if its mirror column
         #   n+1-j is empty or 0, and may take row v only if row n+1-v is
@@ -206,15 +198,41 @@ def _rules(spec: FamilySpec) -> tuple[Callable, Callable]:
         #
         # Every leaf is therefore a member, and the lexicographic order is
         # that of the unpruned descent.
-        mirror = column[n - j] if 2 * j > n else 0
-        if mirror and used.bit_count() == j - 1:
-            # no 0 so far: the permutation route, and the singular route (a 0
-            # here) while column j is the first one with a filled mirror
-            partner = n + 1 - mirror
-            return [v for v in values if v == partner or (not v and 2 * j == n + 2)]
+        filled = used.bit_count()
+        # 0 is open unless every remaining column must be nonzero to reach
+        # the rank, and a row unless the rank is reached
+        zero = target is None or target - filled != n - j + 1
+        mirror = column[n - j] if symplectic and 2 * j > n else 0
         if mirror:
-            return [v for v in values if not v]
-        return [v for v in values if not v or not used >> (n + 1 - v) & 1]
+            if filled < j - 1:
+                # a 0 so far: the singular route alone, which leaves column j 0
+                return (0,) if zero else ()
+            # no 0 so far: the permutation route takes the partner row, which
+            # no column has taken (the first half avoids its values' mirrors,
+            # and the second half takes the partners of the first) and which
+            # is in bound (a Borel family gets here only on the identity,
+            # whose partner is row j; a nilpotent one never), and the
+            # singular route a 0 while column j is the first one with a
+            # filled mirror
+            partner = n + 1 - mirror
+            row = target != filled
+            if zero and 2 * j == n + 2:
+                return (0, partner) if row else (0,)
+            return (partner,) if row else ()
+        values = free.get(used)
+        if values is None:
+            values = free[used] = [0] + [
+                v
+                for v in range(1, n + 1)
+                if not used >> v & 1 and not (symplectic and used >> (n + 1 - v) & 1)
+            ]
+        if lag is not None:
+            values = values[: bisect_right(values, j - lag)]
+        if not zero:
+            values = values[1:]
+        elif target == filled:
+            values = values[:1]
+        return values
 
     def key(j: int, used: int, column: list[int]):
         return (used, *column[: n + 1 - j]) if symplectic else used
@@ -228,15 +246,20 @@ def _blocks(spec: FamilySpec, head, piece: Callable, finish: Callable) -> Iterat
     tail in turn.  `head` is the given start grown by `piece(v)` for each
     value v of the prefix, and each tail is stored as `finish` of the list
     of its entries, once per memo entry: tuples (`()`, `(v,)` and `tuple`)
-    for `iter_family`, or one-line text (`"("`, `"v,"` and `one_line_tail`)
-    for `iter_family_lines`.  This walk only lists; `count_family` counts.
+    for `iter_family`, ranks (`0`, `v != 0` and `rank`) for
+    `iter_family_ranks`, or one-line text (`"("`, `"v,"` and
+    `one_line_tail`) for `line_blocks`.  A prefix with no completion (on an
+    empty rank slice) yields no block, so every block holds a member.  This
+    walk only lists; `count_family` counts.
 
     One recursive generator, `walk(j, stop, used, head)`, fills columns
     j..stop with each value `choices` of `_rules` allows, growing `head` by
     one piece per column, and yields `(used, head)` once per completion,
-    with `column` holding it.  So a head costs one join per node of the
-    walk, not one per column of each member.  The prefixes are the
-    completions of the first n-2 columns (a single empty one when n <= 2).
+    with `column` holding it; the last column's values are yielded from its
+    own loop, with no generator below it.  So a head costs one join per
+    node of the walk, not one per column of each member.  The prefixes are
+    the completions of the first n-2 columns (a single empty one when
+    n <= 2).
     The tails of the last two columns depend only on the `key` of `_rules`
     at column n-1 (`used`, with the first two columns, their mirrors, for a
     symplectic family), so they are walked once per key into a memo that
@@ -255,7 +278,10 @@ def _blocks(spec: FamilySpec, head, piece: Callable, finish: Callable) -> Iterat
             return
         for v in choices(j, used, column):
             column[j - 1] = v
-            yield from walk(j + 1, stop, used | bit[v], head + pieces[v])
+            if j < stop:
+                yield from walk(j + 1, stop, used | bit[v], head + pieces[v])
+            else:
+                yield used | bit[v], head + pieces[v]
         column[j - 1] = 0
 
     depth = max(n - 2, 0)
@@ -265,7 +291,8 @@ def _blocks(spec: FamilySpec, head, piece: Callable, finish: Callable) -> Iterat
         tails = memo.get(k)
         if tails is None:
             tails = memo[k] = [finish(column[depth:]) for _ in walk(depth + 1, n, used, head)]
-        yield prefix, tails
+        if tails:
+            yield prefix, tails
 
 
 def iter_family(spec: FamilySpec) -> Iterator[Rook]:
@@ -277,17 +304,33 @@ def iter_family(spec: FamilySpec) -> Iterator[Rook]:
     return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in blocks)
 
 
-def iter_family_lines(spec: FamilySpec) -> Iterator[str]:
-    """The one-line text of each member of a family, in the order of
-    `iter_family`: the walk of `_blocks` grows each prefix's text by one
-    `"v,"` per column, each memoised tail is formatted once per memo entry,
-    and a member's line is the one joined to the other.
+def iter_family_ranks(spec: FamilySpec) -> Iterator[int]:
+    """The rank of each member of a family, in the order of `iter_family`:
+    the walk of `_blocks` grows each prefix's rank by one per filled column,
+    each memoised tail holds its own rank, and a member's rank is one sum,
+    mapped over the tails in C.  It builds no member; `count_reports` counts
+    it as the enumerated histogram, one entry per member.
 
-    >>> list(iter_family_lines(FamilySpec(2, "borel-nil")))
-    ['(0,0)', '(0,1)']
+    >>> list(iter_family_ranks(FamilySpec(2, "borel-nil")))
+    [0, 1]
     """
-    blocks = _blocks(spec, "(", "{},".format, one_line_tail)
+    blocks = _blocks(spec, 0, lambda v: int(v != 0), rank)
     return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in blocks)
+
+
+def line_blocks(spec: FamilySpec) -> Iterator[tuple[str, list[str]]]:
+    """The one-line text of a family, block by block, in the order of
+    `iter_family`: pairs `(prefix, tails)` whose lines are `prefix + tail`
+    for each tail in turn.  The walk of `_blocks` grows each prefix's text
+    by one `"v,"` per column and formats each memoised tail once per memo
+    entry, so a caller that joins a block's lines in one call does Python
+    work per block, not per member.  The text holds only digits, commas
+    and parentheses.
+
+    >>> list(line_blocks(FamilySpec(2, "borel-nil")))
+    [('(', ['0,0)', '0,1)'])]
+    """
+    return _blocks(spec, "(", "{},".format, one_line_tail)
 
 
 def enum_family(spec: FamilySpec) -> list[Rook]:

@@ -36,7 +36,7 @@ from .order import (
     standard_form_rows,
 )
 from .partitions import enum_partitions, partition_to_rook, rook_to_partition
-from .rook import diagonal_idempotent, format_one_line, is_permutation, is_upper_triangular, rank
+from .rook import diagonal_idempotent, format_one_line, is_permutation, is_upper_triangular
 from .symplectic import (
     FAMILIES,
     FamilySpec,
@@ -46,6 +46,7 @@ from .symplectic import (
     enum_family,
     is_admissible,
     iter_family,
+    iter_family_ranks,
     rank_slice_minimum,
 )
 from .weyl import (
@@ -81,9 +82,10 @@ RANK_FORMS = {
 
 def count_reports(spec: FamilySpec) -> list[CountReport]:
     """One row per rank of the family (or the one rank of the spec): the
-    enumerated count against the forms in RANK_FORMS."""
+    enumerated count, a histogram of `iter_family_ranks` with one entry per
+    member, against the forms in RANK_FORMS."""
     n = spec.n
-    hist = Counter(map(rank, iter_family(spec)))
+    hist = Counter(iter_family_ranks(spec))
     proof_form, paper_form = RANK_FORMS.get(spec.family, (None, None))
     return [
         CountReport(

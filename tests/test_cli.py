@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 
 import pytest
@@ -155,11 +155,18 @@ def test_enum_out_matches_stdout(capsys, tmp_path):
         assert not refused.exists(), fmt
 
 
+def dropping_last_line(blocks):
+    # the blocks of a listing without its last line (and without the last
+    # block, if that was its only line)
+    *front, (prefix, tails) = blocks
+    return front + [(prefix, tails[:-1])] if len(tails) > 1 else front
+
+
 def test_out_that_fails_part_way_leaves_no_file(monkeypatch, tmp_path):
     # the listing fails after `{` is written: no file at `--out`, an old
     # file there keeps its bytes, and no sibling file is left behind
-    lines = cli.iter_family_lines
-    monkeypatch.setattr(cli, "iter_family_lines", lambda spec: list(lines(spec))[:-1])
+    blocks = cli.line_blocks
+    monkeypatch.setattr(cli, "line_blocks", lambda spec: dropping_last_line(blocks(spec)))
     argv = ["enum", "--n", "3", "--family", "rook", "--format", "json", "--out"]
     fresh = tmp_path / "fresh.json"
     assert cli.main([*argv, str(fresh)]) == 3
@@ -197,8 +204,10 @@ def test_out_writes_through_a_link_and_into_a_pipe(capsys, tmp_path):
 
 @pytest.mark.parametrize("m", [1, 2, cli.CHUNK_LINES, cli.CHUNK_LINES + 1, 3 * cli.CHUNK_LINES + 7])
 def test_lines_are_written_in_chunks(monkeypatch, m):
-    # the first line alone (it is drawn before the file is opened), then
-    # whole chunks: the same bytes as one write per line, in few writes
+    # the first item alone (it is drawn before the file is opened), then
+    # whole items until a write holds CHUNK_LINES lines: the same bytes as
+    # one write per line, in few writes, whether an item is one line or a
+    # block of three
     class Stream:
         def __init__(self):
             self.writes = []
@@ -209,12 +218,14 @@ def test_lines_are_written_in_chunks(monkeypatch, m):
         def flush(self):
             pass
 
-    stream = Stream()
-    monkeypatch.setattr(sys, "stdout", stream)
-    lines = [f"line {i}" for i in range(m)]
-    cli._emit_lines(iter(lines), None)
-    assert "".join(stream.writes) == "".join(line + "\n" for line in lines)
-    assert len(stream.writes) == 1 + -(-(m - 1) // cli.CHUNK_LINES)
+    for width in (1, 3):
+        stream = Stream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        lines = ["\n".join(f"line {i}.{j}" for j in range(width)) for i in range(m)]
+        cli._emit_lines(iter(lines), None)
+        assert "".join(stream.writes) == "".join(line + "\n" for line in lines)
+        per_write = -(-cli.CHUNK_LINES // width)  # items per write after the first
+        assert len(stream.writes) == 1 + -(-(m - 1) // per_write), width
 
 
 def test_out_into_a_missing_directory_exits_2(capsys, tmp_path):
@@ -343,7 +354,7 @@ def test_out_holds_a_proof_mismatch(capsysbinary, monkeypatch, tmp_path, fmt):
 )
 def test_counting_a_family_streams(argv):
     # the 130,922 rooks of size 7 take about 15 MB as a list; the command
-    # peaks at 0.23 MiB (enum) and 0.34 MiB (count) in a fresh interpreter
+    # peaks at 0.25 MiB (enum) and 0.27 MiB (count) in a fresh interpreter
     peak, out = fresh_peak("from rooks import cli", f"assert cli.main({argv!r}) == 0")
     counts = re.findall(r"oracle=(\d+)", out) if argv[0] == "count" else [out]
     assert sum(map(int, counts)) == 130922
@@ -351,7 +362,7 @@ def test_counting_a_family_streams(argv):
 
 
 def test_listing_a_family_as_json_streams():
-    # the lines are drawn one by one from `iter_family_lines`, and the
+    # the lines are drawn block by block from `line_blocks`, and the
     # command peaks at 0.43 MiB in a fresh interpreter; holding them all and
     # then one `json.dumps` string peaked at 22 MiB
     argv = ["enum", "--n", "7", "--family", "rook", "--format", "json"]
@@ -388,6 +399,38 @@ def test_empty_slices_print_empty_lists(capsys):
     assert hasse["covers"] == hasse["elements"] == []
 
 
+def test_every_empty_slice_at_n4_lists_nothing(capsys):
+    # a prefix with no completion is no block: the listing prints no bare
+    # prefix such as "(" or "(0,1,", only the newline of an empty stream
+    empty = [
+        (family, n, k)
+        for family, kind in FAMILIES.items()
+        for n in range(1, 5)
+        if n % 2 == 0 or not kind.symplectic
+        for k in range(n + 1)
+        if count_family(FamilySpec(n, family, rank=k)) == 0
+    ]
+    assert len(empty) == 9
+    for family, n, k in empty:
+        argv = ["enum", "--n", str(n), "--family", family, "--rank", str(k)]
+        assert run(capsys, *argv) == (0, "\n"), argv
+        expected = {"count": 0, "elements": [], "family": family, "n": n, "rank": k}
+        code, out = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n"), argv
+
+
+@pytest.mark.parametrize("fmt, other_items", [("oneline", 0), ("json", 8)])
+def test_a_listing_gives_the_writer_one_item_per_block(monkeypatch, fmt, other_items):
+    # the 130,922 rooks of size 7 reach the writer as the 9,276 blocks of
+    # the family walk, each block's lines joined in one call (the JSON
+    # object adds its braces and its other keys)
+    items = []
+    monkeypatch.setattr(cli, "_emit_lines", lambda lines, out: items.extend(lines))
+    assert cli.main(["enum", "--n", "7", "--family", "rook", "--format", fmt]) == 0
+    assert len(items) == 9276 + other_items
+    assert sum(item.count("\n") + 1 for item in items) == 130922 + other_items
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -414,22 +457,24 @@ def test_covers_are_written_in_chunks():
     assert [item.count("[") for item in items[2:-2]] == [cli.CHUNK_LINES] * 2 + [88]
 
 
-@pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", '"'], ["x"] * 300])
+@pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", "x", "xy"], ["x"] * 300])
 def test_a_json_stream_writes_a_list(items):
-    streamed = cli.json_lines({"elements": cli.JsonStream(len(items), iter(items))})
+    # the items in blocks by their first character, each block one item
+    blocks = [(a, [x[1:] for x in group]) for a, group in groupby(items, lambda x: x[:1])]
+    streamed = cli.json_lines({"elements": cli.JsonStream(len(items), iter(blocks))})
     assert "\n".join(streamed) == json.dumps({"elements": items}, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "listed, held",
-    [(lambda lines: list(lines)[:-1], "fewer"), (lambda lines: chain(lines, ["(3,3,3)"]), "more")],
+    [(dropping_last_line, "fewer"), (lambda blocks: chain(blocks, [("(3,3,", ["3)"])]), "more")],
     ids=["last line dropped", "one line added"],
 )
 def test_enum_json_that_misses_its_count_exits_3(capsys, monkeypatch, listed, held):
-    # the count comes from `count_family` and the lines from
-    # `iter_family_lines`: a listing of another length is an internal error
-    lines = cli.iter_family_lines
-    monkeypatch.setattr(cli, "iter_family_lines", lambda spec: listed(lines(spec)))
+    # the count comes from `count_family` and the lines from `line_blocks`:
+    # a listing of another length is an internal error
+    blocks = cli.line_blocks
+    monkeypatch.setattr(cli, "line_blocks", lambda spec: listed(blocks(spec)))
     assert cli.main(["enum", "--n", "3", "--family", "rook", "--format", "json"]) == 3
     err = capsys.readouterr().err
     assert err == f"error: internal: a JSON list counted at 34 items held {held}\n", err
@@ -733,8 +778,8 @@ def one_more_at_rank_0(rank_count_rook):
     return lambda n, k: rank_count_rook(n, k) + (k == 0)
 
 
-def dropping_last_member(iter_family):
-    return lambda spec: iter(list(iter_family(spec))[:-1])
+def dropping_last_member(stream):
+    return lambda spec: iter(list(stream(spec))[:-1])
 
 
 def weak_order(dominance):
@@ -819,7 +864,7 @@ BROKEN_ROUTES = [
     ("nilpotent", "--n", 3, nilpotent, "right_product", reversed_nonzero_products),
     ("folding", "--l", 1, folding, "unfold_preimages", dropping_last_preimage),
     ("triangular", "--n", 1, counting, "rank_count_rook", one_more_at_rank_0),
-    ("rank-counts", "--n", 1, symplectic, "iter_family", dropping_last_member),
+    ("rank-counts", "--n", 1, symplectic, "iter_family_ranks", dropping_last_member),
     ("standard-form", "--n", 3, order, "_dominance", weak_order),
     ("admissible", "--l", 1, counting, "admissible_count", one_more_at_k_1),
     ("admissible", "--l", 1, symplectic, "enum_admissible", dropping_last),

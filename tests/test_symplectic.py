@@ -1,11 +1,12 @@
+import hashlib
 from collections import Counter
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import comb, factorial
 
 import pytest
 
 from fresh_peak import fresh_peak
-from rook_oracles import iter_family_by_leaves
+from rook_oracles import iter_family_by_leaves, rank_by_entries
 from rooks import symplectic
 from rooks.order import bcr_le
 from rooks.rook import (
@@ -28,7 +29,8 @@ from rooks.symplectic import (
     is_admissible,
     is_symplectic_rook,
     iter_family,
-    iter_family_lines,
+    iter_family_ranks,
+    line_blocks,
     rank_slice_minimum,
 )
 from rooks.verify import _renner_sp_proof
@@ -40,7 +42,7 @@ SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 FAMILY_IMPORTS = """\
 from collections import deque
 from rooks.counting import _census
-from rooks.symplectic import FamilySpec, count_family, iter_family, iter_family_lines"""
+from rooks.symplectic import FamilySpec, count_family, iter_family, line_blocks"""
 
 
 def test_is_admissible_examples():
@@ -133,14 +135,20 @@ def test_iter_family_is_lazy():
     assert peak < 2**20, peak
 
 
+def lines_of(spec):
+    """The one-line text of each member, from the blocks of `line_blocks`."""
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in line_blocks(spec))
+
+
 @pytest.mark.parametrize("spec", [FamilySpec(5, "rook"), FamilySpec(6, "renner-sp")])
 def test_concurrent_streams_keep_separate_state(spec):
-    # two live streams of one spec, of one kind or of both (tuples and
-    # lines), one taking two steps to the other's one, and a count of the
-    # spec in the middle of a third: each walk keeps its own columns, rows,
-    # heads and memo
+    # two live streams of one spec, of one kind or of two (tuples, lines
+    # and ranks), one taking two steps to the other's one, and a count of
+    # the spec in the middle of a third: each walk keeps its own columns,
+    # rows, heads and memo
     expected = {iter_family: enum_family(spec)}
-    expected[iter_family_lines] = list(map(format_one_line, expected[iter_family]))
+    expected[lines_of] = list(map(format_one_line, expected[iter_family]))
+    expected[iter_family_ranks] = list(map(rank, expected[iter_family]))
     for fast, slow in product(expected, repeat=2):
         a, b = fast(spec), slow(spec)
         seen_a, seen_b = [], []
@@ -224,10 +232,47 @@ def test_weighted_count_reads_the_rank_histogram(family, n):
 )
 def test_line_stream_formats_each_member(family, n):
     # n = 1 and n = 2 have an empty prefix, so every line is head "(" and a
-    # whole one-line form as its tail
+    # whole one-line form as its tail; no block is empty
     for k in (None, *range(n + 1)):
         spec = FamilySpec(n, family, rank=k)
-        assert list(iter_family_lines(spec)) == list(map(format_one_line, iter_family(spec))), k
+        assert list(lines_of(spec)) == list(map(format_one_line, iter_family(spec))), k
+        assert all(tails for _, tails in line_blocks(spec)), k
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in FAMILIES for n in range(1, 7) if n % 2 == 0 or f not in SP_FAMILIES]
+    + [("rook", 7)],
+)
+def test_rank_stream_counts_each_member(family, n):
+    # one rank per member, in the order of the members, as the oracle
+    # counts the nonzero entries of each one: so `count_reports`, which
+    # counts the stream, reads the enumerated histogram
+    for k in (None, *range(n + 1)):
+        spec = FamilySpec(n, family, rank=k)
+        assert list(iter_family_ranks(spec)) == list(map(rank_by_entries, iter_family(spec))), k
+
+
+# SHA-256 of the one-line listing of every rank slice of a symplectic
+# family at n = 2, 4, 6 and 8, each slice headed by "n k" (k "None" for the
+# whole family), taken while `_rules.choices` filtered the unused rows by
+# their mirrors on every call, before the singular route had its table
+SP_LISTING_DIGESTS = {
+    "renner-sp": "fad20a0fe5dfbddda369d0e8767ceffdcf196508fd58e88d8c90fcad6c1e2661",
+    "borel-sp": "c20431e50c05da052866811f4fc178325ee55eec7179c39c063d6dd1dd1ff7ad",
+    "borel-sp-nil": "54cb97688d4b0fe49e0e57df79e5166cb9091b200f3585fbaf48d7f654c18992",
+}
+
+
+@pytest.mark.parametrize("family", SP_FAMILIES)
+def test_symplectic_listings_are_unchanged(family):
+    digest = hashlib.sha256()
+    for n in (2, 4, 6, 8):
+        for k in (None, *range(n + 1)):
+            digest.update(f"{n} {k}\n".encode())
+            for line in lines_of(FamilySpec(n, family, rank=k)):
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == SP_LISTING_DIGESTS[family]
 
 
 def _traced_peak(work: str) -> int:
@@ -242,13 +287,15 @@ def test_tail_memo_stays_bounded():
     # KiB; about 590 KiB when every column is memoised, not only those from
     # n/2+2 on), the census of size 8, whose memo holds one int of 26-bit
     # digits per used-row state, less than 512 KiB (about 423 KiB), and a
-    # drain of the 130,922 rooks of size 7, as tuples or as lines, less
-    # than 1 MiB (about 156 KiB)
+    # drain of the 130,922 rooks of size 7, as tuples or as the joined text
+    # of each block, less than 1 MiB (about 172 KiB each)
     assert _traced_peak("count_family(FamilySpec(8, 'rook'))") < 2**18
     assert _traced_peak("count_family(FamilySpec(8, 'renner-sp'))") < 2**19
     assert _traced_peak("_census(8)") < 2**19
     assert _traced_peak("deque(iter_family(FamilySpec(7, 'rook')), 0)") < 2**20
-    assert _traced_peak("deque(iter_family_lines(FamilySpec(7, 'rook')), 0)") < 2**20
+    assert _traced_peak(
+        "deque((p + ('\\n' + p).join(t) for p, t in line_blocks(FamilySpec(7, 'rook'))), 0)"
+    ) < 2**20
 
 
 def test_enum_family_rank_filter():
