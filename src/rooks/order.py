@@ -33,23 +33,27 @@ entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
 elements below x are the intersection, over the n^2 fields (i, k), of the
 elements whose count is at most c_x(i, k).  It builds one order row per
 element from those sets, an integer bitset of the elements below it, instead
-of comparing pairs: m rows of m bits, m^2/8 bytes for m elements.  `bcr_le`
-keeps the pairwise profile comparison, and the tests check the rows against
-it.  The Hasse diagram is read off the rows in one pass over the rank
-layers: each layer is found with one bitset test per remaining element, and
-the covers of x are its row on the layer just below; only a cover that
-skips a layer, which a graded poset has none of, takes a further bitset
-step.  The covers and extrema are sorted by one lexicographic ordinal per
-element, not by the rooks themselves.  The verify check of the two routes
-sets these rows, built on the members in the slot order of
-`standard_form_rows`, against route two's rows, row by row.
+of comparing pairs: m rows of m bits, m^2/8 bytes for m elements.  Each
+step of `rank_rows` is one C-level call over a whole element, a whole
+column or a whole row: an element's n^2 counts are the bytes of one int,
+each set one parse of its column of count bytes, and each row one reduce
+of ANDs, so it takes O(m + n^3) Python steps, not one per element and
+field.  `bcr_le` keeps the pairwise profile comparison, and the tests check
+the rows against it.  The Hasse diagram is read off the rows in one pass
+over the rank layers: each layer is found with one bitset test per
+remaining element, and the covers of x are its row on the layer just below;
+only a cover that skips a layer, which a graded poset has none of, takes a
+further bitset step.  The covers and extrema are sorted by one
+lexicographic ordinal per element, not by the rooks themselves.  The verify
+check of the two routes sets these rows, built on the members in the slot
+order of `standard_form_rows`, against route two's rows, row by row.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import le
+from operator import and_, getitem, itemgetter, le, lshift
 from typing import NamedTuple
 
 from .rook import (
@@ -330,31 +334,58 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     """The one-line order as bitset rows: bit i of down[j] is set iff
     elems[i] < elems[j].
 
-    Each element keeps one row of its n rank counts c(i, k), k = 1..n,
-    advanced by x_i for each i in turn.  For each field (i, k), le[v] is the
-    set of elements whose count there is at most v; row j is the AND of
-    le[c_j(i, k)] over all fields, without bit j.
+    An element's n^2 rank counts c(i, k) are the bytes of one int, field
+    (i, k) at byte (i - 1) n + k - 1, made by C-level steps alone: block i
+    of the sum of ones[x_i] << 8 n (i - 1) holds a 1 in byte k for each
+    k <= x_i, and one product with the int that has a 1 in the low byte of
+    every block adds up blocks 1..i into block i.  Each count is at most
+    n, so no byte carries into the next while n <= 255 (a ValueError past
+    it).  The tables stay at n + 1 ints of n bytes; a table per position
+    and value with the shift and the sum folded in would hold about n^4/2
+    bytes, 2 GB at n = 255.
+
+    The elements' count bytes are joined last to first, so each field's
+    column is one strided slice with element j at its j-th last byte.  For
+    a field that is not constant and each value v below the column's max,
+    the set of elements whose count there is at most v is one C-level
+    parse, int(column.translate(table_v), 2), table_v sending the bytes
+    0..v to "1" and the rest to "0"; at the max it is every element.  Row
+    j is one reduce: the AND of those sets at element j's counts, without
+    bit j.
     """
     m = len(elems)
+    n = len(elems[0]) if m else 0
+    if n > 255:
+        raise ValueError(f"rank counts of rooks of size {n} do not fit in one byte (n <= 255)")
+    size = n * n
+    ones = [((1 << 8 * v) - 1) // 255 for v in range(n + 1)]  # a 1 in bytes 0..v-1
+    shifts = [8 * n * i for i in range(n)]
+    prefix = sum(1 << s for s in shifts)
+    low = (1 << 8 * size) - 1
+    counts = [
+        (sum(map(lshift, map(ones.__getitem__, x), shifts)) * prefix & low).to_bytes(size, "little")
+        for x in elems
+    ]
+    blob = b"".join(reversed(counts))
     full = (1 << m) - 1
-    down = [full ^ (1 << j) for j in range(m)]
-    counts = [[0] * len(x) for x in elems]
-    for i in range(len(elems[0]) if elems else 0):
-        for x, c in zip(elems, counts):
-            for k in range(x[i]):
-                c[k] += 1
-        for column in zip(*counts):
-            top = max(column)
-            if min(column) == top:
-                continue  # le[top] holds every element
-            le = [0] * (top + 1)
-            for j, v in enumerate(column):
-                le[v] |= 1 << j
-            for v in range(1, top + 1):
-                le[v] |= le[v - 1]
-            for j, v in enumerate(column):
-                down[j] &= le[v]
-    return down
+    tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n)]
+    fields, masks = [], []
+    for f in range(size):
+        column = blob[f::size]
+        top = max(column)
+        if min(column) == top:
+            continue  # a constant column: every element passes this field
+        fields.append(f)
+        masks.append([int(column.translate(table), 2) for table in tables[:top]] + [full])
+    if len(fields) > 1:
+        pick = itemgetter(*fields)
+        return [
+            reduce(and_, map(getitem, masks, pick(c)), full ^ 1 << j) for j, c in enumerate(counts)
+        ]
+    if fields:  # itemgetter of one index gives the item, not a tuple
+        (f,), (le,) = fields, masks
+        return [le[c[f]] & (full ^ 1 << j) for j, c in enumerate(counts)]
+    return [full ^ 1 << j for j in range(m)]
 
 
 def _bits(mask: int):

@@ -23,6 +23,7 @@ import rooks.weyl as weyl
 from fresh_peak import fresh_peak
 from patch_everywhere import patch_everywhere
 from rooks.counting import CountReport
+from rooks.rook import format_one_line
 from rooks.symplectic import FAMILIES, FamilySpec, count_family, enum_family
 
 SCHEMA = json.loads(
@@ -517,6 +518,26 @@ def test_hasse_nil_dot(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len([ln for ln in lines if ln.endswith('";') and "->" not in ln]) == 12
+
+
+def test_dot_export_joins_at_most_chunk_lines_per_item():
+    # rook n=5: 1,546 nodes and 7,714 edges, each run of statements cut
+    # into items of CHUNK_LINES lines and a last part-full one; the text is
+    # that of one statement per line
+    poset = order.build_poset(enum_family(FamilySpec(5, "rook")))
+    items = list(cli.dot_export(poset))
+    names = [format_one_line(x) for x in poset.elements]
+    covers = sorted((names[i], names[j]) for i, j in poset.covers)
+    lines = ["digraph hasse {", *(f'  "{x}";' for x in sorted(names))]
+    lines += [f'  "{x}" -> "{y}";' for x, y in covers] + ["}"]
+    assert "\n".join(items) == "\n".join(lines)
+    sizes = [item.count("\n") + 1 for item in items]
+    full_nodes, nodes_left = divmod(1546, cli.CHUNK_LINES)
+    full_edges, edges_left = divmod(7714, cli.CHUNK_LINES)
+    assert sizes == (
+        [1] + [cli.CHUNK_LINES] * full_nodes + [nodes_left]
+        + [cli.CHUNK_LINES] * full_edges + [edges_left] + [1]
+    )
 
 
 def test_hasse_singleton(capsys):

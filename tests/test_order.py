@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import cache
 from itertools import permutations, product
 
@@ -496,6 +497,67 @@ def test_rank_rows_match_profile_rows_on_random_sets(elems):
     assert rank_rows(elems) == profile_rows(elems)
 
 
+def varying_count_fields(elems):
+    """The number of rank-count fields c(i, k) = #{j <= i : x_j >= k} that
+    are not constant on elems."""
+    n = len(elems[0]) if elems else 0
+    columns = zip(*(
+        [sum(v >= k for v in x[:i]) for i in range(1, n + 1) for k in range(1, n + 1)]
+        for x in elems
+    ))
+    return sum(len(set(column)) > 1 for column in columns)
+
+
+@pytest.mark.parametrize(
+    "elems, varying",
+    [
+        ([], 0),
+        ([(0, 2, 1)], 0),
+        ([(0, 1), (0, 1)], 0),  # a repeat is below the other copy, as with profile_le
+        ([(0, 0), (0, 1)], 1),  # only c(2, 1) varies
+        ([(0, 0, 1), (0, 0, 0), (0, 0, 1)], 1),
+        ([(0, 0, 0), (0, 0, 1), (0, 0, 2)], 2),
+    ],
+)
+def test_rank_rows_with_at_most_one_varying_field(elems, varying):
+    assert varying_count_fields(elems) == varying
+    assert rank_rows(elems) == profile_rows(elems)
+
+
+def test_rank_rows_hold_counts_up_to_255_in_one_byte():
+    # c(255, 1) is 255 on the permutations: a carry out of its byte would
+    # show in the rows
+    n = 255
+    elems = [tuple(range(n, 0, -1)), tuple(range(1, n + 1)), (0,) * n, (0,) * (n - 1) + (1,)]
+    assert rank_rows(elems) == profile_rows(elems) == [0b1110, 0b1100, 0, 0b0100]
+    with pytest.raises(ValueError, match="n <= 255"):
+        rank_rows([(0,) * 256])
+
+
+def test_rank_rows_take_no_python_step_per_element_and_field():
+    # counted in line events: one Python step per element and field, as a
+    # loop over the n^2 fields of each element takes, is m n^2 = 31,572
+    # events here (103,177 read with such a loop); the counts, masks and
+    # reduces take about 5 per element (4,713 read)
+    elems = enum_family(FamilySpec(6, "borel"))
+    m, n = len(elems), 6
+    events = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(count_lines)
+    try:
+        rank_rows(elems)
+    finally:
+        sys.settrace(previous)
+    assert m == 877
+    assert events < 8 * (m + n**3)
+
+
 def test_build_poset_covers_match_bcr_le_borel_sp_n6():
     elements = enum_family(FamilySpec(6, "borel-sp"))
     assert poset_covers(build_poset(elements)) == bcr_le_covers(elements)
@@ -530,9 +592,11 @@ def test_build_poset_holds_one_row_per_element():
 
 
 def test_rank_rows_hold_one_count_row_per_element():
-    # the rows take m^2/8 bytes; next to them each element keeps one row of
-    # n rank counts, not all n^2 of them (those took the peak to 2.3 x m^2/8;
-    # 1.50 x m^2/8 read in a fresh interpreter)
+    # the rows take at most m^2/8 bytes; next to them are the m n^2 count
+    # bytes, one copy of them joined last element first, and about
+    # (n+1) m/8 bytes of masks per field (0.90 x m^2/8 read in a fresh
+    # interpreter); a list of n^2 count ints per element takes the peak to
+    # 2.3 x m^2/8
     m = 4140
     peak, _ = fresh_peak(BOREL_7, "rank_rows(elements)")
     assert peak < 1.8 * m * m / 8
