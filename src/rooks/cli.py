@@ -81,22 +81,19 @@ CHUNK_LINES = 256
 def dot_export(h: HasseDiagram):
     """The lines of the DOT text of a Hasse diagram as items for
     `_emit_lines`: one node statement per element, one edge per cover
-    (lower -> upper), everything in the order of the names, in items of at
-    most CHUNK_LINES lines, each formatted and joined in one call, so the
-    writer counts the lines once per item.  The names are sorted once, and
-    the covers by one ordinal per name, place[i] m + place[j]: the names
-    are distinct, so this is the order of the pairs of names."""
+    (lower -> upper), in items of at most CHUNK_LINES lines, each formatted
+    and joined in one call, so the writer counts the lines once per item.
+    The lines come in the order of the diagram, which is the order of the
+    names for every family `hasse` builds: its elements are enumerated in
+    lexicographic order, `build_poset` sorts the covers by their pairs of
+    elements, and with one-digit entries (n <= DESK_LIMIT = 8) the names
+    sort as the rooks do."""
     names = [format_one_line(x) for x in h.elements]
     name = names.__getitem__
-    m = len(names)
-    by_name = sorted(range(m), key=name)
-    place = [0] * m
-    for k, i in enumerate(by_name):
-        place[i] = k
     yield "digraph hasse {"
-    for start in range(0, m, CHUNK_LINES):
-        yield '  "' + '";\n  "'.join(map(name, by_name[start : start + CHUNK_LINES])) + '";'
-    covers = sorted(h.covers, key=lambda ij: place[ij[0]] * m + place[ij[1]])
+    for start in range(0, len(names), CHUNK_LINES):
+        yield '  "' + '";\n  "'.join(names[start : start + CHUNK_LINES]) + '";'
+    covers = h.covers
     for start in range(0, len(covers), CHUNK_LINES):
         lower, upper = zip(*covers[start : start + CHUNK_LINES])
         edges = map('" -> "'.join, zip(map(name, lower), map(name, upper)))

@@ -32,7 +32,8 @@ class _PartialMatrixFields(NamedTuple):
 class PartialMatrix(_PartialMatrixFields):
     """A rectangular 0/1 matrix with at most one cell per row and column,
     its cells sorted.  Every construction is checked, `_replace` too, which
-    builds through `_make`."""
+    builds through `_make`; only `_fold_half`, whose collision check leaves
+    nothing to find, builds its folds around the checks."""
 
     __slots__ = ()
 
@@ -95,9 +96,14 @@ def _fold_half(pm: PartialMatrix, axis: int) -> PartialMatrix:
     for i in occupied:
         if i <= h and size + 1 - i in occupied:
             raise ValueError(f"{name} {i} and {size + 1 - i} collide under folding")
+    # no two occupied lines meet and pm is checked, so the folded cells
+    # are one per line inside the half: they are only sorted, not checked
+    # again by the constructor
     if axis:
-        return PartialMatrix(pm.rows, h, tuple((r, _fold_index(c, h)) for r, c in pm.cells))
-    return PartialMatrix(h, pm.cols, tuple((_fold_index(r, h), c) for r, c in pm.cells))
+        fields = (pm.rows, h, tuple(sorted((r, _fold_index(c, h)) for r, c in pm.cells)))
+    else:
+        fields = (h, pm.cols, tuple(sorted((_fold_index(r, h), c) for r, c in pm.cells)))
+    return tuple.__new__(PartialMatrix, fields)
 
 
 def fold(x, direction: str = "both"):

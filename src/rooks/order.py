@@ -9,11 +9,15 @@ unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
 
-Each route has one plain per-element step: route one takes the prefix
-profile of an element (`prefix_profile`), route two its standard form
-(`standard_form`).  Only tables per group, per rank or per pair of ranks are
-cached, never a result per element.  `bcr_le` compares two profiles
-(`profile_le`) on one pair.  Route two has no pair test in the library:
+Each route has one plain per-element step: route one takes the rank
+counts of an element (`rank_counts`), route two its standard form
+(`standard_form`).  Prefix dominance is entrywise comparison of the counts
+c_x(i, k) = #{j <= i : x_j >= k}, and `rank_counts` holds an element's n^2
+counts as the bytes of one int.  Only tables per group, per rank or per
+pair of ranks are cached, never a result per element.  `bcr_le` compares
+the count ints of one pair in one big-int step (`rank_count_le`); the
+sorted prefixes compared entry by entry live beside the tests as its
+oracle.  Route two has no pair test in the library:
 `standard_form_rows` builds its order on a whole monoid as one bitset row
 per member, and the pair-by-pair criterion on two forms lives beside the
 tests as the oracle of those rows.  Route two runs on the positions of the
@@ -28,18 +32,16 @@ standard-form search reads the products a e of each rank, grouped by
 product (`_coset_data`), and finds a e b^{-1} = x as a e = x b: one gather
 per b.
 
-`build_poset` applies route one in its rank-matrix form: prefix dominance is
-entrywise comparison of the counts c_x(i, k) = #{j <= i : x_j >= k}, so the
-elements below x are the intersection, over the n^2 fields (i, k), of the
-elements whose count is at most c_x(i, k).  It builds one order row per
-element from those sets, an integer bitset of the elements below it, instead
-of comparing pairs: m rows of m bits, m^2/8 bytes for m elements.  Each
-step of `rank_rows` is one C-level call over a whole element, a whole
-column or a whole row: an element's n^2 counts are the bytes of one int,
-each set one parse of its column of count bytes, and each row one reduce
-of ANDs, so it takes O(m + n^3) Python steps, not one per element and
-field.  `bcr_le` keeps the pairwise profile comparison, and the tests check
-the rows against it.  The Hasse diagram is read off the rows in one pass
+`build_poset` applies route one by fields, not by pairs: the elements
+below x are the intersection, over the n^2 fields (i, k), of the elements
+whose count is at most c_x(i, k).  It builds one order row per element from
+those sets, an integer bitset of the elements below it: m rows of m bits,
+m^2/8 bytes for m elements.  Each step of `rank_rows` is one C-level call
+over a whole element, a whole column or a whole row: an element's count
+int, each set one parse of its column of count bytes, and each row one
+reduce of ANDs, so it takes O(m + n^3) Python steps, not one per element
+and field.  The tests check the rows against the pair test and its
+oracle.  The Hasse diagram is read off the rows in one pass
 over the rank layers: each layer is found with one bitset test per
 remaining element, and the covers of x are its row on the layer just below;
 only a cover that skips a layer, which a graded poset has none of, takes a
@@ -52,8 +54,7 @@ order of `standard_form_rows`, against route two's rows, row by row.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain
-from operator import and_, getitem, itemgetter, le, lshift
+from operator import and_, getitem, itemgetter, lshift
 from typing import NamedTuple
 
 from .rook import (
@@ -74,31 +75,63 @@ from .weyl import (
 )
 
 
-def prefix_profile(x: Rook) -> tuple[int, ...]:
-    """The decreasing rearrangements of the prefixes of length 1..n, zeros
-    kept as values, concatenated: the per-element step of the one-line
-    route.  Profiles of one size line up position by position."""
-    return tuple(
-        chain.from_iterable(sorted(x[:i], reverse=True) for i in range(1, len(x) + 1))
-    )
+def rank_counts(elems) -> list[int]:
+    """Each element's n^2 rank counts c(i, k) = #{j <= i : x_j >= k} as the
+    bytes of one int, field (i, k) at byte (i - 1) n + k - 1: the
+    per-element step of the one-line route.
+
+    The ints are made by C-level steps alone: block i of the sum of
+    ones[x_i] << 8 n (i - 1) holds a 1 in byte k for each k <= x_i, and one
+    product with the int that has a 1 in the low byte of every block adds
+    up blocks 1..i into block i.  Each count is at most n, so no byte
+    carries into the next while n <= 255 (a ValueError past it).  The
+    tables stay at n + 1 ints of n bytes; a table per position and value
+    with the shift and the sum folded in would hold about n^4/2 bytes, 2 GB
+    at n = 255.
+    """
+    n = len(elems[0]) if elems else 0
+    if n > 255:
+        raise ValueError(f"rank counts of rooks of size {n} do not fit in one byte (n <= 255)")
+    ones = [((1 << 8 * v) - 1) // 255 for v in range(n + 1)]  # a 1 in bytes 0..v-1
+    shifts = [8 * n * i for i in range(n)]
+    prefix = sum(1 << s for s in shifts)
+    low = (1 << 8 * n * n) - 1
+    return [sum(map(lshift, map(ones.__getitem__, x), shifts)) * prefix & low for x in elems]
 
 
-def profile_le(p, q) -> bool:
-    """The pair test of the one-line route on two prefix profiles of one
-    size: every rearranged prefix of p is entrywise at most that of q."""
-    return all(map(le, p, q))
+def rank_count_le(n: int):
+    """The pair test of the one-line route on the `rank_counts` ints of two
+    rooks of size n: x <= y iff every count of x is at most that of y.
+
+    All n^2 bytes are compared in one big-int step.  With H the int that
+    has the high bit of every byte set, byte b of (c_y | H) - c_x is
+    128 + c_y(b) - c_x(b), between 1 and 255 while every count is at most
+    127, so no byte borrows from the next and its high bit is set iff
+    c_x(b) <= c_y(b).  Counts are at most n, so sizes past 127 are a
+    ValueError.
+
+    >>> le = rank_count_le(4)
+    >>> x, y, z = rank_counts([(0, 0, 0, 2), (0, 0, 1, 0), (0, 0, 1, 2)])
+    >>> le(x, z), le(z, x), le(x, y), le(y, x), le(x, x)
+    (True, False, False, False, True)
+    """
+    if n > 127:
+        raise ValueError(f"the pair test on rank counts needs n <= 127, got {n}")
+    high = ((1 << 8 * n * n) - 1) // 255 * 128
+    return lambda cx, cy: (cy | high) - cx & high == high
 
 
 def bcr_le(x: Rook, y: Rook) -> bool:
     """The one-line criterion, extended to singular rooks by comparing
-    prefix multisets (zeros retained) for every i in 1..n.
+    prefix multisets (zeros retained) for every i in 1..n, as the rank
+    counts of the two rooks (`rank_count_le`).
 
     The final prefix i = n is not redundant here: (0,0,0,2) and (0,0,1,0)
     separate only at i = 4.
     """
     if len(x) != len(y):
         raise ValueError(f"size mismatch: {len(x)} vs {len(y)}")
-    return profile_le(prefix_profile(x), prefix_profile(y))
+    return rank_count_le(len(x))(*rank_counts((x, y)))
 
 
 class Dominance(NamedTuple):
@@ -334,16 +367,7 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     """The one-line order as bitset rows: bit i of down[j] is set iff
     elems[i] < elems[j].
 
-    An element's n^2 rank counts c(i, k) are the bytes of one int, field
-    (i, k) at byte (i - 1) n + k - 1, made by C-level steps alone: block i
-    of the sum of ones[x_i] << 8 n (i - 1) holds a 1 in byte k for each
-    k <= x_i, and one product with the int that has a 1 in the low byte of
-    every block adds up blocks 1..i into block i.  Each count is at most
-    n, so no byte carries into the next while n <= 255 (a ValueError past
-    it).  The tables stay at n + 1 ints of n bytes; a table per position
-    and value with the shift and the sum folded in would hold about n^4/2
-    bytes, 2 GB at n = 255.
-
+    An element's n^2 rank counts are the bytes of its `rank_counts` int.
     The elements' count bytes are joined last to first, so each field's
     column is one strided slice with element j at its j-th last byte.  For
     a field that is not constant and each value v below the column's max,
@@ -355,17 +379,8 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     """
     m = len(elems)
     n = len(elems[0]) if m else 0
-    if n > 255:
-        raise ValueError(f"rank counts of rooks of size {n} do not fit in one byte (n <= 255)")
     size = n * n
-    ones = [((1 << 8 * v) - 1) // 255 for v in range(n + 1)]  # a 1 in bytes 0..v-1
-    shifts = [8 * n * i for i in range(n)]
-    prefix = sum(1 << s for s in shifts)
-    low = (1 << 8 * size) - 1
-    counts = [
-        (sum(map(lshift, map(ones.__getitem__, x), shifts)) * prefix & low).to_bytes(size, "little")
-        for x in elems
-    ]
+    counts = [c.to_bytes(size, "little") for c in rank_counts(elems)]
     blob = b"".join(reversed(counts))
     full = (1 << m) - 1
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n)]

@@ -29,8 +29,8 @@ from .nilpotent import nilpotent_analysis
 from .order import (
     _dominance,
     build_poset,
-    prefix_profile,
-    profile_le,
+    rank_count_le,
+    rank_counts,
     rank_rows,
     standard_form,
     standard_form_rows,
@@ -153,7 +153,7 @@ def _check_inrsn(ni) -> list:
     its order as one bitset row per member: route two's rows and the slot
     order of the members come from `standard_form_rows`, route one's from
     `rank_rows` on the members in that order, with each member's own bit
-    set (a prefix profile is below itself).  The disagreements are the
+    set (every member is below itself).  The disagreements are the
     popcount of the XOR of the two rows, summed over the members."""
     routes = [("rook", "one-line vs standard-form disagreements")]
     if ni % 2 == 0:
@@ -287,9 +287,9 @@ def _check_nilpotent(n) -> list:
         r0 = (0,) + tuple(range(1, ni))
         reports.append(CountReport(params, int(rep.maximals == (r0,)), proof_form=1, label="maximum is r0"))
         reports.append(CountReport(params, rep.longest_chain, proof_form=comb(ni, 2), label="longest chain"))
-        top = prefix_profile(r0)
-        members = iter_family(FamilySpec(ni, "borel-nil"))
-        dominated = sum(1 for x in members if not profile_le(prefix_profile(x), top))
+        le = rank_count_le(ni)
+        top, *counts = rank_counts([r0, *iter_family(FamilySpec(ni, "borel-nil"))])
+        dominated = sum(1 for c in counts if not le(c, top))
         reports.append(_zero_row(params, dominated, "elements above r0"))
     rep = nilpotent_analysis(FamilySpec(4, "borel-sp-nil"))
     reports.append(rep)

@@ -1,11 +1,31 @@
-"""Slow reference routes for `rooks.order`: the Bruhat order of
-permutations by sorted prefixes (the oracle of the group's table,
-`_dominance`), the standard-form criterion on one pair (the oracle of
-`standard_form_rows`), order rows from a comparator on every ordered pair,
-and the transitive reduction that tests every comparable pair on its own,
-with ranks by longest chains (the oracle of `build_poset`)."""
+"""Slow reference routes for `rooks.order`: the one-line criterion on
+sorted prefixes, pair by pair (the oracle of `rank_count_le` and of
+`rank_rows`), the Bruhat order of permutations by sorted prefixes (the
+oracle of the group's table, `_dominance`), the standard-form criterion on
+one pair (the oracle of `standard_form_rows`), order rows from a comparator
+on every ordered pair, and the transitive reduction that tests every
+comparable pair on its own, with ranks by longest chains (the oracle of
+`build_poset`)."""
+
+from itertools import chain
+from operator import le
 
 from rooks.order import HasseDiagram, _dominance, _witness_set, standard_form
+
+
+def prefix_profile(x) -> tuple[int, ...]:
+    """The decreasing rearrangements of the prefixes of length 1..n, zeros
+    kept as values, concatenated.  Profiles of one size line up position
+    by position."""
+    return tuple(
+        chain.from_iterable(sorted(x[:i], reverse=True) for i in range(1, len(x) + 1))
+    )
+
+
+def profile_le(p, q) -> bool:
+    """The one-line criterion on two prefix profiles of one size: every
+    rearranged prefix of p is entrywise at most that of q."""
+    return all(map(le, p, q))
 
 
 def ehresmann_le(u, v) -> bool:

@@ -540,6 +540,22 @@ def test_dot_export_joins_at_most_chunk_lines_per_item():
     )
 
 
+def test_hasse_names_come_sorted_for_every_size_accepted():
+    # dot_export writes the names in the order of the elements: every
+    # family and rank slice `hasse` builds is enumerated in the order of
+    # its names, since every entry is one digit up to DESK_LIMIT
+    assert symplectic.DESK_LIMIT <= 9
+    for family, record in FAMILIES.items():
+        step = 2 if record.symplectic else 1  # symplectic sizes are even
+        for n in range(step, symplectic.DESK_LIMIT + 1, step):
+            for rank in (None, *range(n + 1)):
+                spec = FamilySpec(n, family, rank)
+                if count_family(spec) > cli.HASSE_LIMIT:
+                    continue
+                names = [format_one_line(x) for x in enum_family(spec)]
+                assert names == sorted(names), spec
+
+
 def test_hasse_singleton(capsys):
     code, out = run(capsys, "hasse", "--n", "4", "--family", "borel-sp", "--rank", "4")
     assert code == 0
@@ -771,7 +787,7 @@ def test_the_inrsn_check_makes_no_pair_test(capsys, monkeypatch):
     def refused(*args):
         raise AssertionError(f"pair test called on {args}")
 
-    for pair_test in (order.bcr_le, order.profile_le):
+    for pair_test in (order.bcr_le, order.rank_count_le):
         patch_everywhere(monkeypatch, pair_test, refused)
     code, out = run(capsys, "verify", "--check", "inrsn", "--n", "4")
     assert code == 0

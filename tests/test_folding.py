@@ -83,6 +83,39 @@ def test_fold_commutes_on_singular_symplectic_n4():
         assert rank(both) == rank(x)  # no cells lost
 
 
+def fold_by_constructor(pm, axis):
+    """The half fold of pm along axis (0 TB, 1 LR) built by the checked
+    constructor, which raises where two folded cells share a line."""
+    h = (pm.cols if axis else pm.rows) // 2
+    half = [i - h if i > h else h + 1 - i for i in range(2 * h + 1)]
+    if axis:
+        return PartialMatrix(pm.rows, h, [(r, half[c]) for r, c in pm.cells])
+    return PartialMatrix(h, pm.cols, [(half[r], c) for r, c in pm.cells])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_folds_match_the_checked_constructor(n):
+    # folds are built around the constructor's checks: on every renner-sp
+    # member, each fold and each fold of a fold is the checked
+    # constructor's, and raises exactly when that construction does
+    for x in enum_family(FamilySpec(n, "renner-sp")):
+        pending = [from_rook(x)]
+        while pending:
+            pm = pending.pop()
+            for axis, direction in enumerate(("tb", "lr")):
+                if (pm.cols if axis else pm.rows) % 2:
+                    continue
+                try:
+                    expected = fold_by_constructor(pm, axis)
+                except ValueError:
+                    with pytest.raises(ValueError, match="collide"):
+                        fold(pm, direction)
+                    continue
+                got = fold(pm, direction)
+                assert type(got) is PartialMatrix and got == expected
+                pending.append(got)
+
+
 def test_unfold_j2_worked_example():
     assert unfold_preimages((2, 1)) == [
         (0, 0, 1, 2),

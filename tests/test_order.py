@@ -15,14 +15,16 @@ from poset_oracles import (
     forms_le,
     pairwise_rows,
     per_pair_poset,
+    prefix_profile,
+    profile_le,
 )
 from rooks import order, rook, verify
 from rooks.order import (
     _dominance,
     bcr_le,
     build_poset,
-    prefix_profile,
-    profile_le,
+    rank_count_le,
+    rank_counts,
     rank_rows,
     standard_form,
     standard_form_rows,
@@ -522,6 +524,36 @@ def varying_count_fields(elems):
 def test_rank_rows_with_at_most_one_varying_field(elems, varying):
     assert varying_count_fields(elems) == varying
     assert rank_rows(elems) == profile_rows(elems)
+
+
+@pytest.mark.parametrize(
+    "n,family", [(1, "rook"), (2, "rook"), (3, "rook"), (4, "rook"), (5, "borel"), (6, "renner-sp")]
+)
+def test_rank_count_le_matches_the_profile_oracle_on_every_pair(n, family):
+    elems = enum_family(FamilySpec(n, family))
+    le = rank_count_le(n)
+    counts = rank_counts(elems)
+    profiles = [prefix_profile(x) for x in elems]
+    for cx, px in zip(counts, profiles):
+        assert [le(cx, cy) for cy in counts] == [profile_le(px, py) for py in profiles]
+
+
+def test_rank_count_le_is_exact_up_to_127_and_refuses_more():
+    # c(127, 1) is 127 on the permutations: one more and the high bit of a
+    # count byte would be set before the subtraction
+    n = 127
+    elems = [tuple(range(n, 0, -1)), tuple(range(1, n + 1)), (0,) * n, (0,) * (n - 1) + (1,)]
+    le = rank_count_le(n)
+    counts = rank_counts(elems)
+    profiles = [prefix_profile(x) for x in elems]
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    assert [le(counts[i], counts[j]) for i, j in pairs] == [
+        profile_le(profiles[i], profiles[j]) for i, j in pairs
+    ]
+    with pytest.raises(ValueError, match="n <= 127"):
+        rank_count_le(128)
+    with pytest.raises(ValueError, match="n <= 127"):
+        bcr_le((0,) * 128, (0,) * 128)
 
 
 def test_rank_rows_hold_counts_up_to_255_in_one_byte():
