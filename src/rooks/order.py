@@ -9,28 +9,31 @@ unique minimal coset representatives, comparing via an exhaustive witness
 search.  The two routes are validated against each other exhaustively in the
 tests; neither is ever substituted for the other.
 
-Each route has one plain per-element step: route one takes the rank
-counts of an element (`rank_counts`), route two its standard form
+Each route has one plain per-element step: route one takes the rank counts
+of an element (`rank_counts`), route two factors it into its standard form
 (`standard_form`).  Prefix dominance is entrywise comparison of the counts
-c_x(i, k) = #{j <= i : x_j >= k}, and `rank_counts` holds an element's n^2
-counts as the bytes of one int.  Only tables per group, per rank or per
+c_x(i, k) = #{j <= i : x_j >= k}, and `rank_counts` holds an element's
+n^2 counts as the bytes of one int.  Only tables per group, per rank or per
 pair of ranks are cached, never a result per element.  `bcr_le` compares
 the count ints of one pair in one big-int step (`rank_count_le`); the
 sorted prefixes compared entry by entry live beside the tests as its
-oracle.  Route two has no pair test in the library:
-`standard_form_rows` builds its order on a whole monoid as one bitset row
-per member, and the pair-by-pair criterion on two forms lives beside the
-tests as the oracle of those rows.  Route two runs on the positions of the
-Weyl group's elements in `group_context(kind, n).elements`: one table per
-group (`_dominance`), read off the group's lengths and products alone (0.14 s
+oracle.  Route two has no pair test in the library: `standard_form_rows`
+builds its order on a whole monoid as one bitset row per member, and the
+pair-by-pair criterion on two forms lives beside the tests as the oracle
+of those rows.  The rows search for no form: the slot of a chain idempotent
+f, a c in D_*(f) and a d in D(f) makes its member c f d^{-1}, and the
+slots are a bijection onto the monoid exactly when every member has one
+standard form.  The search stays as the uniqueness check of `verify` and as
+the tests' oracle of the slots.  The rows run on the positions of the Weyl
+group's elements in `group_context(kind, n).elements`: one table per group
+(`_dominance`), read off the group's lengths and products alone (0.14 s
 for S_6), holds the product of any two elements and, for each element, the
-bitset of the elements below it in the Bruhat order.  A standard form keeps
-the positions of a and b^{-1}, each witness w is held as the positions of w
-and w^{-1} (`_witness_set`), and per rank two tables read off the Bruhat
-bitsets (`_slot_table`) turn each witness into one block of a row.  The
-standard-form search reads the products a e of each rank, grouped by
-product (`_coset_data`), and finds a e b^{-1} = x as a e = x b: one gather
-per b.
+bitset of the elements below it in the Bruhat order.  Each witness w is
+held as the positions of w and w^{-1} (`_witness_set`), and per rank two
+tables read off the Bruhat bitsets (`_slot_table`) turn each witness into
+one block of a row.  The standard-form search reads no table of the group:
+it maps each product a e of a rank to its a (`_coset_data`) and finds
+a e b^{-1} = x as a e = x b, one gather per b.
 
 `build_poset` applies route one by fields, not by pairs: the elements
 below x are the intersection, over the n^2 fields (i, k), of the elements
@@ -47,8 +50,9 @@ remaining element, and the covers of x are its row on the layer just below;
 only a cover that skips a layer, which a graded poset has none of, takes a
 further bitset step.  The covers and extrema are sorted by one
 lexicographic ordinal per element, not by the rooks themselves.  The verify
-check of the two routes sets these rows, built on the members in the slot
-order of `standard_form_rows`, against route two's rows, row by row.
+check of the two routes sets these rows, built on the members in the order
+`standard_form_rows` makes them from their slots, against route two's
+rows, row by row.
 """
 
 from __future__ import annotations
@@ -176,17 +180,14 @@ def _dominance(kind: str, n: int) -> Dominance:
 class StandardForm(NamedTuple):
     """The unique factorization x = a e b^{-1} with e the cross-section
     idempotent of equal rank, a and b minimal coset representatives; the
-    rank of e (and of x), b^{-1}, and the positions of a and b^{-1} in the
-    group's elements are kept for `standard_form_rows`, which reads the
-    group's table (`_dominance`) and the slot tables at those positions."""
+    rank of e (and of x) and b^{-1} are kept for the criterion on a pair
+    of forms, which the tests hold as the oracle of `standard_form_rows`."""
 
     a: Rook
     e: Rook
     b: Rook
     rank: int
     b_inv: Rook
-    a_index: int
-    b_inv_index: int
 
 
 def _chain_idempotent(ctx: GroupContext, r: int) -> Rook:
@@ -199,16 +200,19 @@ def _chain_idempotent(ctx: GroupContext, r: int) -> Rook:
 @lru_cache(maxsize=None)
 def _coset_data(kind: str, n: int, r: int):
     """(e, left_of, right) for the chain idempotent e of rank r: left_of
-    maps each product a e, a in D_*(e), to the list of its a's, and right
-    pairs each b in D(e) with b^{-1}.  Since b is a permutation,
+    maps each product a e, a in D_*(e), to its a, and right pairs each b in
+    D(e) with b^{-1}.  The a e are distinct: a e = a' e puts a^{-1} a' in
+    the stabilizer of e, so a = a' for minimal representatives, and a
+    collision is a RuntimeError.  Since b is a permutation,
     a e b^{-1} = x iff a e = x b, so the search for x costs one gather x b
     per b and one dict lookup."""
     ctx = group_context(kind, n)
     e = _chain_idempotent(ctx, r)
     data = parabolic_data(e, ctx)
-    left_of: dict = {}
-    for a in min_coset_reps(data.stabilizer_generators, ctx):
-        left_of.setdefault(multiply(a, e), []).append(a)
+    lefts = min_coset_reps(data.stabilizer_generators, ctx)
+    left_of = {multiply(a, e): a for a in lefts}
+    if len(left_of) != len(lefts):
+        raise RuntimeError(f"two products a e coincide for the idempotent {e} of {kind} size {n}")
     right = [(b, transpose(b)) for b in min_coset_reps(data.commuting_generators, ctx)]
     return e, left_of, right
 
@@ -224,18 +228,13 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
         raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
     r = rank(x)
     e, left_of, right = _coset_data(kind, n, r)
-    matches = [
-        (a, b, b_inv)
-        for b, b_inv in right
-        for a in left_of.get(multiply(x, b), ())
-    ]
+    matches = [(left_of[ae], b, b_inv) for b, b_inv in right if (ae := multiply(x, b)) in left_of]
     if len(matches) != 1:
         raise RuntimeError(
             f"standard form of {x} is not unique: {len(matches)} candidates"
         )
     a, b, b_inv = matches[0]
-    index = _dominance(kind, n).index
-    return StandardForm(a, e, b, r, b_inv, index[a], index[b_inv])
+    return StandardForm(a, e, b, r, b_inv)
 
 
 @lru_cache(maxsize=None)
@@ -256,16 +255,16 @@ def _witness_set(kind: str, n: int, f_rank: int, e_rank: int) -> tuple:
 class SlotTable(NamedTuple):
     """The slots and the row blocks of the members of one rank r, on the
     positions of the group's elements.  With e the chain idempotent of
-    rank r, a_slot maps the position of each a in D_*(e) to its place i and
-    b_slot the position of each b^{-1}, b in D(e), to its place j; the
-    member a e b^{-1} takes bit i |D(e)| + j of the block of rank r.  Bit
-    i |D(e)| of spread[g] is set iff a_i <= g, and bit j of right[h] iff
-    h <= b_j^{-1}, so spread[g] * right[h] is the block
+    rank r, a_positions holds the position of each a in D_*(e) and
+    b_inv_positions that of each b^{-1}, b in D(e); the member a e b^{-1}
+    with a the i-th and b the j-th takes bit i |D(e)| + j of the block of
+    rank r.  Bit i |D(e)| of spread[g] is set iff a_i <= g, and bit j of
+    right[h] iff h <= b_j^{-1}, so spread[g] * right[h] is the block
     {a <= g} x {b^{-1} >= h}: right[h] is below 2^|D(e)|, and the product
     has no carries."""
 
-    a_slot: dict
-    b_slot: dict
+    a_positions: tuple
+    b_inv_positions: tuple
     spread: tuple
     right: tuple
 
@@ -277,8 +276,8 @@ def _slot_table(kind: str, n: int, r: int) -> SlotTable:
     table = _dominance(kind, n)
     index, below = table.index, table.below
     _, left_of, right_reps = _coset_data(kind, n, r)
-    a_positions = [index[a] for group in left_of.values() for a in group]
-    b_inv_positions = [index[b_inv] for _, b_inv in right_reps]
+    a_positions = tuple(index[a] for a in left_of.values())
+    b_inv_positions = tuple(index[b_inv] for _, b_inv in right_reps)
     width = len(b_inv_positions)
     spread = tuple(
         sum(1 << i * width for i, a in enumerate(a_positions) if row >> a & 1) for row in below
@@ -287,12 +286,7 @@ def _slot_table(kind: str, n: int, r: int) -> SlotTable:
         sum(1 << j for j, b_inv in enumerate(b_inv_positions) if below[b_inv] >> h & 1)
         for h in range(len(below))
     )
-    return SlotTable(
-        {a: i for i, a in enumerate(a_positions)},
-        {b_inv: j for j, b_inv in enumerate(b_inv_positions)},
-        spread,
-        right,
-    )
+    return SlotTable(a_positions, b_inv_positions, spread, right)
 
 
 def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]:
@@ -300,54 +294,51 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     the members in slot order, and bit i of rows[j] set iff
     members[i] <= members[j].
 
-    The member x = a e b^{-1} takes the slot offset(rank e) +
-    i |D(e)| + j, where a is the i-th element of D_*(e) and b the j-th of
-    D(e) (`SlotTable`); offset(r) is the size of the blocks of lower rank.
-    Two members in one slot, or a count other than the sum of
-    |D_*(e)| |D(e)| over the chain, is a RuntimeError: the slots are a
-    bijection only if the standard form is unique.  With y = c f d^{-1},
-    x <= y iff rank e <= rank f and some witness w in W(f)W(e) has
-    a <= cw and w^{-1} d^{-1} <= b^{-1}, so the block of y's row on rank
-    e is the union over the witnesses of spread[cw] * right[w^{-1} d^{-1}]:
-    one product and one OR per witness, no pair test.
+    The members are made from the slots, not searched for: the slot
+    offset(rank f) + i |D(f)| + j holds c f d^{-1}, where f is the chain
+    idempotent, c the i-th element of D_*(f) and d the j-th of D(f)
+    (`SlotTable`), and offset(r) is the size of the blocks of lower rank.
+    Unless the members made are distinct and are the elements of elems,
+    as many, it is a RuntimeError: the slots are a bijection onto the
+    monoid exactly when every member has one standard form.  With
+    x = a e b^{-1}, x <= y = c f d^{-1} iff rank e <= rank f and some
+    witness w in W(f)W(e) has a <= cw and w^{-1} d^{-1} <= b^{-1}, so the
+    block of y's row on rank e is the union over the witnesses of
+    spread[cw] * right[w^{-1} d^{-1}]: one product and one OR per witness,
+    no pair test.
     """
     kind, n = ctx.kind, ctx.n
-    times = _dominance(kind, n).times
-    blocks = {}  # rank -> (offset, slot table), ranks ascending
+    elements, times = ctx.elements, _dominance(kind, n).times
+    blocks = []  # (chain idempotent, offset, slot table), ranks ascending
     total = 0
     for e in ctx.chain:
         slots = _slot_table(kind, n, rank(e))
-        blocks[rank(e)] = (total, slots)
-        total += len(slots.a_slot) * len(slots.b_slot)
-    if len(elems) != total:
+        blocks.append((e, total, slots))
+        total += len(slots.a_positions) * len(slots.b_inv_positions)
+    members, rows = [], []
+    for k, (f, _, slots) in enumerate(blocks):
+        lower = [
+            (offset, s.spread, s.right, _witness_set(kind, n, rank(f), rank(e)))
+            for e, offset, s in blocks[: k + 1]
+        ]
+        for c in slots.a_positions:
+            cf = multiply(elements[c], f)
+            times_c = times[c]
+            for d_inv in slots.b_inv_positions:
+                members.append(multiply(cf, elements[d_inv]))
+                row = 0
+                for offset, spread, right, witnesses in lower:
+                    block = 0
+                    for w, w_inv in witnesses:
+                        block |= spread[times_c[w]] * right[times[w_inv][d_inv]]
+                    row |= block << offset
+                rows.append(row)
+    made = set(members)
+    if not len(made) == len(members) == len(elems) or made != set(elems):
         raise RuntimeError(
-            f"{len(elems)} members for the {total} standard-form slots of {kind} size {n}"
+            f"the {total} standard-form slots of {kind} size {n} give {len(made)} "
+            f"distinct members, not the {len(elems)} given"
         )
-    members: list = [None] * total
-    forms: list = [None] * total
-    for x in elems:
-        form = standard_form(x, ctx)
-        offset, slots = blocks[form.rank]
-        i, j = slots.a_slot[form.a_index], slots.b_slot[form.b_inv_index]
-        slot = offset + i * len(slots.b_slot) + j
-        if members[slot] is not None:
-            raise RuntimeError(f"{members[slot]} and {x} share one standard-form slot")
-        members[slot] = x
-        forms[slot] = form
-    rows = []
-    for form in forms:
-        times_c = times[form.a_index]
-        d_inv = form.b_inv_index
-        row = 0
-        for r, (offset, slots) in blocks.items():
-            if r > form.rank:
-                break
-            spread, right = slots.spread, slots.right
-            block = 0
-            for w, w_inv in _witness_set(kind, n, form.rank, r):
-                block |= spread[times_c[w]] * right[times[w_inv][d_inv]]
-            row |= block << offset
-        rows.append(row)
     return members, rows
 
 

@@ -150,11 +150,13 @@ def _check_inrsn(ni) -> list:
     """Count the pairs on which the one-line route and the standard-form
     route disagree, over all rooks of size ni and, at even ni, all
     symplectic rooks in the symplectic group context.  Each route builds
-    its order as one bitset row per member: route two's rows and the slot
-    order of the members come from `standard_form_rows`, route one's from
-    `rank_rows` on the members in that order, with each member's own bit
-    set (every member is below itself).  The disagreements are the
-    popcount of the XOR of the two rows, summed over the members."""
+    its order as one bitset row per member: `standard_form_rows` makes the
+    members from their standard-form slots, in slot order, with route
+    two's rows, and checks that they are the enumerated family; route
+    one's rows come from `rank_rows` on the members in that order, with
+    each member's own bit set (every member is below itself).  The
+    disagreements are the popcount of the XOR of the two rows, summed over
+    the members."""
     routes = [("rook", "one-line vs standard-form disagreements")]
     if ni % 2 == 0:
         routes.append(("renner-sp", "ambient vs intrinsic symplectic disagreements"))
@@ -348,7 +350,7 @@ def _check_standard_form(ni) -> list:
         except RuntimeError:
             failures += 1
             continue
-        if is_upper_triangular(x) != table.below[table.index[form.b]] >> form.a_index & 1:
+        if is_upper_triangular(x) != table.below[table.index[form.b]] >> table.index[form.a] & 1:
             triangular_mismatch += 1
     reports.append(_zero_row((("n", ni),), failures, "non-unique standard forms"))
     reports.append(
@@ -370,22 +372,24 @@ def _check_standard_form(ni) -> list:
 
 # check -> (the one size it takes, its smallest, its default and its largest
 # accepted value, the check).  Below the smallest size a check would compare
-# nothing and pass vacuously.  The exhaustive comparator check stops at
-# n = 5 (rook n = 5, 1,546 members, by bitset rows): at n = 6 route two's
-# witness loop takes about 4 s.  The standard-form check stops at n = 6
-# (rook n = 6, 13,327 members, about 0.4 s) and the borel-sp slice posets
-# at l = 3; enumeration stops at n = 8 (l = 4).
+# nothing and pass vacuously.  Run as one process at its largest size
+# (2-CPU Xeon, Python 3.11), the exhaustive comparator check takes about
+# 0.25 s (rook n = 5, 1,546 members, by bitset rows; at n = 6 route two's
+# witness loop takes about 4 s), the standard-form check 0.65 s (rook
+# n = 6, 13,327 members), parabolic 1.0 s (l = 6), admissible 0.35 s
+# (l = 8) and the borel-sp slice posets of maxelements 0.2 s (l = 4, as
+# far as enumeration goes: n = 8).
 CHECKS = {
-    "admissible": ("l", 1, 6, 6, _check_admissible),
+    "admissible": ("l", 1, 6, 8, _check_admissible),
     "rank-counts": ("n", 1, 6, 8, _check_rank_counts),
     "stirling-borel": ("n", 1, 6, 8, _check_stirling_borel),
     "inrsn": ("n", 1, 4, 5, _check_inrsn),
-    "maxelements": ("l", 2, 3, 3, _check_maxelements),
+    "maxelements": ("l", 2, 3, 4, _check_maxelements),
     "triangular": ("n", 1, 4, 8, _check_triangular),
     "formula": ("l", 1, 2, 4, _check_formula),
     "folding": ("l", 1, 2, 4, _check_folding),
     "nilpotent": ("n", 3, 5, 8, _check_nilpotent),
-    "parabolic": ("l", 2, 3, 4, _check_parabolic),
+    "parabolic": ("l", 2, 3, 6, _check_parabolic),
     "standard-form": ("n", 1, 4, 6, _check_standard_form),
 }
 VERIFY_CHECKS = tuple(CHECKS)

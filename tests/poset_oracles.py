@@ -46,15 +46,15 @@ def forms_le(sx, sy, ctx) -> bool:
     y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
     the chain and some witness w in W(f)W(e) has a <= cw and
     w^{-1} d^{-1} <= b^{-1} in the Bruhat order.  Both comparisons are bit
-    tests on the group's table at the positions the forms and the
-    witnesses keep."""
+    tests on the group's table, at the positions of a, c, b^{-1} and
+    d^{-1} in its index and at those the witnesses keep."""
     if sx.rank > sy.rank:
         return False
     table = _dominance(ctx.kind, ctx.n)
-    times, below = table.times, table.below
-    a, d_inv = sx.a_index, sy.b_inv_index
-    times_c = times[sy.a_index]
-    below_b_inv = below[sx.b_inv_index]
+    index, times, below = table.index, table.times, table.below
+    a, d_inv = index[sx.a], index[sy.b_inv]
+    times_c = times[index[sy.a]]
+    below_b_inv = below[index[sx.b_inv]]
     for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.rank, sx.rank):
         if below[times_c[w]] >> a & 1 and below_b_inv >> times[w_inv][d_inv] & 1:
             return True

@@ -46,6 +46,16 @@ VERIFY_DIGESTS = {
     "parabolic": "6902930b343fc756cdcb171ed307b874abd6bff94dc14e400e6012895152e4a4",
     "standard-form": "fb49a6b286bb415becd13daa42b81a0e9c477b868991d31838d431eaffca120d",
 }
+# SHA-256 of verify reports at the largest size each check accepts: inrsn
+# at n = 5, taken while route two still found each member's slot by
+# searching its standard form, and the three checks whose largest sizes
+# were raised, taken on that same code with the old limits lifted.
+VERIFY_LARGEST_DIGESTS = {
+    "inrsn --n 5": "ab17d85b02709d8bf770244de0ab88176c4f19f2908556effe6c1e9d48333fb8",
+    "admissible --l 8": "0adbb6cc69438387654381c18a3bb713718f0c7fb93acc701973bae09294f30f",
+    "maxelements --l 4": "323250724f28b7a610ca001d58593d6c2281222ecac1b387b571f3ab0150f140",
+    "parabolic --l 6": "6b40cf6a1f7d1d9de7acb16b607a4d2c7bf1ebb318b0c678d2771002adb5ae5e",
+}
 COUNT_N4_DIGESTS = {
     "rook": "f2515254dc25c544aea479448081ae547a128d0582d543b4b82968ac52f0433e",
     "borel": "dc03e53d9abb349d5256ac26526639089cf637046f731ec27c8c04a699bf1cc3",
@@ -680,6 +690,14 @@ def test_every_verify_check_passes(capsys):
         assert sha256(out) == VERIFY_DIGESTS[check], check
 
 
+def test_verify_reports_at_the_largest_sizes_unchanged(capsys):
+    for command, digest in VERIFY_LARGEST_DIGESTS.items():
+        check, flag, size = command.split()
+        assert (flag, int(size)) == ("--" + verify.CHECKS[check][0], verify.CHECKS[check][3])
+        code, out = run(capsys, "verify", "--check", check, flag, size)
+        assert code == 0 and sha256(out) == digest, command
+
+
 def test_count_reports_unchanged(capsys):
     assert set(FAMILIES) == set(COUNT_N4_DIGESTS)
     for family in FAMILIES:
@@ -971,7 +989,7 @@ def test_check_sizes_bound_each_check(capsys):
     assert code == 0 and out == run(capsys, "verify", "--check", "admissible")[1]
     assert cli.main(["verify", "--check", "formula", "--l", "5"]) == 2
     assert "formula supports l up to 4" in capsys.readouterr().err
-    assert cli.main(["verify", "--check", "admissible", "--l", "7"]) == 2
+    assert cli.main(["verify", "--check", "admissible", "--l", "9"]) == 2
     assert cli.main(["verify", "--check", "admissible", "--n", "4"]) == 2
     assert "takes --l only" in capsys.readouterr().err
 

@@ -271,8 +271,6 @@ def test_standard_form_matches_the_left_right_scan(kind, family, n):
         form = standard_form(x, ctx)
         assert standard_forms_by_scan(x, ctx) == [(form.a, form.b)], x
         assert form.b_inv == transpose(form.b)
-        assert ctx.elements[form.a_index] == form.a
-        assert ctx.elements[form.b_inv_index] == form.b_inv
 
 
 def forms_rows(members, ctx):
@@ -298,36 +296,48 @@ def test_standard_form_rows_match_forms_le(kind, family, n):
     + [(SYMPLECTIC, "renner-sp", n) for n in (2, 4, 6)],
 )
 def test_standard_form_slots_are_a_bijection(kind, family, n):
-    # the members fill the slots of D_*(e) x D(e) over the chain, one each,
-    # and every (rank, a, b) is taken once
+    # the members are made from the slots, and the search is the oracle of
+    # that: the member in the slot of (f, c, d) has the standard form
+    # c f d^{-1}, so the slots of D_*(f) x D(f) over the chain hold one
+    # member each, in slot order, and the members are the family's
     ctx = group_context(kind, n)
     elems = enum_family(FamilySpec(n, family))
-    slots = 0
-    for e in ctx.chain:
-        _, d_star, d = coset_representatives(kind, n, rank(e))
-        slots += len(d_star) * len(d)
+    slots = [
+        (c, f, d)
+        for f in ctx.chain
+        for c in coset_representatives(kind, n, rank(f))[1]
+        for d in coset_representatives(kind, n, rank(f))[2]
+    ]
     members, rows = standard_form_rows(elems, ctx)
-    assert len(members) == len(rows) == slots
+    assert len(members) == len(rows) == len(slots)
     assert sorted(members) == sorted(elems)
-    forms = {(form.rank, form.a, form.b) for form in (standard_form(x, ctx) for x in elems)}
-    assert len(forms) == slots
+    for x, (c, f, d) in zip(members, slots):
+        form = standard_form(x, ctx)
+        assert (form.a, form.e, form.b) == (c, f, d), x
 
 
-def test_two_members_in_one_slot_raise(monkeypatch):
+def test_one_member_in_two_slots_raises(monkeypatch):
+    # a slot table of rank 1 that lists its last b^{-1} twice makes the
+    # members of that b twice: 34 + 3 slots give 34 distinct members
     ctx = group_context(SYMMETRIC, 3)
-    elems = all_rooks(3)
-    original = order.standard_form
-    # the last rook takes the standard form of the first
-    monkeypatch.setattr(
-        order, "standard_form", lambda x, ctx: original(elems[0] if x == elems[-1] else x, ctx)
-    )
-    with pytest.raises(RuntimeError, match="share one standard-form slot"):
-        standard_form_rows(elems, ctx)
+    original = order._slot_table
+
+    def repeating(kind, n, r):
+        slots = original(kind, n, r)
+        if r != 1:
+            return slots
+        return slots._replace(b_inv_positions=slots.b_inv_positions + slots.b_inv_positions[-1:])
+
+    monkeypatch.setattr(order, "_slot_table", repeating)
+    with pytest.raises(RuntimeError, match="the 37 standard-form slots .* give 34 distinct members"):
+        standard_form_rows(all_rooks(3), ctx)
 
 
 def test_a_member_short_of_the_slots_raises():
     ctx = group_context(SYMMETRIC, 3)
-    with pytest.raises(RuntimeError, match="33 members for the 34 standard-form slots"):
+    with pytest.raises(
+        RuntimeError, match="the 34 standard-form slots .* give 34 distinct members, not the 33 given"
+    ):
         standard_form_rows(all_rooks(3)[:-1], ctx)
 
 
@@ -345,21 +355,22 @@ def count_right_products(monkeypatch):
     return made
 
 
-def test_a_warm_inrsn_check_gathers_once_per_right_representative(monkeypatch):
-    # with the group and slot tables cached, the only products are those of
-    # each member's standard-form search, one per b in D(e_x); the rows are
-    # bit work on the group's table.  A pair test that gathers its products
-    # makes at least one on each pair with rank(x) <= rank(y) (31,754 at
-    # n = 4), and a rebuilt group table one per pair of group elements
+def test_a_warm_inrsn_check_gathers_once_per_left_representative_and_member(monkeypatch):
+    # with the group and slot tables cached, the only products are those
+    # that make the members from their slots: c f once per c in D_*(f) on
+    # each rank, then c f d^{-1} once per member; the rows are bit work on
+    # the group's table.  A standard-form search per member gathers once
+    # per b in D(e_x), 905 + 201 times at n = 4; a pair test that gathers
+    # its products makes at least one on each pair with rank(x) <= rank(y)
+    # (31,754 at n = 4), and a rebuilt group table one per pair of group
+    # elements
     routes = [(SYMMETRIC, "rook"), (SYMPLECTIC, "renner-sp")]
     expected = [
-        sum(
-            len(coset_representatives(kind, 4, rank(x))[2])
-            for x in enum_family(FamilySpec(4, family))
-        )
+        sum(len(coset_representatives(kind, 4, rank(f))[1]) for f in group_context(kind, 4).chain)
+        + len(enum_family(FamilySpec(4, family)))
         for kind, family in routes
     ]
-    assert expected == [905, 201]
+    assert expected == [65 + 209, 21 + 57]
     verify._check_inrsn(4)
     made = count_right_products(monkeypatch)
     verify._check_inrsn(4)
@@ -369,21 +380,20 @@ def test_a_warm_inrsn_check_gathers_once_per_right_representative(monkeypatch):
 def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
     # the search for x reads a e = x b, one gather per b in D(e_x); the
     # left x right scan gathers once per pair (a, b), 15,233 times over the
-    # rooks of size 4.  The table of S_4, built again here, may take one
-    # product per pair of elements
+    # rooks of size 4.  The search reads no group table, so emptying the
+    # cache of S_4's table, whose rebuild takes one product per pair of
+    # elements, adds none
     ctx = group_context(SYMMETRIC, 4)
     elems = all_rooks(4)
     for x in elems:
         standard_form(x, ctx)  # the per-rank coset data, built once
-    bound = len(ctx.elements) ** 2 + sum(
-        len(coset_representatives(SYMMETRIC, 4, rank(x))[2]) for x in elems
-    )
-    assert bound == 1481
+    expected = sum(len(coset_representatives(SYMMETRIC, 4, rank(x))[2]) for x in elems)
+    assert expected == 905
     order._dominance.cache_clear()
     made = count_right_products(monkeypatch)
     for x in elems:
         standard_form(x, ctx)
-    assert 0 < made[0] <= bound, made[0]
+    assert made[0] == expected
 
 
 def test_weyl_group_order_is_induced():
