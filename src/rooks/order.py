@@ -26,10 +26,12 @@ slots are a bijection onto the monoid exactly when every member has one
 standard form.  The search stays as the uniqueness check of `verify` and as
 the tests' oracle of the slots.  The rows run on the positions of the Weyl
 group's elements in `group_context(kind, n).elements`: one table per group
-(`_dominance`), read off the group's lengths and products alone (0.14 s
-for S_6), holds the product of any two elements and, for each element, the
-bitset of the elements below it in the Bruhat order.  Each witness w is
-held as the positions of w and w^{-1} (`_witness_set`), and per rank two
+(`_dominance`), read off the group's lengths and its products by
+reflections alone (0.11 s for S_7), holds for each element the bitset of
+the elements below it in the Bruhat order.  The products of any two
+elements, which only the rows read whole, are a table that
+`standard_form_rows` builds for its own call and drops after it.  Each
+witness w is held as the positions of w and w^{-1}, and per rank two
 tables read off the Bruhat bitsets (`_slot_table`) turn each witness into
 one block of a row.  The standard-form search reads no table of the group:
 it maps each product a e of a rank to its a (`_coset_data`) and finds
@@ -139,12 +141,11 @@ def bcr_le(x: Rook, y: Rook) -> bool:
 
 
 class Dominance(NamedTuple):
-    """The product and the Bruhat order of one Weyl group on the positions
-    of its elements: index[w] is the position of w, times[i][j] the
-    position of el_i el_j, and bit i of below[j] is set iff el_i <= el_j."""
+    """The Bruhat order of one Weyl group on the positions of its elements:
+    index[w] is the position of w, and bit i of below[j] is set iff
+    el_i <= el_j."""
 
     index: dict
-    times: tuple
     below: tuple
 
 
@@ -152,29 +153,27 @@ class Dominance(NamedTuple):
 def _dominance(kind: str, n: int) -> Dominance:
     """The table of the Weyl group of one kind and size, over the elements
     of `group_context(kind, n)` in their order, from the group's lengths
-    and products alone: nothing of the one-line route enters it.  Bruhat
-    order is the closure of vt < v over the reflections t = w s w^{-1}
-    with l(vt) < l(v) (Bjorner-Brenti, 2.1), on Sp_n that of S_n
-    restricted (8.1), so in order of length below[v] is bit v OR below[vt].
-    The table takes 0.14 s for S_6 and 0.05 s for Sp_8, nearly all of it
-    the |W|^2 products; `below` takes 13 and 5 ms (2-CPU Xeon, Python 3.11)."""
+    and its products by reflections alone: nothing of the one-line route
+    enters it.  Bruhat order is the closure of vt < v over the reflections
+    t = w s w^{-1} with l(vt) < l(v) (Bjorner-Brenti, 2.1), on Sp_n that of
+    S_n restricted (8.1), so in order of length below[v] is bit v OR
+    below[vt].  That takes the |W| |T| products v t, one gather each, not
+    the |W|^2 of a product table: 0.11 s for S_7 (5,040 elements, 21
+    reflections; 2-CPU Xeon, Python 3.11)."""
     ctx = group_context(kind, n)
     elements = ctx.elements
     index = {w: i for i, w in enumerate(elements)}
-    rows = [(0,) + u for u in elements]
-    columns = [[index[times_v(row)] for row in rows] for times_v in map(right_product, elements)]
-    times = tuple(zip(*columns))
     length = [ctx.lengths[w] for w in elements]
-    reflections = {
-        index[multiply(multiply(w, s), transpose(w))] for w in elements for s in ctx.generators
-    }
+    reflections = {multiply(multiply(w, s), transpose(w)) for w in elements for s in ctx.generators}
+    times_t = [right_product(t) for t in reflections]
     below = [0] * len(elements)
     for v in sorted(range(len(elements)), key=length.__getitem__):
+        row = (0,) + elements[v]
         below[v] = 1 << v
-        for u in (times[v][t] for t in reflections):
+        for u in (index[times(row)] for times in times_t):
             if length[u] < length[v]:
                 below[v] |= below[u]
-    return Dominance(index, times, tuple(below))
+    return Dominance(index, tuple(below))
 
 
 class StandardForm(NamedTuple):
@@ -199,13 +198,13 @@ def _chain_idempotent(ctx: GroupContext, r: int) -> Rook:
 
 @lru_cache(maxsize=None)
 def _coset_data(kind: str, n: int, r: int):
-    """(e, left_of, right) for the chain idempotent e of rank r: left_of
-    maps each product a e, a in D_*(e), to its a, and right pairs each b in
-    D(e) with b^{-1}.  The a e are distinct: a e = a' e puts a^{-1} a' in
-    the stabilizer of e, so a = a' for minimal representatives, and a
-    collision is a RuntimeError.  Since b is a permutation,
-    a e b^{-1} = x iff a e = x b, so the search for x costs one gather x b
-    per b and one dict lookup."""
+    """(e, left_of, right, centralizer) for the chain idempotent e of rank
+    r: left_of maps each product a e, a in D_*(e), to its a, right pairs
+    each b in D(e) with b^{-1}, and centralizer is W(e) = {w : we = ew}.
+    The a e are distinct: a e = a' e puts a^{-1} a' in the stabilizer of e,
+    so a = a' for minimal representatives, and a collision is a
+    RuntimeError.  Since b is a permutation, a e b^{-1} = x iff a e = x b,
+    so the search for x costs one gather x b per b and one dict lookup."""
     ctx = group_context(kind, n)
     e = _chain_idempotent(ctx, r)
     data = parabolic_data(e, ctx)
@@ -214,7 +213,7 @@ def _coset_data(kind: str, n: int, r: int):
     if len(left_of) != len(lefts):
         raise RuntimeError(f"two products a e coincide for the idempotent {e} of {kind} size {n}")
     right = [(b, transpose(b)) for b in min_coset_reps(data.commuting_generators, ctx)]
-    return e, left_of, right
+    return e, left_of, right, data.centralizer
 
 
 def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
@@ -227,7 +226,7 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
     if kind == SYMPLECTIC and not is_symplectic_rook(x):
         raise ValueError(f"{x} is not in the {kind} monoid of size {n}")
     r = rank(x)
-    e, left_of, right = _coset_data(kind, n, r)
+    e, left_of, right, _ = _coset_data(kind, n, r)
     matches = [(left_of[ae], b, b_inv) for b, b_inv in right if (ae := multiply(x, b)) in left_of]
     if len(matches) != 1:
         raise RuntimeError(
@@ -235,21 +234,6 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
         )
     a, b, b_inv = matches[0]
     return StandardForm(a, e, b, r, b_inv)
-
-
-@lru_cache(maxsize=None)
-def _witness_set(kind: str, n: int, f_rank: int, e_rank: int) -> tuple:
-    """The product set W(f) W(e) of the centralizers of the chain
-    idempotents f and e of the two ranks, each w held as the pair of
-    positions (w, w^{-1}) in the group's table (`_dominance`), in the
-    lexicographic order of w."""
-    ctx = group_context(kind, n)
-    table = _dominance(kind, n)
-    index, times = table.index, table.times
-    zf = [index[u] for u in parabolic_data(_chain_idempotent(ctx, f_rank), ctx).centralizer]
-    ze = [index[v] for v in parabolic_data(_chain_idempotent(ctx, e_rank), ctx).centralizer]
-    witnesses = sorted({times[u][v] for u in zf for v in ze})
-    return tuple((w, index[transpose(ctx.elements[w])]) for w in witnesses)
 
 
 class SlotTable(NamedTuple):
@@ -275,7 +259,7 @@ def _slot_table(kind: str, n: int, r: int) -> SlotTable:
     and the coset representatives of `_coset_data` alone."""
     table = _dominance(kind, n)
     index, below = table.index, table.below
-    _, left_of, right_reps = _coset_data(kind, n, r)
+    _, left_of, right_reps, _ = _coset_data(kind, n, r)
     a_positions = tuple(index[a] for a in left_of.values())
     b_inv_positions = tuple(index[b_inv] for _, b_inv in right_reps)
     width = len(b_inv_positions)
@@ -306,21 +290,33 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     block of y's row on rank e is the union over the witnesses of
     spread[cw] * right[w^{-1} d^{-1}]: one product and one OR per witness,
     no pair test.
+
+    These products are read off a table of all |W|^2 products of the
+    group, times[u][v] the position of el_u el_v, one gather per element v
+    over the padded elements; each witness is held as the positions of w
+    and w^{-1}, in the lexicographic order of w.  No other reader needs the
+    table, so it lives for this call alone: 4.3 MB for S_6, 8.7 MB at its
+    peak with the columns it is built from.
     """
     kind, n = ctx.kind, ctx.n
-    elements, times = ctx.elements, _dominance(kind, n).times
-    blocks = []  # (chain idempotent, offset, slot table), ranks ascending
+    elements, index = ctx.elements, _dominance(kind, n).index
+    padded = [(0,) + u for u in elements]
+    columns = [[index[times_v(u)] for u in padded] for times_v in map(right_product, elements)]
+    times = tuple(zip(*columns))
+    blocks = []  # (chain idempotent, offset, slot table, centralizer positions), ranks ascending
     total = 0
     for e in ctx.chain:
         slots = _slot_table(kind, n, rank(e))
-        blocks.append((e, total, slots))
+        centralizer = [index[u] for u in _coset_data(kind, n, rank(e))[3]]
+        blocks.append((e, total, slots, centralizer))
         total += len(slots.a_positions) * len(slots.b_inv_positions)
     members, rows = [], []
-    for k, (f, _, slots) in enumerate(blocks):
-        lower = [
-            (offset, s.spread, s.right, _witness_set(kind, n, rank(f), rank(e)))
-            for e, offset, s in blocks[: k + 1]
-        ]
+    for k, (f, _, slots, zf) in enumerate(blocks):
+        lower = []
+        for _, offset, s, ze in blocks[: k + 1]:
+            products = {times[u][v] for u in zf for v in ze}  # W(f)W(e)
+            witnesses = [(w, index[transpose(elements[w])]) for w in sorted(products)]
+            lower.append((offset, s.spread, s.right, witnesses))
         for c in slots.a_positions:
             cf = multiply(elements[c], f)
             times_c = times[c]

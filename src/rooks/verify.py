@@ -375,8 +375,8 @@ def _check_standard_form(ni) -> list:
 # nothing and pass vacuously.  Run as one process at its largest size
 # (2-CPU Xeon, Python 3.11), the exhaustive comparator check takes about
 # 0.25 s (rook n = 5, 1,546 members, by bitset rows; at n = 6 route two's
-# witness loop takes about 4 s), the standard-form check 0.65 s (rook
-# n = 6, 13,327 members), parabolic 1.0 s (l = 6), admissible 0.35 s
+# witness loop takes about 4 s), the standard-form check 2.9 s (rook
+# n = 7, 130,922 members), parabolic 1.0 s (l = 6), admissible 0.35 s
 # (l = 8) and the borel-sp slice posets of maxelements 0.2 s (l = 4, as
 # far as enumeration goes: n = 8).
 CHECKS = {
@@ -390,7 +390,7 @@ CHECKS = {
     "folding": ("l", 1, 2, 4, _check_folding),
     "nilpotent": ("n", 3, 5, 8, _check_nilpotent),
     "parabolic": ("l", 2, 3, 6, _check_parabolic),
-    "standard-form": ("n", 1, 4, 6, _check_standard_form),
+    "standard-form": ("n", 1, 4, 7, _check_standard_form),
 }
 VERIFY_CHECKS = tuple(CHECKS)
 

@@ -7,10 +7,13 @@ on every ordered pair, and the transitive reduction that tests every
 comparable pair on its own, with ranks by longest chains (the oracle of
 `build_poset`)."""
 
+from functools import cache
 from itertools import chain
 from operator import le
 
-from rooks.order import HasseDiagram, _dominance, _witness_set, standard_form
+from rooks.order import HasseDiagram, _dominance, standard_form
+from rooks.rook import multiply, transpose
+from rooks.weyl import group_context, parabolic_data
 
 
 def prefix_profile(x) -> tuple[int, ...]:
@@ -41,24 +44,35 @@ def ehresmann_le(u, v) -> bool:
     return True
 
 
+@cache
+def plain_witnesses(kind, n, f, e):
+    """W(f)W(e) from the centralizers of the chain idempotents f and e,
+    through multiply, each w mapped to w^{-1}."""
+    ctx = group_context(kind, n)
+    zf = parabolic_data(f, ctx).centralizer
+    ze = parabolic_data(e, ctx).centralizer
+    return {w: transpose(w) for w in {multiply(u, v) for u in zf for v in ze}}
+
+
 def forms_le(sx, sy, ctx) -> bool:
     """The standard-form criterion on one pair: with x = a e b^{-1} and
     y = c f d^{-1} (forms from `standard_form` in ctx), x <= y iff e <= f on
     the chain and some witness w in W(f)W(e) has a <= cw and
-    w^{-1} d^{-1} <= b^{-1} in the Bruhat order.  Both comparisons are bit
-    tests on the group's table, at the positions of a, c, b^{-1} and
-    d^{-1} in its index and at those the witnesses keep."""
+    w^{-1} d^{-1} <= b^{-1} in the Bruhat order.  The witnesses and the
+    products cw and w^{-1} d^{-1} are taken through multiply, apart from
+    the product table of `standard_form_rows`; both comparisons are bit
+    tests on the group's Bruhat table."""
     if sx.rank > sy.rank:
         return False
     table = _dominance(ctx.kind, ctx.n)
-    index, times, below = table.index, table.times, table.below
-    a, d_inv = index[sx.a], index[sy.b_inv]
-    times_c = times[index[sy.a]]
+    index, below = table.index, table.below
+    a = index[sx.a]
     below_b_inv = below[index[sx.b_inv]]
-    for w, w_inv in _witness_set(ctx.kind, ctx.n, sy.rank, sx.rank):
-        if below[times_c[w]] >> a & 1 and below_b_inv >> times[w_inv][d_inv] & 1:
-            return True
-    return False
+    return any(
+        below[index[multiply(sy.a, w)]] >> a & 1
+        and below_b_inv >> index[multiply(w_inv, sy.b_inv)] & 1
+        for w, w_inv in plain_witnesses(ctx.kind, ctx.n, sy.e, sx.e).items()
+    )
 
 
 def bcr_le_ppr(x, y, ctx) -> bool:

@@ -23,7 +23,7 @@ import rooks.weyl as weyl
 from fresh_peak import fresh_peak
 from patch_everywhere import patch_everywhere
 from rooks.counting import CountReport
-from rooks.rook import format_one_line
+from rooks.rook import format_one_line, multiply
 from rooks.symplectic import FAMILIES, FamilySpec, count_family, enum_family
 
 SCHEMA = json.loads(
@@ -48,13 +48,16 @@ VERIFY_DIGESTS = {
 }
 # SHA-256 of verify reports at the largest size each check accepts: inrsn
 # at n = 5, taken while route two still found each member's slot by
-# searching its standard form, and the three checks whose largest sizes
-# were raised, taken on that same code with the old limits lifted.
+# searching its standard form, the three checks whose largest sizes were
+# raised with it, taken on that same code with the old limits lifted, and
+# standard-form at n = 7, taken with its limit lifted while the Bruhat table
+# was still read off a product table of all pairs of S_7.
 VERIFY_LARGEST_DIGESTS = {
     "inrsn --n 5": "ab17d85b02709d8bf770244de0ab88176c4f19f2908556effe6c1e9d48333fb8",
     "admissible --l 8": "0adbb6cc69438387654381c18a3bb713718f0c7fb93acc701973bae09294f30f",
     "maxelements --l 4": "323250724f28b7a610ca001d58593d6c2281222ecac1b387b571f3ab0150f140",
     "parabolic --l 6": "6b40cf6a1f7d1d9de7acb16b607a4d2c7bf1ebb318b0c678d2771002adb5ae5e",
+    "standard-form --n 7": "e74b78b2061decaddadc99b151acd1b7513a0d15a3ae16cb3f76e78d3cc36732",
 }
 COUNT_N4_DIGESTS = {
     "rook": "f2515254dc25c544aea479448081ae547a128d0582d543b4b82968ac52f0433e",
@@ -851,7 +854,7 @@ def weak_order(dominance):
         for v in sorted(range(len(length)), key=length.__getitem__):
             below[v] = 1 << v
             for s in ctx.generators:
-                u = table.times[v][table.index[s]]
+                u = table.index[multiply(ctx.elements[v], s)]
                 if length[u] < length[v]:
                     below[v] |= below[u]
         return table._replace(below=tuple(below))
@@ -948,7 +951,6 @@ def clear_order_caches():
         order._dominance,
         order._coset_data,
         order._slot_table,
-        order._witness_set,
     ):
         cached.cache_clear()
 

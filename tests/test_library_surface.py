@@ -49,8 +49,8 @@ def test_every_library_definition_is_used_by_the_library():
 
 def test_the_only_caches_are_keyed_by_group_or_rank():
     # every cache of the library, by the module that defines it, with its
-    # key: a group (kind, n), one of its ranks or a pair of its ranks.  No
-    # cache is keyed by an element, so none grows with the monoid
+    # key: a group (kind, n) or one of its ranks.  No cache is keyed by an
+    # element, so none grows with the monoid
     package = Path(rooks.__file__).parent
     caches = {}
     for path in sorted(package.glob("*.py")):
@@ -63,5 +63,4 @@ def test_the_only_caches_are_keyed_by_group_or_rank():
         "order._dominance": ["kind", "n"],
         "order._coset_data": ["kind", "n", "r"],
         "order._slot_table": ["kind", "n", "r"],
-        "order._witness_set": ["kind", "n", "f_rank", "e_rank"],
     }

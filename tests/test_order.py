@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 from functools import cache
 from itertools import permutations, product
@@ -15,6 +16,7 @@ from poset_oracles import (
     forms_le,
     pairwise_rows,
     per_pair_poset,
+    plain_witnesses,
     prefix_profile,
     profile_le,
 )
@@ -181,15 +183,6 @@ def test_comparators_agree_small(n):
         assert bcr_le(x, y) == ppr(x, y)
 
 
-@cache
-def plain_witnesses(kind, n, f, e):
-    # W(f)W(e) from the two centralizers, through multiply
-    ctx = group_context(kind, n)
-    zf = parabolic_data(f, ctx).centralizer
-    ze = parabolic_data(e, ctx).centralizer
-    return {multiply(u, v) for u in zf for v in ze}
-
-
 def forms_le_with_plain_products(sx, sy, ctx):
     # the standard-form criterion as written: each witness taken through
     # multiply and transpose, each comparison through ehresmann_le
@@ -233,11 +226,20 @@ def test_dominance_table_matches_ehresmann_le_and_multiply(kind, n):
     for j, v in enumerate(elements):
         expect = sum(1 << i for i, u in enumerate(elements) if ehresmann_le(u, v))
         assert table.below[j] == expect, v
-    if (kind, n) == (SYMMETRIC, 6):
-        return  # its 518,400 products come from the gathers checked below
-    for i, u in enumerate(elements):
-        for j, v in enumerate(elements):
-            assert elements[table.times[i][j]] == multiply(u, v)
+
+
+@pytest.mark.parametrize("kind,n", [(SYMMETRIC, 7), (SYMPLECTIC, 10)])
+def test_dominance_table_matches_ehresmann_le_on_a_sample(kind, n):
+    # 5,040 and 3,840 elements, past the reach of a |W|^2 product table:
+    # below against ehresmann_le on 20,000 pairs drawn with a fixed seed,
+    # the pairs of the same element included
+    elements = group_context(kind, n).elements
+    table = _dominance(kind, n)
+    draw = random.Random(7).randrange
+    for _ in range(20_000):
+        i, j = draw(len(elements)), draw(len(elements))
+        expect = ehresmann_le(elements[i], elements[j])
+        assert table.below[j] >> i & 1 == expect, (elements[i], elements[j])
 
 
 @cache
@@ -356,21 +358,25 @@ def count_right_products(monkeypatch):
 
 
 def test_a_warm_inrsn_check_gathers_once_per_left_representative_and_member(monkeypatch):
-    # with the group and slot tables cached, the only products are those
-    # that make the members from their slots: c f once per c in D_*(f) on
-    # each rank, then c f d^{-1} once per member; the rows are bit work on
-    # the group's table.  A standard-form search per member gathers once
-    # per b in D(e_x), 905 + 201 times at n = 4; a pair test that gathers
-    # its products makes at least one on each pair with rank(x) <= rank(y)
-    # (31,754 at n = 4), and a rebuilt group table one per pair of group
-    # elements
+    # with the Bruhat, coset and slot tables cached, the only products are
+    # those of the rows' own product table, one gather per group element
+    # over all the padded elements, and those that make the members from
+    # their slots: c f once per c in D_*(f) on each rank, then c f d^{-1}
+    # once per member; the witnesses are read off the product table, the
+    # centralizers off the cached coset data, and the rows are bit work.  A
+    # standard-form search per member gathers once per b in D(e_x),
+    # 905 + 201 times at n = 4; a pair test that gathers its products makes
+    # at least one on each pair with rank(x) <= rank(y) (31,754 at n = 4),
+    # and a rebuilt Bruhat table 150 at S_4: two per element and simple
+    # reflection s to find the reflections w s w^{-1}, then one per reflection
     routes = [(SYMMETRIC, "rook"), (SYMPLECTIC, "renner-sp")]
     expected = [
         sum(len(coset_representatives(kind, 4, rank(f))[1]) for f in group_context(kind, 4).chain)
         + len(enum_family(FamilySpec(4, family)))
+        + len(group_context(kind, 4).elements)
         for kind, family in routes
     ]
-    assert expected == [65 + 209, 21 + 57]
+    assert expected == [65 + 209 + 24, 21 + 57 + 8]
     verify._check_inrsn(4)
     made = count_right_products(monkeypatch)
     verify._check_inrsn(4)
@@ -381,8 +387,7 @@ def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
     # the search for x reads a e = x b, one gather per b in D(e_x); the
     # left x right scan gathers once per pair (a, b), 15,233 times over the
     # rooks of size 4.  The search reads no group table, so emptying the
-    # cache of S_4's table, whose rebuild takes one product per pair of
-    # elements, adds none
+    # cache of S_4's Bruhat table, whose rebuild takes 150 gathers, adds none
     ctx = group_context(SYMMETRIC, 4)
     elems = all_rooks(4)
     for x in elems:
