@@ -84,10 +84,10 @@ def dot_export(h: HasseDiagram):
     (lower -> upper), in items of at most CHUNK_LINES lines, each formatted
     and joined in one call, so the writer counts the lines once per item.
     The lines come in the order of the diagram, which is the order of the
-    names for every family `hasse` builds: its elements are enumerated in
-    lexicographic order, `build_poset` sorts the covers by their pairs of
-    elements, and with one-digit entries (n <= DESK_LIMIT = 8) the names
-    sort as the rooks do."""
+    names: `build_poset` sorts the elements once and the covers by their
+    pairs of indices, which sort as their pairs of elements, and with
+    one-digit entries (n <= DESK_LIMIT = 8) the names sort as the rooks
+    do."""
     names = [format_one_line(x) for x in h.elements]
     name = names.__getitem__
     yield "digraph hasse {"

@@ -10,11 +10,10 @@ geometric claims beyond them.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import itemgetter
 from typing import NamedTuple
 
 from .order import build_poset
-from .rook import Rook, format_one_line, right_product
+from .rook import Rook, format_one_line, gather, right_product
 from .symplectic import FAMILIES, FamilySpec, enum_family
 
 
@@ -46,13 +45,6 @@ class NilpotentReport(NamedTuple):
             f" closed={'yes' if self.closed_under_product else 'no'}"
             f" longest_chain={self.longest_chain}  maximals={tops}"
         )
-
-
-def _rows(slots):
-    """The itemgetter that takes these slots of a row as a row: slot 0
-    alone (the zero rook's empty image) is a slice, since itemgetter of one
-    index returns the entry, not a one-entry row."""
-    return itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(0, 1))
 
 
 def _closed_under_product(elements) -> bool:
@@ -90,12 +82,12 @@ def _closed_under_product(elements) -> bool:
         for t in range(start, len(image)):
             child = image[:t] + image[t + 1 :]
             if child in nodes:
-                keep = _rows([s for s in range(len(image) + 1) if s != t + 1])
+                keep = gather([s for s in range(len(image) + 1) if s != t + 1])
                 if not walk(child, t, set(map(keep, restricted))):
                     return False
         return True
 
-    return walk(used, 0, set(map(_rows((0,) + used), ((0,) + x for x in elements))))
+    return walk(used, 0, set(map(gather((0,) + used), ((0,) + x for x in elements))))
 
 
 def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
@@ -130,7 +122,7 @@ def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
     poset = build_poset(elements)
     if not poset.maximals:
         raise RuntimeError(f"the {spec.family} poset of size {spec.n} has no maximal element")
-    maximals = tuple(elements[i] for i in poset.maximals)
+    maximals = tuple(poset.elements[i] for i in poset.maximals)
     longest = max(poset.rank_of[i] for i in poset.maximals)
     return NilpotentReport(
         family=spec.family,

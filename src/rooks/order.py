@@ -27,7 +27,7 @@ standard form.  The search stays as the uniqueness check of `verify` and as
 the tests' oracle of the slots.  The rows run on the positions of the Weyl
 group's elements in `group_context(kind, n).elements`: one table per group
 (`_dominance`), read off the group's lengths and its products by
-reflections alone (0.11 s for S_7), holds for each element the bitset of
+reflections alone (0.06 s for S_7), holds for each element the bitset of
 the elements below it in the Bruhat order.  The products of any two
 elements, which only the rows read whole, are a table that
 `standard_form_rows` builds for its own call and drops after it.  Each
@@ -46,12 +46,12 @@ over a whole element, a whole column or a whole row: an element's count
 int, each set one parse of its column of count bytes, and each row one
 reduce of ANDs, so it takes O(m + n^3) Python steps, not one per element
 and field.  The tests check the rows against the pair test and its
-oracle.  The Hasse diagram is read off the rows in one pass
-over the rank layers: each layer is found with one bitset test per
-remaining element, and the covers of x are its row on the layer just below;
-only a cover that skips a layer, which a graded poset has none of, takes a
-further bitset step.  The covers and extrema are sorted by one
-lexicographic ordinal per element, not by the rooks themselves.  The verify
+oracle.  `build_poset` sorts its elements once, so an index is its
+element's lexicographic ordinal, and reads the Hasse diagram off the rows
+in one pass over the elements in order of row size: an element's rank is
+one more than the highest rank layer its row meets, and its covers are its
+row on the layer just below; only a cover that skips a layer, which a
+graded poset has none of, takes a further bitset step.  The verify
 check of the two routes sets these rows, built on the members in the order
 `standard_form_rows` makes them from their slots, against route two's
 rows, row by row.
@@ -60,12 +60,13 @@ rows, row by row.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, getitem, itemgetter, lshift
+from operator import and_, eq, getitem, lshift
 from typing import NamedTuple
 
 from .rook import (
     Rook,
     check_rook,
+    gather,
     multiply,
     rank,
     right_product,
@@ -157,14 +158,21 @@ def _dominance(kind: str, n: int) -> Dominance:
     enters it.  Bruhat order is the closure of vt < v over the reflections
     t = w s w^{-1} with l(vt) < l(v) (Bjorner-Brenti, 2.1), on Sp_n that of
     S_n restricted (8.1), so in order of length below[v] is bit v OR
-    below[vt].  That takes the |W| |T| products v t, one gather each, not
-    the |W|^2 of a product table: 0.11 s for S_7 (5,040 elements, 21
-    reflections; 2-CPU Xeon, Python 3.11)."""
+    below[vt].  The reflections are the simple generators closed under
+    conjugation s t s by them, 2 |T| |S| products, not 2 |W| |S| over
+    every w.  The rows take the |W| |T| products v t, one gather each, not
+    the |W|^2 of a product table: 0.06 s for S_7 with its group context
+    (5,040 elements, 21 reflections; 2-CPU Xeon, Python 3.11)."""
     ctx = group_context(kind, n)
     elements = ctx.elements
     index = {w: i for i, w in enumerate(elements)}
     length = [ctx.lengths[w] for w in elements]
-    reflections = {multiply(multiply(w, s), transpose(w)) for w in elements for s in ctx.generators}
+    reflections = set(ctx.generators)
+    fresh = list(reflections)
+    while fresh:
+        conjugates = {multiply(multiply(s, t), s) for t in fresh for s in ctx.generators}
+        fresh = conjugates - reflections
+        reflections |= fresh
     times_t = [right_product(t) for t in reflections]
     below = [0] * len(elements)
     for v in sorted(range(len(elements)), key=length.__getitem__):
@@ -340,7 +348,9 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
 
 class HasseDiagram(NamedTuple):
     """A finite poset: elements, covering edges (as index pairs, lower
-    first), longest-chain ranks from the minimal elements, and extrema."""
+    first), longest-chain ranks from the minimal elements, and extrema.
+    `build_poset` gives the elements in lexicographic order, and the
+    covers and extrema in the order of their indices."""
 
     elements: tuple[Rook, ...]
     covers: tuple[tuple[int, int], ...]
@@ -379,15 +389,8 @@ def rank_rows(elems: list[Rook]) -> list[int]:
             continue  # a constant column: every element passes this field
         fields.append(f)
         masks.append([int(column.translate(table), 2) for table in tables[:top]] + [full])
-    if len(fields) > 1:
-        pick = itemgetter(*fields)
-        return [
-            reduce(and_, map(getitem, masks, pick(c)), full ^ 1 << j) for j, c in enumerate(counts)
-        ]
-    if fields:  # itemgetter of one index gives the item, not a tuple
-        (f,), (le,) = fields, masks
-        return [le[c[f]] & (full ^ 1 << j) for j, c in enumerate(counts)]
-    return [full ^ 1 << j for j in range(m)]
+    pick = gather(fields)
+    return [reduce(and_, map(getitem, masks, pick(c)), full ^ 1 << j) for j, c in enumerate(counts)]
 
 
 def _bits(mask: int):
@@ -399,83 +402,75 @@ def _bits(mask: int):
 
 def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
     """Reduce strict order rows (bit i of down[j] iff elems[i] < elems[j])
-    to a Hasse diagram, in one pass that peels the rank layers.
+    on sorted distinct elements to a Hasse diagram, in one pass over the
+    elements in order of the size of their rows.
 
-    Layer k is every element not yet taken whose row lies inside layers
-    0..k-1, so an element's layer is the length of a longest chain from a
-    minimal element up to it.  As j is taken, the elements of its row on
-    the layer just below are covers of j: anything strictly between would
-    sit on a layer in between, and nothing below them is a cover.  What is
-    left of the row holds everything strictly between its own elements and
-    j, so its covers are those below none of the rest.  It is empty on
-    every element exactly when the poset is graded.
+    If i < j, down[i] is a proper subset of down[j], so that order is a
+    linear extension, and each element comes after everything below it.
+    layers[k] holds the elements of rank k placed so far; an element's rank
+    is one more than the highest layer its row meets, found by scanning down
+    from the top, so it is the length of a longest chain from a minimal
+    element up to it.  The elements of its row on the layer just below are
+    covers: anything strictly between would sit on a layer in between, and
+    nothing below them is a cover.  What is left of the row holds everything
+    strictly between its own elements and j, so its covers are those below
+    none of the rest.  It is empty on every element exactly when the poset
+    is graded.
 
-    The covers, minimals and maximals come out in the lexicographic order
-    of their elements, sorted by one ordinal per element, place[i], from
-    one sort of the elements: a cover's key is the int
-    place[i] m + place[j], not a pair of rooks.  The elements are distinct,
-    so this is the order of the pairs (elems[i], elems[j]).
+    Index order is the lexicographic order of the elements, so the
+    minimals and maximals come out in it as found, and the covers are
+    sorted by the one int i m + j, not by pairs of rooks.
     """
     m = len(elems)
     rank_of = [0] * m
     covers = []
     graded = True
-    untaken = (1 << m) - 1
-    previous = 0  # the layer taken last
-    level = 0
-    remaining = range(m)
-    while remaining:
-        layer = 0
-        rest = []
-        for j in remaining:
-            row = down[j]
-            if row & untaken:
-                rest.append(j)
-                continue
-            layer |= 1 << j
-            rank_of[j] = level
-            near = row & previous
-            reached = near
-            for i in _bits(near):
-                covers.append((i, j))
-                reached |= down[i]
-            skipped = row & ~reached
-            if skipped:
-                graded = False
-                beneath = 0
-                for k in _bits(skipped):
-                    beneath |= down[k]
-                covers.extend((i, j) for i in _bits(skipped & ~beneath))
-        untaken ^= layer
-        previous = layer
-        level += 1
-        remaining = rest
+    layers = []  # layers[k]: the elements of rank k placed so far
+    for j in sorted(range(m), key=lambda j: down[j].bit_count()):
+        row = down[j]
+        level = len(layers)
+        while level and not row & layers[level - 1]:
+            level -= 1
+        rank_of[j] = level
+        if level == len(layers):
+            layers.append(0)
+        layers[level] |= 1 << j
+        if not level:
+            continue
+        near = row & layers[level - 1]
+        reached = near
+        for i in _bits(near):
+            covers.append((i, j))
+            reached |= down[i]
+        skipped = row & ~reached
+        if skipped:
+            graded = False
+            beneath = 0
+            for k in _bits(skipped):
+                beneath |= down[k]
+            covers.extend((i, j) for i in _bits(skipped & ~beneath))
 
-    place = [0] * m  # the lexicographic ordinal of each element
-    for k, i in enumerate(sorted(range(m), key=elems.__getitem__)):
-        place[i] = k
-    minimals = sorted((i for i in range(m) if not down[i]), key=place.__getitem__)
     lower_ends = {i for i, _ in covers}
-    maximals = sorted((i for i in range(m) if i not in lower_ends), key=place.__getitem__)
-    covers.sort(key=lambda ij: place[ij[0]] * m + place[ij[1]])
+    covers.sort(key=lambda ij: ij[0] * m + ij[1])
     return HasseDiagram(
         tuple(elems),
         tuple(covers),
         tuple(rank_of),
-        tuple(minimals),
-        tuple(maximals),
+        tuple(i for i in range(m) if not down[i]),
+        tuple(i for i in range(m) if i not in lower_ends),
         graded,
     )
 
 
 def build_poset(elements) -> HasseDiagram:
     """The Hasse diagram of the one-line order on distinct rooks of one
-    size: order rows from rank-count bitsets (`rank_rows`), then rank
-    layers and covers in one pass (`_hasse_from_rows`).  Ranks are
-    longest-chain lengths from the minimal elements, and everything is a
-    deterministic function of the rows."""
-    elems = [tuple(x) for x in elements]
-    if len(set(elems)) != len(elems):
+    size, on the elements sorted once, so each index is its element's
+    lexicographic ordinal: order rows from rank-count bitsets
+    (`rank_rows`), then ranks and covers in one pass (`_hasse_from_rows`).
+    Ranks are longest-chain lengths from the minimal elements, and
+    everything is a deterministic function of the rows."""
+    elems = sorted(map(tuple, elements))
+    if any(map(eq, elems, elems[1:])):
         raise ValueError("duplicate elements")
     if elems and len({len(x) for x in elems}) != 1:
         raise ValueError("elements must share one size")

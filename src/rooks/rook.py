@@ -113,16 +113,27 @@ def is_permutation(x: Rook) -> bool:
     return 0 not in x
 
 
+def gather(positions):
+    """The map row -> (row[p] for p in positions) as a tuple, or as bytes on
+    bytes, in one C-level call.  `itemgetter` of one index returns the item
+    itself and of none is a TypeError, so one or no position gathers a
+    slice instead.
+
+    >>> gather((2, 0))("abc"), gather((1,))((5, 6)), gather(())((5, 6))
+    (('c', 'a'), (6,), ())
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 def right_product(y: Rook):
     """The map (0,) + x -> multiply(x, y) as one C-level gather.
 
     Entry j of the product is x_{y_j}, or 0 when y_j = 0, which is entry
-    y_j of the padded row (0,) + x.  `itemgetter` with one index returns
-    the entry itself, so size 1 gathers a one-entry slice instead.
+    y_j of the padded row (0,) + x.
     """
-    if len(y) == 1:
-        return itemgetter(slice(y[0], y[0] + 1))
-    return itemgetter(*y)
+    return gather(y)
 
 
 def multiply(x: Rook, y: Rook) -> Rook:

@@ -101,6 +101,10 @@ JSON_DIGESTS = {
     "hasse --n 5 --family rook": "0d4f323f973f3e04111af8c91c0d9421be58a74a02c86e0584ce3d6a379bdd3e",
     "hasse --n 6 --family renner-sp": "61aca34b6820ebab5e609cf02daf1d5fdad213eb8d411d60d7d012fa3dc59ed6",
     "hasse --n 8 --family borel-sp-nil": "cd21893cea29bf49f306999141e609eb0867d38ec27c6df0ff84566879516197",
+    "hasse --n 8 --family renner-sp": "39e075c745fbf7491c4756838e73131a867b0010bd9bf1efa4ff7eb81c697472",
+    "hasse --n 8 --family borel-nil": "5f27a2a486ca67268c09709cf75741cec41a235f451d04fff87de0c472b01557",
+    "hasse --n 7 --family rook --rank 3": "d7d66837ba8efe5412712761661d308801c079942c13625d0672ec7264009086",
+    "hasse --n 8 --family borel-sp --rank 2": "3d7e724c796e5d3d4d1ca5ab2b72d0110845c82fb07d6c3206665ff4aee284ba",
     "enum --n 8 --family renner-sp": "05d9d60e31f6ee44e35bd2be0933ac5cd2f10cbef41c54f5b5e915bcaf0a94f9",
 }
 

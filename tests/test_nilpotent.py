@@ -1,5 +1,4 @@
 from math import comb
-from operator import itemgetter
 
 import pytest
 
@@ -8,7 +7,7 @@ from fresh_peak import fresh_peak
 from rook_oracles import power
 from rooks.nilpotent import nilpotent_analysis
 from rooks.order import bcr_le
-from rooks.rook import multiply
+from rooks.rook import gather, multiply
 from rooks.symplectic import FamilySpec, enum_family
 
 
@@ -138,15 +137,14 @@ def test_closure_gathers_far_fewer_rows_than_pairs(monkeypatch):
 
 
 def test_closure_projects_each_image_from_its_parent(monkeypatch):
-    # every restriction row is built by an itemgetter of the module: the
-    # used values' rows of the 877 members once, then each image's rows
-    # from its parent's distinct rows, 6,782 in all at borel-nil n=7.
-    # Restricting every member to each of the 64 images builds
-    # 64 x 877 = 56,128
+    # every restriction row is built by a gather of the module: the used
+    # values' rows of the 877 members once, then each image's rows from its
+    # parent's distinct rows, 6,782 in all at borel-nil n=7.  Restricting
+    # every member to each of the 64 images builds 64 x 877 = 56,128
     made = [0]
 
-    def counted(*slots):
-        take = itemgetter(*slots)
+    def counted(slots):
+        take = gather(slots)
 
         def row(x):
             made[0] += 1
@@ -154,7 +152,7 @@ def test_closure_projects_each_image_from_its_parent(monkeypatch):
 
         return row
 
-    monkeypatch.setattr(nilpotent, "itemgetter", counted)
+    monkeypatch.setattr(nilpotent, "gather", counted)
     elements = enum_family(FamilySpec(7, "borel-nil"))
     m = len(elements)
     assert m == 877 and nilpotent._closed_under_product(elements)

@@ -367,8 +367,9 @@ def test_a_warm_inrsn_check_gathers_once_per_left_representative_and_member(monk
     # standard-form search per member gathers once per b in D(e_x),
     # 905 + 201 times at n = 4; a pair test that gathers its products makes
     # at least one on each pair with rank(x) <= rank(y) (31,754 at n = 4),
-    # and a rebuilt Bruhat table 150 at S_4: two per element and simple
-    # reflection s to find the reflections w s w^{-1}, then one per reflection
+    # and a rebuilt Bruhat table 42 at S_4: two per reflection t and simple
+    # reflection s to close the simple reflections under s t s, then one per
+    # reflection
     routes = [(SYMMETRIC, "rook"), (SYMPLECTIC, "renner-sp")]
     expected = [
         sum(len(coset_representatives(kind, 4, rank(f))[1]) for f in group_context(kind, 4).chain)
@@ -387,7 +388,7 @@ def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
     # the search for x reads a e = x b, one gather per b in D(e_x); the
     # left x right scan gathers once per pair (a, b), 15,233 times over the
     # rooks of size 4.  The search reads no group table, so emptying the
-    # cache of S_4's Bruhat table, whose rebuild takes 150 gathers, adds none
+    # cache of S_4's Bruhat table, whose rebuild takes 42 gathers, adds none
     ctx = group_context(SYMMETRIC, 4)
     elems = all_rooks(4)
     for x in elems:
@@ -675,9 +676,35 @@ def rook_subsets(draw):
 @given(rook_subsets())
 def test_layer_reduction_matches_per_pair_on_random_subsets(elems):
     # many such subsets are ungraded (77 of a sample of 200), so this
-    # reaches the step that finds the covers that skip a layer
+    # reaches the step that finds the covers that skip a layer; build_poset
+    # gives its diagram on the sorted elements
+    elems = sorted(elems)
     expected = per_pair_poset(elems, profile_rows(elems))
     assert poset_fields(build_poset(elems)) == poset_fields(expected)
+
+
+def test_build_poset_of_a_shuffled_list_is_that_of_the_sorted_list():
+    elements = enum_family(FamilySpec(4, "rook"))
+    shuffled = elements[:]
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != elements
+    poset = build_poset(shuffled)
+    assert poset.elements == tuple(elements)
+    assert poset_fields(poset) == poset_fields(build_poset(elements))
+
+
+def test_layer_reduction_scans_past_a_layer_the_row_misses():
+    # (1,2,3) has rank 1 but three elements below it, more than the two
+    # below (3,0,0) of rank 2, so it comes later in order of row size and
+    # its scan from the top passes layers 2 and 1 before it meets layer 0
+    elements = [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 0, 2), (1, 2, 3), (3, 0, 0)]
+    poset = build_poset(elements)
+    assert [row.bit_count() for row in rank_rows(elements)] == [0, 0, 1, 0, 3, 2]
+    assert poset.rank_of == (0, 0, 1, 0, 1, 2)
+    assert poset.covers == ((0, 2), (0, 4), (1, 4), (2, 5), (3, 4))
+    assert poset.graded
+    expected = per_pair_poset(elements, profile_rows(elements))
+    assert poset_fields(poset) == poset_fields(expected)
 
 
 def test_layer_reduction_finds_a_cover_that_skips_a_layer():
