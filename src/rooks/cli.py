@@ -3,6 +3,15 @@ enumeration, counting, order queries, Hasse/DOT export, folding, partition
 conversion and the verification harness.  The count tables and the checks
 themselves live in `rooks.verify`.
 
+Each command loads only the modules it runs.  The parser needs the check
+names of `rooks.verify` (and `count` its `count_reports`), so this module
+loads `rooks.verify` with `rooks.counting`, `rooks.rook` and
+`rooks.symplectic`, which is all that `enum` and `count` run.  `order` and
+`hasse` import `rooks.order` (and with it `rooks.weyl`) when they run,
+`fold` and `unfold` `rooks.folding`, `partition` `rooks.partitions`, and
+each verify check the modules it uses (see `rooks.verify`).  `json` loads
+only to write `--format json`.
+
 Output depends only on the command line: identical invocations print
 identical bytes.
 
@@ -20,22 +29,12 @@ internal error (a RuntimeError, such as a standard form that is not unique).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .folding import fold, unfold_preimages
-from .order import HasseDiagram, bcr_le, build_poset
-from .partitions import (
-    parse_partition,
-    partition_standard_string,
-    partition_to_rook,
-    rook_to_partition,
-)
 from .rook import format_one_line, parse_one_line
 from .symplectic import (
     FAMILIES,
@@ -51,6 +50,9 @@ from .verify import (
     proof_agreement,
     run_check,
 )
+
+if TYPE_CHECKING:
+    from .order import HasseDiagram
 
 # Largest family `hasse` accepts, from the memory of the order rows: the
 # poset build holds one bitset row of m bits per element (the elements below
@@ -190,6 +192,9 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
       ]
     }
     """
+    import json
+    from json.encoder import encode_basestring_ascii as quote
+
     inner = indent + "  "
     if isinstance(value, JsonStream):
         count = value.count
@@ -217,7 +222,7 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
         keys = sorted(value)
         last = keys[-1]
         for key in keys:
-            yield from json_lines(value[key], f"{inner}{_quote(key)}: ", inner, "," if key != last else "")
+            yield from json_lines(value[key], f"{inner}{quote(key)}: ", inner, "," if key != last else "")
         yield indent + "}" + tail
     elif isinstance(value, (list, tuple)):
         if not value:
@@ -226,7 +231,7 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
         yield head + "["
         types = set(map(type, value))
         if types == {int} or types == {str}:
-            yield inner + f",\n{inner}".join(map(str if types == {int} else _quote, value))
+            yield inner + f",\n{inner}".join(map(str if types == {int} else quote, value))
         elif (
             types == {tuple}
             and set(map(len, value)) == {2}
@@ -283,6 +288,8 @@ def _cmd_count(args):
 
 
 def _cmd_order(args):
+    from .order import bcr_le
+
     x = parse_one_line(args.x, args.n)
     y = parse_one_line(args.y, args.n)
     result = bcr_le(x, y)
@@ -297,6 +304,8 @@ def _cmd_order(args):
 
 
 def _cmd_hasse(args):
+    from .order import build_poset
+
     spec = FamilySpec(args.n, args.family, args.rank)
     size = count_family(spec)
     if size > HASSE_LIMIT:
@@ -323,6 +332,8 @@ def _cmd_hasse(args):
 
 
 def _cmd_fold(args):
+    from .folding import fold
+
     x = parse_one_line(args.x, args.n)
     tb = fold(x, "tb")
     lr = fold(x, "lr")
@@ -339,6 +350,8 @@ def _cmd_fold(args):
 
 
 def _cmd_unfold(args):
+    from .folding import unfold_preimages
+
     a = parse_one_line(args.x, args.l)
     preimages = unfold_preimages(a)
     if args.format == "count":
@@ -354,6 +367,13 @@ def _cmd_unfold(args):
 
 
 def _cmd_partition(args):
+    from .partitions import (
+        parse_partition,
+        partition_standard_string,
+        partition_to_rook,
+        rook_to_partition,
+    )
+
     text = args.x.strip()
     if text.startswith("("):
         x = parse_one_line(text, args.n)

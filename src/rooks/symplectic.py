@@ -53,7 +53,6 @@ from .rook import (
     range_of,
     rank,
 )
-from .weyl import theta_perm
 
 DESK_LIMIT = 8
 
@@ -106,6 +105,15 @@ def enum_admissible(n: int, k: int) -> list[tuple[int, ...]]:
     if not 0 <= k <= n:
         raise ValueError(f"k out of range 0..{n}")
     return [s for s in combinations(range(1, n + 1), k) if is_admissible(s, n)]
+
+
+def theta_perm(w: Rook) -> Rook:
+    """The involution (n+1-w_n, n+1-w_{n-1}, ..., n+1-w_1); its fixed
+    points are exactly the symplectic Weyl group."""
+    n = len(w)
+    if n % 2:
+        raise ValueError(f"size must be even, got {n}")
+    return tuple(n + 1 - w[n - 1 - i] for i in range(n))
 
 
 def is_symplectic_rook(x: Rook) -> bool:

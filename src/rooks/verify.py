@@ -6,6 +6,14 @@ Every check takes its one size, n or l as its entry in CHECKS names it, and
 returns a list of report rows; a row whose oracle and proof form disagree
 is an implementation bug, a disagreement with a printed form is only
 logged.
+
+`rooks.counting`, `rooks.rook` and `rooks.symplectic` load with this
+module, which is all that `count` and the admissible, rank-counts,
+triangular and formula checks run.  Each other check imports the rest of
+what it uses when it runs: stirling-borel `rooks.partitions`, inrsn and
+standard-form `rooks.order` and `rooks.weyl`, maxelements `rooks.order`,
+folding `rooks.folding`, nilpotent `rooks.nilpotent` and `rooks.order`,
+and parabolic `rooks.weyl`.
 """
 
 from __future__ import annotations
@@ -24,18 +32,6 @@ from .counting import (
     stirling2,
     triangular_census,
 )
-from .folding import fold, fold_images, unfold_preimages
-from .nilpotent import nilpotent_analysis
-from .order import (
-    _dominance,
-    build_poset,
-    rank_count_le,
-    rank_counts,
-    rank_rows,
-    standard_form,
-    standard_form_rows,
-)
-from .partitions import enum_partitions, partition_to_rook, rook_to_partition
 from .rook import diagonal_idempotent, format_one_line, is_permutation, is_upper_triangular
 from .symplectic import (
     FAMILIES,
@@ -48,14 +44,6 @@ from .symplectic import (
     iter_family,
     iter_family_ranks,
     rank_slice_minimum,
-)
-from .weyl import (
-    SYMMETRIC,
-    SYMPLECTIC,
-    generated_subgroup,
-    group_context,
-    parabolic_data,
-    simple_transposition,
 )
 
 
@@ -125,6 +113,8 @@ def _check_rank_counts(n) -> list:
 
 
 def _check_stirling_borel(n) -> list:
+    from .partitions import enum_partitions, partition_to_rook, rook_to_partition
+
     reports = []
     for ni in range(1, n + 1):
         reps = count_reports(FamilySpec(ni, "borel"))
@@ -157,6 +147,9 @@ def _check_inrsn(ni) -> list:
     each member's own bit set (every member is below itself).  The
     disagreements are the popcount of the XOR of the two rows, summed over
     the members."""
+    from .order import rank_rows, standard_form_rows
+    from .weyl import SYMMETRIC, SYMPLECTIC, group_context
+
     routes = [("rook", "one-line vs standard-form disagreements")]
     if ni % 2 == 0:
         routes.append(("renner-sp", "ambient vs intrinsic symplectic disagreements"))
@@ -175,6 +168,8 @@ def _check_inrsn(ni) -> list:
 
 
 def _check_maxelements(l) -> list:
+    from .order import build_poset
+
     reports = []
     for li in range(2, l + 1):
         ni = 2 * li
@@ -237,6 +232,8 @@ def _check_formula(l) -> list:
 
 
 def _check_folding(l_val) -> list:
+    from .folding import fold, fold_images, unfold_preimages
+
     n_val = 2 * l_val
     reports = []
     images = fold_images(l_val)
@@ -279,6 +276,9 @@ def _check_folding(l_val) -> list:
 
 
 def _check_nilpotent(n) -> list:
+    from .nilpotent import nilpotent_analysis
+    from .order import rank_count_le, rank_counts
+
     reports: list = []
     for ni in range(3, n + 1):
         rep = nilpotent_analysis(FamilySpec(ni, "borel-nil"))
@@ -305,6 +305,15 @@ def _check_nilpotent(n) -> list:
 
 
 def _check_parabolic(l) -> list:
+    from .weyl import (
+        SYMMETRIC,
+        SYMPLECTIC,
+        generated_subgroup,
+        group_context,
+        parabolic_data,
+        simple_transposition,
+    )
+
     reports = []
     for li in range(2, l + 1):
         ni = 2 * li
@@ -339,6 +348,9 @@ def _check_parabolic(l) -> list:
 
 
 def _check_standard_form(ni) -> list:
+    from .order import _dominance, standard_form
+    from .weyl import SYMMETRIC, SYMPLECTIC, group_context
+
     reports = []
     ctx = group_context(SYMMETRIC, ni)
     table = _dominance(SYMMETRIC, ni)
@@ -374,8 +386,9 @@ def _check_standard_form(ni) -> list:
 # accepted value, the check).  Below the smallest size a check would compare
 # nothing and pass vacuously.  Run as one process at its largest size
 # (2-CPU Xeon, Python 3.11), the exhaustive comparator check takes about
-# 0.25 s (rook n = 5, 1,546 members, by bitset rows; at n = 6 route two's
-# witness loop takes about 4 s), the standard-form check 2.9 s (rook
+# 2.6-3.3 s and 47 MB (rook n = 6, 13,327 members, by bitset rows, most of
+# it route two's witness loop; rook n = 7, 130,922 members, would take
+# rows of m^2/8 = 2.1 GB), the standard-form check 2.9 s (rook
 # n = 7, 130,922 members), parabolic 1.0 s (l = 6), admissible 0.35 s
 # (l = 8) and the borel-sp slice posets of maxelements 0.2 s (l = 4, as
 # far as enumeration goes: n = 8).
@@ -383,7 +396,7 @@ CHECKS = {
     "admissible": ("l", 1, 6, 8, _check_admissible),
     "rank-counts": ("n", 1, 6, 8, _check_rank_counts),
     "stirling-borel": ("n", 1, 6, 8, _check_stirling_borel),
-    "inrsn": ("n", 1, 4, 5, _check_inrsn),
+    "inrsn": ("n", 1, 4, 6, _check_inrsn),
     "maxelements": ("l", 2, 3, 4, _check_maxelements),
     "triangular": ("n", 1, 4, 8, _check_triangular),
     "formula": ("l", 1, 2, 4, _check_formula),

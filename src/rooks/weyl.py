@@ -25,15 +25,6 @@ SYMMETRIC = "symmetric"
 SYMPLECTIC = "symplectic"
 
 
-def theta_perm(w: Perm) -> Perm:
-    """The involution (n+1-w_n, n+1-w_{n-1}, ..., n+1-w_1); its fixed
-    points are exactly the symplectic Weyl group."""
-    n = len(w)
-    if n % 2:
-        raise ValueError(f"size must be even, got {n}")
-    return tuple(n + 1 - w[n - 1 - i] for i in range(n))
-
-
 def simple_transposition(n: int, j: int) -> Perm:
     """r_j = (j, j+1) in one-line notation."""
     if not 1 <= j <= n - 1:

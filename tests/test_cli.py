@@ -47,13 +47,13 @@ VERIFY_DIGESTS = {
     "standard-form": "fb49a6b286bb415becd13daa42b81a0e9c477b868991d31838d431eaffca120d",
 }
 # SHA-256 of verify reports at the largest size each check accepts: inrsn
-# at n = 5, taken while route two still found each member's slot by
-# searching its standard form, the three checks whose largest sizes were
-# raised with it, taken on that same code with the old limits lifted, and
-# standard-form at n = 7, taken with its limit lifted while the Bruhat table
+# at n = 6, taken with its limit lifted on the code whose commands still
+# loaded every module at start-up; admissible, maxelements and parabolic,
+# taken with their old limits lifted while route two still found each
+# member's slot by searching its standard form; and standard-form at n = 7, taken with its limit lifted while the Bruhat table
 # was still read off a product table of all pairs of S_7.
 VERIFY_LARGEST_DIGESTS = {
-    "inrsn --n 5": "ab17d85b02709d8bf770244de0ab88176c4f19f2908556effe6c1e9d48333fb8",
+    "inrsn --n 6": "af57df0fec0eb4bb69de5f483599c9fe541f64bbf114447b880f9b255a4dda11",
     "admissible --l 8": "0adbb6cc69438387654381c18a3bb713718f0c7fb93acc701973bae09294f30f",
     "maxelements --l 4": "323250724f28b7a610ca001d58593d6c2281222ecac1b387b571f3ab0150f140",
     "parabolic --l 6": "6b40cf6a1f7d1d9de7acb16b607a4d2c7bf1ebb318b0c678d2771002adb5ae5e",
@@ -1049,7 +1049,7 @@ def test_resource_bounds_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--check", "formula", "--l", "5"]) == 2
     capsys.readouterr()
-    assert cli.main(["verify", "--check", "inrsn", "--n", "6"]) == 2
+    assert cli.main(["verify", "--check", "inrsn", "--n", "7"]) == 2
     capsys.readouterr()
 
 

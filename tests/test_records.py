@@ -1,6 +1,6 @@
 """The records of the package: what a caller may rely on, whatever class
 machinery builds them, and a start-up that does not load `dataclasses`,
-`inspect` or `fractions` for them."""
+`inspect` or `fractions` for them, nor a module the command does not run."""
 
 import dataclasses
 import os
@@ -19,24 +19,60 @@ from rooks.symplectic import FamilySpec, ResourceLimitError, enum_family
 from rooks.weyl import SYMMETRIC, group_context, parabolic_data
 
 # The same check runs as a step of .github/workflows/tests.yml.  `-S` keeps
-# the machine's `site` from loading any of these modules first.
+# the machine's `site` from loading any of these modules first.  The parser
+# needs `rooks.verify` (the check names), which loads `rooks.counting`,
+# `rooks.rook` and `rooks.symplectic`; every other module of the package,
+# and `json`, loads only for a command that runs it.
 STARTUP_CHECK = (
     "import sys, rooks.cli; rooks.cli.build_parser(); "
-    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules); "
+    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'rooks.order', 'rooks.weyl', "
+    "'rooks.folding', 'rooks.nilpotent', 'rooks.partitions'} & set(sys.modules); "
     "sys.exit(f'loaded at start-up: {sorted(heavy)}' if heavy else 0)"
+)
+# Runs the command of its arguments and writes the names of the modules
+# then loaded to stderr.
+COMMAND_CHECK = (
+    "import sys, rooks.cli; code = rooks.cli.main(sys.argv[1:]); "
+    "sys.stderr.write(' '.join(sorted(sys.modules))); sys.exit(code)"
 )
 
 
-def test_cli_startup_loads_no_dataclasses_inspect_or_fractions():
-    # in a fresh interpreter: pytest itself has loaded dataclasses and inspect
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter: pytest itself has loaded dataclasses, inspect
+    # and json, and this process every module of the package
     src = Path(rooks.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", STARTUP_CHECK],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )
+
+
+def test_cli_startup_loads_no_dataclasses_inspect_or_fractions():
+    result = fresh_python(STARTUP_CHECK)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "command,loads,refuses",
+    [
+        ("enum --n 3 --family rook --format count", set(), {"json", "rooks.order", "rooks.weyl"}),
+        (
+            "hasse --n 3 --family rook --format dot",
+            {"rooks.order"},
+            {"json", "rooks.folding", "rooks.nilpotent", "rooks.partitions"},
+        ),
+        ("verify --check triangular --n 3", set(), {"rooks.order", "rooks.weyl"}),
+    ],
+    ids=["enum", "hasse", "verify"],
+)
+def test_a_command_loads_only_the_modules_it_runs(command, loads, refuses):
+    result = fresh_python(COMMAND_CHECK, *command.split())
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stderr.split())
+    assert "rooks.cli" in loaded and loads <= loaded
+    assert refuses & loaded == set()
 
 
 def replaced(record, **changes):

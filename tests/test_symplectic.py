@@ -32,9 +32,10 @@ from rooks.symplectic import (
     iter_family_ranks,
     line_blocks,
     rank_slice_minimum,
+    theta_perm,
 )
 from rooks.verify import _renner_sp_proof
-from rooks.weyl import SYMPLECTIC, group_context, theta_perm
+from rooks.weyl import SYMPLECTIC, group_context
 
 SP_FAMILIES = [name for name, family in FAMILIES.items() if family.symplectic]
 

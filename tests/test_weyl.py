@@ -4,6 +4,7 @@ import pytest
 
 from rook_oracles import inversions
 from rooks.rook import diagonal_idempotent, identity_rook, multiply
+from rooks.symplectic import theta_perm
 from rooks.weyl import (
     SYMMETRIC,
     SYMPLECTIC,
@@ -14,7 +15,6 @@ from rooks.weyl import (
     parabolic_data,
     simple_transposition,
     symplectic_generators,
-    theta_perm,
 )
 
 
