@@ -512,9 +512,9 @@ def main(argv=None) -> int:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the reader is gone: send what is still buffered nowhere, so
-            # the interpreter's flush at exit does not fail again
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # stdout's reader is gone: send what is still buffered nowhere,
+            # so the interpreter's flush at exit does not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,14 +28,14 @@ the tests' oracle of the slots.  The rows run on the positions of the Weyl
 group's elements in `group_context(kind, n).elements`: one table per group
 (`_dominance`), read off the group's lengths and its products by
 reflections alone (0.06 s for S_7), holds for each element the bitset of
-the elements below it in the Bruhat order.  The products of any two
-elements, which only the rows read whole, are a table that
-`standard_form_rows` builds for its own call and drops after it.  Each
-witness w is held as the positions of w and w^{-1}, and per rank two
-tables read off the Bruhat bitsets (`_slot_table`) turn each witness into
-one block of a row.  The standard-form search reads no table of the group:
-it maps each product a e of a rank to its a (`_coset_data`) and finds
-a e b^{-1} = x as a e = x b, one gather per b.
+the elements below it in the Bruhat order.  Each witness w is held as
+the positions of w and w^{-1}, and per rank two tables read off the
+Bruhat bitsets turn each witness into one block of a row.  Those tables
+and the products of any two elements, which only the rows read whole,
+are built by `standard_form_rows` for its own call and dropped after it.
+The standard-form search reads no table of the group: it maps each
+product a e of a rank to its a (`_coset_data`) and finds a e b^{-1} = x
+as a e = x b, one gather per b.
 
 `build_poset` applies route one by fields, not by pairs: the elements
 below x are the intersection, over the n^2 fields (i, k), of the elements
@@ -244,43 +244,6 @@ def standard_form(x: Rook, ctx: GroupContext) -> StandardForm:
     return StandardForm(a, e, b, r, b_inv)
 
 
-class SlotTable(NamedTuple):
-    """The slots and the row blocks of the members of one rank r, on the
-    positions of the group's elements.  With e the chain idempotent of
-    rank r, a_positions holds the position of each a in D_*(e) and
-    b_inv_positions that of each b^{-1}, b in D(e); the member a e b^{-1}
-    with a the i-th and b the j-th takes bit i |D(e)| + j of the block of
-    rank r.  Bit i |D(e)| of spread[g] is set iff a_i <= g, and bit j of
-    right[h] iff h <= b_j^{-1}, so spread[g] * right[h] is the block
-    {a <= g} x {b^{-1} >= h}: right[h] is below 2^|D(e)|, and the product
-    has no carries."""
-
-    a_positions: tuple
-    b_inv_positions: tuple
-    spread: tuple
-    right: tuple
-
-
-@lru_cache(maxsize=None)
-def _slot_table(kind: str, n: int, r: int) -> SlotTable:
-    """The slot table of rank r, read off the group's table (`_dominance`)
-    and the coset representatives of `_coset_data` alone."""
-    table = _dominance(kind, n)
-    index, below = table.index, table.below
-    _, left_of, right_reps, _ = _coset_data(kind, n, r)
-    a_positions = tuple(index[a] for a in left_of.values())
-    b_inv_positions = tuple(index[b_inv] for _, b_inv in right_reps)
-    width = len(b_inv_positions)
-    spread = tuple(
-        sum(1 << i * width for i, a in enumerate(a_positions) if row >> a & 1) for row in below
-    )
-    right = tuple(
-        sum(1 << j for j, b_inv in enumerate(b_inv_positions) if below[b_inv] >> h & 1)
-        for h in range(len(below))
-    )
-    return SlotTable(a_positions, b_inv_positions, spread, right)
-
-
 def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]:
     """The standard-form order on the whole monoid of ctx as bitset rows:
     the members in slot order, and bit i of rows[j] set iff
@@ -289,7 +252,7 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     The members are made from the slots, not searched for: the slot
     offset(rank f) + i |D(f)| + j holds c f d^{-1}, where f is the chain
     idempotent, c the i-th element of D_*(f) and d the j-th of D(f)
-    (`SlotTable`), and offset(r) is the size of the blocks of lower rank.
+    (`_coset_data`), and offset(r) is the size of the blocks of lower rank.
     Unless the members made are distinct and are the elements of elems,
     as many, it is a RuntimeError: the slots are a bijection onto the
     monoid exactly when every member has one standard form.  With
@@ -297,38 +260,51 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     witness w in W(f)W(e) has a <= cw and w^{-1} d^{-1} <= b^{-1}, so the
     block of y's row on rank e is the union over the witnesses of
     spread[cw] * right[w^{-1} d^{-1}]: one product and one OR per witness,
-    no pair test.
+    no pair test.  On the positions of the group's elements, bit i |D(e)|
+    of spread[g] is set iff a_i <= g, and bit j of right[h] iff
+    h <= b_j^{-1}, both read off the Bruhat bitsets (`_dominance`); right[h]
+    is below 2^|D(e)|, so the product is the block {a <= g} x {b^{-1} >= h}
+    with no carries.
 
     These products are read off a table of all |W|^2 products of the
     group, times[u][v] the position of el_u el_v, one gather per element v
     over the padded elements; each witness is held as the positions of w
     and w^{-1}, in the lexicographic order of w.  No other reader needs the
-    table, so it lives for this call alone: 4.3 MB for S_6, 8.7 MB at its
-    peak with the columns it is built from.
+    product table or the spread and right tables of each rank, so they live
+    for this call alone; the product table takes 4.3 MB for S_6, 8.7 MB at
+    its peak with the columns it is built from.
     """
     kind, n = ctx.kind, ctx.n
-    elements, index = ctx.elements, _dominance(kind, n).index
+    elements = ctx.elements
+    index, below = _dominance(kind, n)
     padded = [(0,) + u for u in elements]
     columns = [[index[times_v(u)] for u in padded] for times_v in map(right_product, elements)]
     times = tuple(zip(*columns))
-    blocks = []  # (chain idempotent, offset, slot table, centralizer positions), ranks ascending
+    blocks = []  # (f, offset, positions of c and d^{-1}, spread, right, W(f)), ranks ascending
     total = 0
-    for e in ctx.chain:
-        slots = _slot_table(kind, n, rank(e))
-        centralizer = [index[u] for u in _coset_data(kind, n, rank(e))[3]]
-        blocks.append((e, total, slots, centralizer))
-        total += len(slots.a_positions) * len(slots.b_inv_positions)
+    for f in ctx.chain:
+        _, left_of, right_reps, centralizer = _coset_data(kind, n, rank(f))
+        cs = [index[c] for c in left_of.values()]
+        d_invs = [index[d_inv] for _, d_inv in right_reps]
+        width = len(d_invs)
+        spread = [sum(1 << i * width for i, c in enumerate(cs) if row >> c & 1) for row in below]
+        right = [
+            sum(1 << j for j, d_inv in enumerate(d_invs) if below[d_inv] >> h & 1)
+            for h in range(len(below))
+        ]
+        blocks.append((f, total, cs, d_invs, spread, right, [index[u] for u in centralizer]))
+        total += len(cs) * width
     members, rows = [], []
-    for k, (f, _, slots, zf) in enumerate(blocks):
+    for k, (f, _, cs, d_invs, _, _, zf) in enumerate(blocks):
         lower = []
-        for _, offset, s, ze in blocks[: k + 1]:
+        for _, offset, _, _, spread, right, ze in blocks[: k + 1]:
             products = {times[u][v] for u in zf for v in ze}  # W(f)W(e)
             witnesses = [(w, index[transpose(elements[w])]) for w in sorted(products)]
-            lower.append((offset, s.spread, s.right, witnesses))
-        for c in slots.a_positions:
+            lower.append((offset, spread, right, witnesses))
+        for c in cs:
             cf = multiply(elements[c], f)
             times_c = times[c]
-            for d_inv in slots.b_inv_positions:
+            for d_inv in d_invs:
                 members.append(multiply(cf, elements[d_inv]))
                 row = 0
                 for offset, spread, right, witnesses in lower:

@@ -267,6 +267,27 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_broken_out_pipe_with_stdout_closed_exits_2(tmp_path):
+    # the reader of a pipe at --out stops after 10 bytes, in a process that
+    # starts with file descriptor 1 closed: the error is the pipe's, and
+    # stdout, which is not written, is left alone
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    command = [sys.executable, "-m", "rooks.cli", "enum", "--n", "8", "--family", "rook"]
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", *command, "--out", str(fifo)]
+    reader = subprocess.Popen(["head", "-c", "10", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        result = subprocess.run(argv, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert reader.communicate(timeout=10)[0] == b"(0,0,0,0,0"
+    finally:
+        reader.kill()
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # one small run of every command
 EVERY_COMMAND = [
     ["enum", "--n", "2", "--family", "rook"],
@@ -954,9 +975,25 @@ def clear_order_caches():
     for cached in (
         order._dominance,
         order._coset_data,
-        order._slot_table,
     ):
         cached.cache_clear()
+
+
+def test_route_two_keeps_no_table_between_calls(monkeypatch):
+    # route two reads the group's Bruhat table afresh in each call: with the
+    # weak order patched in after a first call, the rows of the rooks of
+    # size 3 lose the pairs that only the Bruhat order holds, and with the
+    # Bruhat table back they are the first call's again
+    ctx = weyl.group_context(weyl.SYMMETRIC, 3)
+    elems = enum_family(FamilySpec(3, "rook"))
+    members, rows = order.standard_form_rows(elems, ctx)
+    with monkeypatch.context() as patch:
+        patch.setattr(order, "_dominance", weak_order(order._dominance))
+        weak_members, weak_rows = order.standard_form_rows(elems, ctx)
+    assert weak_members == members
+    assert all(weak & ~row == 0 for weak, row in zip(weak_rows, rows))
+    assert sum((row ^ weak).bit_count() for row, weak in zip(rows, weak_rows)) == 42
+    assert order.standard_form_rows(elems, ctx) == (members, rows)
 
 
 @pytest.mark.parametrize("check,flag,size,module,name,breaker", BROKEN_ROUTES)

@@ -137,5 +137,4 @@ def test_the_only_caches_are_keyed_by_group_or_rank():
         "weyl.group_context": ["kind", "n"],
         "order._dominance": ["kind", "n"],
         "order._coset_data": ["kind", "n", "r"],
-        "order._slot_table": ["kind", "n", "r"],
     }

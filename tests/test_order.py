@@ -319,18 +319,16 @@ def test_standard_form_slots_are_a_bijection(kind, family, n):
 
 
 def test_one_member_in_two_slots_raises(monkeypatch):
-    # a slot table of rank 1 that lists its last b^{-1} twice makes the
-    # members of that b twice: 34 + 3 slots give 34 distinct members
+    # coset data of rank 1 that lists its last b twice makes the members of
+    # that b twice: 34 + 3 slots give 34 distinct members
     ctx = group_context(SYMMETRIC, 3)
-    original = order._slot_table
+    original = order._coset_data
 
     def repeating(kind, n, r):
-        slots = original(kind, n, r)
-        if r != 1:
-            return slots
-        return slots._replace(b_inv_positions=slots.b_inv_positions + slots.b_inv_positions[-1:])
+        e, left_of, right, centralizer = original(kind, n, r)
+        return e, left_of, (right + right[-1:] if r == 1 else right), centralizer
 
-    monkeypatch.setattr(order, "_slot_table", repeating)
+    monkeypatch.setattr(order, "_coset_data", repeating)
     with pytest.raises(RuntimeError, match="the 37 standard-form slots .* give 34 distinct members"):
         standard_form_rows(all_rooks(3), ctx)
 
@@ -358,7 +356,7 @@ def count_right_products(monkeypatch):
 
 
 def test_a_warm_inrsn_check_gathers_once_per_left_representative_and_member(monkeypatch):
-    # with the Bruhat, coset and slot tables cached, the only products are
+    # with the Bruhat and coset tables cached, the only products are
     # those of the rows' own product table, one gather per group element
     # over all the padded elements, and those that make the members from
     # their slots: c f once per c in D_*(f) on each rank, then c f d^{-1}
