@@ -152,9 +152,6 @@ def unfold_preimages(a: Rook) -> list[Rook]:
     return sorted(out)
 
 
-unfold_preimages_constructive = unfold_preimages  # the span name of perfbench/traced_job.py
-
-
 def fold_images(l: int) -> dict[Rook, list[Rook]]:
     """The singular upper-triangular symplectic rooks of size 2l grouped by
     their full fold, image -> preimages in lexicographic order, by folding

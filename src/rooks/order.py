@@ -27,7 +27,7 @@ standard form.  The search stays as the uniqueness check of `verify` and as
 the tests' oracle of the slots.  The rows run on the positions of the Weyl
 group's elements in `group_context(kind, n).elements`: one table per group
 (`_dominance`), read off the group's lengths and its products by
-reflections alone (0.06 s for S_7), holds for each element the bitset of
+reflections alone (0.035 s for S_7), holds for each element the bitset of
 the elements below it in the Bruhat order.  Each witness w is held as
 the positions of w and w^{-1}, and per rank two tables read off the
 Bruhat bitsets turn each witness into one block of a row.  Those tables
@@ -161,8 +161,9 @@ def _dominance(kind: str, n: int) -> Dominance:
     below[vt].  The reflections are the simple generators closed under
     conjugation s t s by them, 2 |T| |S| products, not 2 |W| |S| over
     every w.  The rows take the |W| |T| products v t, one gather each, not
-    the |W|^2 of a product table: 0.06 s for S_7 with its group context
-    (5,040 elements, 21 reflections; 2-CPU Xeon, Python 3.11)."""
+    the |W|^2 of a product table: 0.034-0.037 s for S_7 once its group
+    context is built, 0.05 s with it (5,040 elements, 21 reflections;
+    2-CPU Xeon, Python 3.11)."""
     ctx = group_context(kind, n)
     elements = ctx.elements
     index = {w: i for i, w in enumerate(elements)}
@@ -267,21 +268,21 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     with no carries.
 
     These products are read off a table of all |W|^2 products of the
-    group, times[u][v] the position of el_u el_v, one gather per element v
-    over the padded elements; each witness is held as the positions of w
-    and w^{-1}, in the lexicographic order of w.  No other reader needs the
-    product table or the spread and right tables of each rank, so they live
-    for this call alone; the product table takes 4.3 MB for S_6, 8.7 MB at
-    its peak with the columns it is built from.
+    group, times[u][v] the position of el_u el_v, built row by row with one
+    gather per v on the padded el_u; each witness w, in the lexicographic
+    order of w, is held with the position of w^{-1} from one table of |W|
+    inverses.  One walk up the chain makes each rank's record (offset,
+    spread, right, W(f)), then its members and rows against the records so
+    far.  No other reader needs these tables, so they live for this call
+    alone; the product table takes 4.3 MB for S_6.
     """
     kind, n = ctx.kind, ctx.n
     elements = ctx.elements
     index, below = _dominance(kind, n)
-    padded = [(0,) + u for u in elements]
-    columns = [[index[times_v(u)] for u in padded] for times_v in map(right_product, elements)]
-    times = tuple(zip(*columns))
-    blocks = []  # (f, offset, positions of c and d^{-1}, spread, right, W(f)), ranks ascending
-    total = 0
+    times_by = [right_product(v) for v in elements]
+    times = [tuple(index[t(row)] for t in times_by) for row in ((0,) + u for u in elements)]
+    inverse = [index[transpose(w)] for w in elements]
+    ranks, members, rows = [], [], []  # ranks: (offset, spread, right, W(e)) of each rank so far
     for f in ctx.chain:
         _, left_of, right_reps, centralizer = _coset_data(kind, n, rank(f))
         cs = [index[c] for c in left_of.values()]
@@ -292,15 +293,12 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
             sum(1 << j for j, d_inv in enumerate(d_invs) if below[d_inv] >> h & 1)
             for h in range(len(below))
         ]
-        blocks.append((f, total, cs, d_invs, spread, right, [index[u] for u in centralizer]))
-        total += len(cs) * width
-    members, rows = [], []
-    for k, (f, _, cs, d_invs, _, _, zf) in enumerate(blocks):
-        lower = []
-        for _, offset, _, _, spread, right, ze in blocks[: k + 1]:
-            products = {times[u][v] for u in zf for v in ze}  # W(f)W(e)
-            witnesses = [(w, index[transpose(elements[w])]) for w in sorted(products)]
-            lower.append((offset, spread, right, witnesses))
+        zf = [index[u] for u in centralizer]
+        ranks.append((len(members), spread, right, zf))
+        lower = [  # each rank e up to f, with its witnesses w in W(f)W(e) and w^{-1}
+            (offset, spread, right, [(w, inverse[w]) for w in sorted({times[u][v] for u in zf for v in ze})])
+            for offset, spread, right, ze in ranks
+        ]
         for c in cs:
             cf = multiply(elements[c], f)
             times_c = times[c]
@@ -316,7 +314,7 @@ def standard_form_rows(elems, ctx: GroupContext) -> tuple[list[Rook], list[int]]
     made = set(members)
     if not len(made) == len(members) == len(elems) or made != set(elems):
         raise RuntimeError(
-            f"the {total} standard-form slots of {kind} size {n} give {len(made)} "
+            f"the {len(members)} standard-form slots of {kind} size {n} give {len(made)} "
             f"distinct members, not the {len(elems)} given"
         )
     return members, rows

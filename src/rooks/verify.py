@@ -386,7 +386,7 @@ def _check_standard_form(ni) -> list:
 # accepted value, the check).  Below the smallest size a check would compare
 # nothing and pass vacuously.  Run as one process at its largest size
 # (2-CPU Xeon, Python 3.11), the exhaustive comparator check takes about
-# 2.2-2.6 s and 46 MB (rook n = 6, 13,327 members, by bitset rows, most of
+# 2.3-2.6 s and 46 MB (rook n = 6, 13,327 members, by bitset rows, most of
 # it route two's witness loop; rook n = 7, 130,922 members, would take
 # rows of m^2/8 = 2.1 GB), the standard-form check 2.9 s (rook
 # n = 7, 130,922 members), parabolic 1.0 s (l = 6), admissible 0.35 s

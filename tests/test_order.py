@@ -648,6 +648,32 @@ def test_rank_rows_hold_one_count_row_per_element():
     assert peak < 1.8 * m * m / 8
 
 
+ROOK_6_BELOW_RANK_3 = """\
+from rooks.order import _coset_data, _dominance, standard_form_rows
+from rooks.rook import rank
+from rooks.symplectic import FamilySpec, enum_family
+from rooks.weyl import group_context
+ctx = group_context("symmetric", 6)
+ctx = ctx._replace(chain=ctx.chain[:3])
+elements = [x for x in enum_family(FamilySpec(6, "rook")) if rank(x) < 3]
+assert len(elements) == 487
+_dominance("symmetric", 6)
+for r in range(3):
+    _coset_data("symmetric", 6, r)"""
+
+
+def test_standard_form_rows_hold_one_product_table():
+    # the ranks below 3 of the rooks of size 6 are an ideal with few rows,
+    # but their rows read the whole product table of S_6, 8 |W|^2 bytes of
+    # slots; built row by row it is held once (1.09 x 8 |W|^2 read in a
+    # fresh interpreter), built as columns and transposed it is held twice
+    # (2.15 x).  On the whole monoid the rows' big-int steps take some 45 s
+    # under tracemalloc, so the call is traced on the ideal.
+    w = 720
+    peak, _ = fresh_peak(ROOK_6_BELOW_RANK_3, "standard_form_rows(elements, ctx)")
+    assert peak < 1.5 * 8 * w * w
+
+
 def poset_fields(poset):
     return (poset.elements, poset.covers, poset.rank_of, poset.minimals,
             poset.maximals, poset.graded)
