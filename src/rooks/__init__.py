@@ -5,10 +5,11 @@ Bruhat-Chevalley-Renner order.
 imported from the module that defines it when it is first used, through the
 module `__getattr__` of PEP 562 (https://peps.python.org/pep-0562/):
 `rooks.count_family` loads `rooks.symplectic` and `rooks.rook`, and
-`rooks.build_poset` loads `rooks.order` with `rooks.weyl` as well.  So
-`from rooks import X` and `rooks.X` give the object that X's module
-defines, as do `rooks.order` and the other modules named in `_EXPORTS`, and
-`rooks.cli` loads, command by command, only the modules it runs.
+`rooks.build_poset` loads `rooks.order`, which loads `rooks.weyl` only when
+its standard-form route runs.  So `from rooks import X` and `rooks.X` give
+the object that X's module defines, as do `rooks.order` and the other
+modules named in `_EXPORTS`, and `rooks.cli` loads, command by command,
+only the modules it runs.
 """
 
 # module -> the public names it defines

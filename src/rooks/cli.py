@@ -3,14 +3,22 @@ enumeration, counting, order queries, Hasse/DOT export, folding, partition
 conversion and the verification harness.  The count tables and the checks
 themselves live in `rooks.verify`.
 
-Each command loads only the modules it runs.  The parser needs the check
+The commands and their flags are defined once, in `COMMANDS`.  `main` reads
+a plain command line, a command and then `--flag value` pairs, with
+`_plain_args`, and argparse (`build_parser`, built from the same table)
+only reads what that returns None on: help, usage errors and the forms that
+argparse alone accepts, such as abbreviated flags or `--n=3`.  So a plain
+command line does not load argparse, nor the `gettext` and `locale` it
+loads, and both routes give the same namespace.
+
+Each command loads only the modules it runs.  The table needs the check
 names of `rooks.verify` (and `count` its `count_reports`), so this module
 loads `rooks.verify` with `rooks.counting`, `rooks.rook` and
 `rooks.symplectic`, which is all that `enum` and `count` run.  `order` and
-`hasse` import `rooks.order` (and with it `rooks.weyl`) when they run,
-`fold` and `unfold` `rooks.folding`, `partition` `rooks.partitions`, and
-each verify check the modules it uses (see `rooks.verify`).  `json` loads
-only to write `--format json`.
+`hasse` import `rooks.order` when they run, `fold` and `unfold`
+`rooks.folding`, `partition` `rooks.partitions`, and each verify check the
+modules it uses (see `rooks.verify`).  `json` loads only to write
+`--format json`.
 
 Output depends only on the command line: identical invocations print
 identical bytes.
@@ -28,11 +36,11 @@ internal error (a RuntimeError, such as a standard form that is not unique).
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .rook import format_one_line, parse_one_line
@@ -52,6 +60,8 @@ from .verify import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .order import HasseDiagram
 
 # Largest family `hasse` accepts, from the memory of the order rows: the
@@ -63,8 +73,8 @@ if TYPE_CHECKING:
 # 3-5 ms).  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
 # writing the DOT text to /dev/null, rook n = 6 (13,327 elements) takes
-# about 0.7 s and 43 MB resident, and borel n = 8 (21,147) about 1.2 s and
-# 70 MB.
+# about 0.4 s and 41 MB resident, and borel n = 8 (21,147) about 0.75 s and
+# 67 MB (medians of 7 runs, start-up included).
 HASSE_ROW_BYTES = 78_125_000
 HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
@@ -413,93 +423,98 @@ def _cmd_verify(args):
     ], code
 
 
+# The commands, in the order `rooks --help` lists them: name -> (function,
+# formats, default format, flags).  Each flag maps to its keyword arguments
+# of `add_argument`, of which only `type`, `choices`, `required` and
+# `default` occur.  `_flags` adds `--format` and `--out` to every command.
+_REQUIRED = dict(required=True)
+_REQUIRED_INT = dict(type=int, required=True)
+_OPTIONAL_INT = dict(type=int, default=None)
+_SPEC_FLAGS = dict(family=dict(choices=FAMILIES, required=True), rank=_OPTIONAL_INT)
+COMMANDS = {
+    "enum": (_cmd_enum, ("count", "oneline", "json"), "oneline", dict(n=_REQUIRED_INT, **_SPEC_FLAGS)),
+    "count": (_cmd_count, ("report", "json"), "report", dict(n=_OPTIONAL_INT, l=_OPTIONAL_INT, **_SPEC_FLAGS)),
+    "order": (_cmd_order, ("oneline", "json"), "oneline", dict(n=_REQUIRED_INT, x=_REQUIRED, y=_REQUIRED)),
+    "hasse": (_cmd_hasse, ("dot", "count", "json"), "dot", dict(n=_REQUIRED_INT, **_SPEC_FLAGS)),
+    "fold": (_cmd_fold, ("oneline", "json"), "oneline", dict(n=_REQUIRED_INT, x=_REQUIRED)),
+    "unfold": (_cmd_unfold, ("oneline", "count", "json"), "oneline", dict(l=_REQUIRED_INT, x=_REQUIRED)),
+    "partition": (_cmd_partition, ("oneline", "json"), "oneline", dict(n=_REQUIRED_INT, x=_REQUIRED)),
+    "verify": (
+        _cmd_verify,
+        ("report", "json"),
+        "report",
+        dict(check=dict(choices=VERIFY_CHECKS, required=True), n=_OPTIONAL_INT, l=_OPTIONAL_INT),
+    ),
+}
+
+
+def _flags(command: str) -> dict:
+    """Every flag of `command` with its keyword arguments of
+    `add_argument`: its own flags, then `--format` and `--out`."""
+    _, formats, default, flags = COMMANDS[command]
+    return {**flags, "format": dict(choices=formats, default=default), "out": dict(default=None)}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`, which reads every command line
+    that `_plain_args` does not: help, usage errors and the forms that
+    argparse alone accepts."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rooks",
         description="Exact combinatorics of rook and symplectic Renner monoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, formats, default=None, **flags):
-        """A subcommand with `flags`, then `--format` (by default the first
-        of `formats`) and `--out`."""
+    for name, (func, *_) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
+        for flag, kwargs in _flags(name).items():
             p.add_argument(f"--{flag}", **kwargs)
-        p.add_argument("--format", choices=formats, default=default or formats[0])
-        p.add_argument("--out", default=None)
         p.set_defaults(func=func)
-
-    spec_flags = dict(family=dict(choices=FAMILIES, required=True), rank=dict(type=int, default=None))
-    add(
-        "enum",
-        _cmd_enum,
-        ("count", "oneline", "json"),
-        default="oneline",
-        n=dict(type=int, required=True),
-        **spec_flags,
-    )
-    add(
-        "count",
-        _cmd_count,
-        ("report", "json"),
-        n=dict(type=int, default=None),
-        l=dict(type=int, default=None),
-        **spec_flags,
-    )
-    add(
-        "order",
-        _cmd_order,
-        ("oneline", "json"),
-        n=dict(type=int, required=True),
-        x=dict(required=True),
-        y=dict(required=True),
-    )
-    add(
-        "hasse",
-        _cmd_hasse,
-        ("dot", "count", "json"),
-        n=dict(type=int, required=True),
-        **spec_flags,
-    )
-    add(
-        "fold",
-        _cmd_fold,
-        ("oneline", "json"),
-        n=dict(type=int, required=True),
-        x=dict(required=True),
-    )
-    add(
-        "unfold",
-        _cmd_unfold,
-        ("oneline", "count", "json"),
-        l=dict(type=int, required=True),
-        x=dict(required=True),
-    )
-    add(
-        "partition",
-        _cmd_partition,
-        ("oneline", "json"),
-        n=dict(type=int, required=True),
-        x=dict(required=True),
-    )
-    add(
-        "verify",
-        _cmd_verify,
-        ("report", "json"),
-        check=dict(choices=VERIFY_CHECKS, required=True),
-        n=dict(type=int, default=None),
-        l=dict(type=int, default=None),
-    )
     return parser
 
 
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The namespace that `build_parser().parse_args(argv)` gives, read
+    without argparse when argv is plain: a command, then `--flag value`
+    pairs, each flag one of the command's, spelled in full and given once,
+    no value starting with "-", each value of its flag's type and among its
+    choices, and every required flag given.  None for any other argv, which
+    argparse reads: help, usage errors, abbreviations, `--flag=value`,
+    repeated flags and negative numbers."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    given = {}  # "--flag" -> value; a name no flag of the command has is left over
+    for name, value in zip(argv[1::2], argv[2::2]):
+        if name in given or value[:1] == "-":
+            return None
+        given[name] = value
+    args = SimpleNamespace(command=argv[0], func=COMMANDS[argv[0]][0])
+    for flag, spec in _flags(argv[0]).items():
+        value = given.pop(f"--{flag}", None)
+        if value is None:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        setattr(args, flag, value)
+    return None if given else args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         output = args.func(args)
         output, code = output if isinstance(output, tuple) else (output, 0)

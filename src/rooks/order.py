@@ -55,13 +55,16 @@ graded poset has none of, takes a further bitset step.  The verify
 check of the two routes sets these rows, built on the members in the order
 `standard_form_rows` makes them from their slots, against route two's
 rows, row by row.
+
+Route two's `_dominance` and `_coset_data` import `rooks.weyl` where they
+run, so `build_poset` and route one load no Weyl group code.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, eq, getitem, lshift
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .rook import (
     Rook,
@@ -72,14 +75,10 @@ from .rook import (
     right_product,
     transpose,
 )
-from .symplectic import is_symplectic_rook
-from .weyl import (
-    SYMPLECTIC,
-    GroupContext,
-    group_context,
-    min_coset_reps,
-    parabolic_data,
-)
+from .symplectic import SYMPLECTIC, is_symplectic_rook
+
+if TYPE_CHECKING:
+    from .weyl import GroupContext
 
 
 def rank_counts(elems) -> list[int]:
@@ -164,6 +163,8 @@ def _dominance(kind: str, n: int) -> Dominance:
     the |W|^2 of a product table: 0.034-0.037 s for S_7 once its group
     context is built, 0.05 s with it (5,040 elements, 21 reflections;
     2-CPU Xeon, Python 3.11)."""
+    from .weyl import group_context
+
     ctx = group_context(kind, n)
     elements = ctx.elements
     index = {w: i for i, w in enumerate(elements)}
@@ -214,6 +215,8 @@ def _coset_data(kind: str, n: int, r: int):
     so a = a' for minimal representatives, and a collision is a
     RuntimeError.  Since b is a permutation, a e b^{-1} = x iff a e = x b,
     so the search for x costs one gather x b per b and one dict lookup."""
+    from .weyl import group_context, min_coset_reps, parabolic_data
+
     ctx = group_context(kind, n)
     e = _chain_idempotent(ctx, r)
     data = parabolic_data(e, ctx)

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from pathlib import Path
 
 import pytest
@@ -1066,6 +1066,105 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert cli.main(["order", "--n", "3", "--x", "(1,2)", "--y", "(1,2,3)"]) == 2
     capsys.readouterr()
+
+
+def plain_lines(command):
+    """Plain command lines of `command`: with each of its formats and with
+    none, with and without each flag that is not required, each line with
+    its flags in two orders; then one line for each choice of each flag
+    with choices."""
+    flags = cli._flags(command)
+
+    def value(flag):
+        spec = flags[flag]
+        if "choices" in spec:
+            return next(iter(spec["choices"]))
+        return "3" if spec.get("type") is int else f"{flag}.txt"
+
+    required = [flag for flag, spec in flags.items() if spec.get("required")]
+    optional = [flag for flag in flags if flag not in required and flag != "format"]
+    given = []
+    for fmt in (None, *flags["format"]["choices"]):
+        for k in range(len(optional) + 1):
+            for chosen in combinations(optional, k):
+                pairs = [(flag, value(flag)) for flag in (*required, *chosen)]
+                pairs += [("format", fmt)] if fmt else []
+                given += [pairs, pairs[::-1]]
+    for flag, spec in flags.items():
+        for choice in spec.get("choices", ()):
+            given.append([(other, value(other)) for other in required if other != flag] + [(flag, choice)])
+    return [[command, *chain.from_iterable((f"--{flag}", v) for flag, v in pairs)] for pairs in given]
+
+
+def reads_as_argparse(reader, command):
+    """Whether `reader` gives the namespace of argparse on every plain
+    command line of `command`."""
+    parser = cli.build_parser()
+    return all(
+        (args := reader(argv)) is not None and vars(args) == vars(parser.parse_args(argv))
+        for argv in plain_lines(command)
+    )
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_plain_command_lines_read_as_argparse_reads_them(command):
+    assert reads_as_argparse(cli._plain_args, command)
+
+
+def test_a_reader_that_drops_a_default_is_caught():
+    def dropping_defaults(argv):
+        # the namespace without the flags not given, whose defaults it drops
+        args = cli._plain_args(argv)
+        for flag in cli._flags(argv[0]):
+            if f"--{flag}" not in argv:
+                delattr(args, flag)
+        return args
+
+    for command in cli.COMMANDS:
+        assert not reads_as_argparse(dropping_defaults, command), command
+
+
+# command lines that are not plain, each with the exit code and the last
+# line of stderr that argparse gives it
+NOT_PLAIN = [
+    (["-h"], 0, ""),
+    (["enum", "-h"], 0, ""),
+    (["enum", "--fam", "rook", "--n", "3", "--format", "count"], 0, ""),
+    (["enum", "--n=3", "--family", "rook", "--format", "count"], 0, ""),
+    (["enum", "--n", "3", "--n", "4", "--family", "rook", "--format", "count"], 0, ""),
+    (["enum", "--n", "3", "--family", "rook", "--rank", "-1"], 2, "error: rank -1 out of range 0..3"),
+    (["enum", "--n", "3"], 2, "rooks enum: error: the following arguments are required: --family"),
+    (["enum", "--n", "x", "--family", "rook"], 2, "rooks enum: error: argument --n: invalid int value: 'x'"),
+    (
+        ["enum", "--n", "3", "--family", "bogus"],
+        2,
+        "rooks enum: error: argument --family: invalid choice: 'bogus' (choose from 'rook', 'borel', "
+        "'borel-nil', 'renner-sp', 'borel-sp', 'borel-sp-nil')",
+    ),
+    (
+        ["enum", "--n", "3", "--family", "rook", "--format", "xml"],
+        2,
+        "rooks enum: error: argument --format: invalid choice: 'xml' (choose from 'count', 'oneline', 'json')",
+    ),
+    (["enum", "--n", "3", "--family", "rook", "--bogus", "1"], 2, "rooks: error: unrecognized arguments: --bogus 1"),
+    (["enum", "--n", "3", "--family", "rook", "extra"], 2, "rooks: error: unrecognized arguments: extra"),
+    (
+        ["bogus", "--n", "3"],
+        2,
+        "rooks: error: argument command: invalid choice: 'bogus' (choose from 'enum', 'count', 'order', "
+        "'hasse', 'fold', 'unfold', 'partition', 'verify')",
+    ),
+    ([], 2, "rooks: error: the following arguments are required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,code,error", NOT_PLAIN, ids=[" ".join(argv) or "none" for argv, _, _ in NOT_PLAIN])
+def test_other_command_lines_go_to_argparse(capsys, argv, code, error):
+    assert cli._plain_args(argv) is None
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err.splitlines() or [""])[-1] == error
+    assert captured.out.startswith("usage: rooks") == (argv[-1:] == ["-h"])
 
 
 @pytest.mark.parametrize(
