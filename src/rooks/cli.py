@@ -17,8 +17,9 @@ loads `rooks.verify` with `rooks.counting`, `rooks.rook` and
 `rooks.symplectic`, which is all that `enum` and `count` run.  `order` and
 `hasse` import `rooks.order` when they run, `fold` and `unfold`
 `rooks.folding`, `partition` `rooks.partitions`, and each verify check the
-modules it uses (see `rooks.verify`).  `json` loads only to write
-`--format json`.
+modules it uses (see `rooks.verify`).  `--format json` loads only `_json`,
+the C module whose quoting function `json.encoder` uses, and no command
+loads the `json` package (`json_lines`).
 
 Output depends only on the command line: identical invocations print
 identical bytes.
@@ -73,8 +74,8 @@ if TYPE_CHECKING:
 # 3-5 ms).  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
 # writing the DOT text to /dev/null, rook n = 6 (13,327 elements) takes
-# about 0.4 s and 41 MB resident, and borel n = 8 (21,147) about 0.75 s and
-# 67 MB (medians of 7 runs, start-up included).
+# about 0.28 s and 41 MB resident, and borel n = 8 (21,147) about 0.5 s and
+# 68 MB (medians of 7 runs, start-up included).
 HASSE_ROW_BYTES = 78_125_000
 HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
@@ -159,6 +160,14 @@ def _emit_lines(lines, out: str | None) -> None:
             stream.close()
 
 
+class IntPairs(tuple):
+    """A tuple of pairs of ints, such as the covers of a Hasse diagram,
+    which `json_lines` writes as they are, one item per CHUNK_LINES pairs,
+    without checking the type of each pair and entry."""
+
+    __slots__ = ()
+
+
 class JsonStream(NamedTuple):
     """A JSON list of `count` strings that `json_lines` draws from `blocks`
     one block at a time, so the list is never held.  Each block is a pair
@@ -178,16 +187,19 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
     """The text of `json.dumps(value, indent=2, sort_keys=True)` as items
     for `_emit_lines`, the first after `head` and the last before `tail`,
     at the depth of `indent`.  `value` holds dicts with str keys, lists,
-    tuples, `JsonStream`s and scalars.
+    tuples, `IntPairs`, `JsonStream`s and scalars.
 
-    A list of ints or of strs is one item, formatted by one join, and a
-    list of int pairs (the covers of a Hasse diagram) one item per
-    CHUNK_LINES pairs, each joined from one template, so no item grows with
-    the covers; only other lists and dicts recurse.  A `JsonStream` gives
-    one item per block.
+    A list of ints or of strs is one item, formatted by one join, and an
+    `IntPairs` one item per CHUNK_LINES pairs, each formatted in one step
+    from a template of as many pairs, so no item grows with the covers;
+    only other lists and dicts recurse.  A `JsonStream` gives one item per
+    block.  Strings are quoted by `_json.encode_basestring_ascii`, the C
+    function of `json.encoder`, and None, booleans and ints are written
+    directly, so the `json` package loads only for a value of another type
+    (a float), which no command writes.
 
     >>> stream = JsonStream(2, [("(0,", ["0)", "1)"])])
-    >>> for item in json_lines({"b": [(0, 1)], "a": stream}):
+    >>> for item in json_lines({"b": IntPairs([(0, 1)]), "a": stream}):
     ...     print(item)
     {
       "a": [
@@ -202,23 +214,21 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
       ]
     }
     """
-    import json
-    from json.encoder import encode_basestring_ascii as quote
-
+    quote = _quoter()
     inner = indent + "  "
     if isinstance(value, JsonStream):
         count = value.count
         held = 0
         if count:
             yield head + "["
-        quote = inner + '"'
+        opening = inner + '"'
         for prefix, tails in value.blocks:
             held += len(tails)
             if held > count:
                 break
             # the comma after the block's last line, unless the list ends there
             end = '",' if held < count else '"'
-            yield quote + prefix + ('",\n' + quote + prefix).join(tails) + end
+            yield opening + prefix + ('",\n' + opening + prefix).join(tails) + end
         if held != count:
             raise RuntimeError(
                 f"a JSON list counted at {count} items held {'more' if held > count else 'fewer'}"
@@ -239,26 +249,39 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
             yield head + "[]" + tail
             return
         yield head + "["
-        types = set(map(type, value))
-        if types == {int} or types == {str}:
-            yield inner + f",\n{inner}".join(map(str if types == {int} else quote, value))
-        elif (
-            types == {tuple}
-            and set(map(len, value)) == {2}
-            and set(map(type, chain.from_iterable(value))) == {int}
-        ):
+        if isinstance(value, IntPairs):
             pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
             for start in range(0, len(value), CHUNK_LINES):
-                end = start + CHUNK_LINES
-                comma = "," if end < len(value) else ""
-                yield ",\n".join(map(pair.__mod__, value[start:end])) + comma
+                chunk = value[start : start + CHUNK_LINES]
+                comma = "," if start + CHUNK_LINES < len(value) else ""
+                yield ",\n".join([pair] * len(chunk)) % tuple(chain.from_iterable(chunk)) + comma
+        elif (types := set(map(type, value))) == {int} or types == {str}:
+            yield inner + f",\n{inner}".join(map(str if types == {int} else quote, value))
         else:
             last = len(value) - 1
             for i, item in enumerate(value):
                 yield from json_lines(item, inner, inner, "," if i < last else "")
         yield indent + "]" + tail
+    elif value is None or isinstance(value, bool):
+        yield head + ("null" if value is None else "true" if value else "false") + tail
+    elif isinstance(value, int):
+        yield head + int.__repr__(value) + tail
+    elif isinstance(value, str):
+        yield head + quote(value) + tail
     else:
+        import json
+
         yield head + json.dumps(value) + tail
+
+
+def _quoter():
+    """The C function that quotes a string for `json.dumps`, imported
+    without the `json` package, or from it where `_json` is missing."""
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:
+        from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 # --- subcommands: each returns its output, lines or a dict for `json_lines` ---
@@ -333,7 +356,7 @@ def _cmd_hasse(args):
         "family": args.family,
         "rank": args.rank,
         "elements": [format_one_line(x) for x in poset.elements],
-        "covers": poset.covers,
+        "covers": IntPairs(poset.covers),
         "rank_of": poset.rank_of,
         "minimals": poset.minimals,
         "maximals": poset.maximals,

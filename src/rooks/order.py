@@ -41,17 +41,22 @@ as a e = x b, one gather per b.
 below x are the intersection, over the n^2 fields (i, k), of the elements
 whose count is at most c_x(i, k).  It builds one order row per element from
 those sets, an integer bitset of the elements below it: m rows of m bits,
-m^2/8 bytes for m elements.  Each step of `rank_rows` is one C-level call
-over a whole element, a whole column or a whole row: an element's count
-int, each set one parse of its column of count bytes, and each row one
-reduce of ANDs, so it takes O(m + n^3) Python steps, not one per element
-and field.  The tests check the rows against the pair test and its
-oracle.  `build_poset` sorts its elements once, so an index is its
-element's lexicographic ordinal, and reads the Hasse diagram off the rows
-in one pass over the elements in order of row size: an element's rank is
-one more than the highest rank layer its row meets, and its covers are its
-row on the layer just below; only a cover that skips a layer, which a
-graded poset has none of, takes a further bitset step.  The verify
+m^2/8 bytes for m elements.  Each step of `rank_rows` over the elements is
+one C-level call over a whole element, a whole column or a whole row: an
+element's count int, each set one parse of its column of count bytes, each
+group of fields one column of byte codes, one per element, made by big-int
+steps on whole columns, and each row one reduce of ANDs over the groups,
+one mask per group at the element's code.  So it takes O(m + n^3) Python
+steps and at most 256 more per field, one per code, none per element and
+field, and a row takes a few ANDs (3 at rook n=5, 7 at renner-sp n=8), not
+one per varying field (25 and 64).  The
+tests check the rows against the pair test and its oracle.  `build_poset`
+sorts its elements once, so an index is its element's lexicographic
+ordinal, and reads the Hasse diagram off the rows in one pass over the
+elements in order of row size: an element's rank is one more than the
+highest rank layer its row meets, and its covers are its row on the layer
+just below, read off by their top bits; only a cover that skips a layer,
+which a graded poset has none of, takes a further bitset step.  The verify
 check of the two routes sets these rows, built on the members in the order
 `standard_form_rows` makes them from their slots, against route two's
 rows, row by row.
@@ -69,7 +74,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .rook import (
     Rook,
     check_rook,
-    gather,
     multiply,
     rank,
     right_product,
@@ -344,30 +348,50 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     An element's n^2 rank counts are the bytes of its `rank_counts` int.
     The elements' count bytes are joined last to first, so each field's
     column is one strided slice with element j at its j-th last byte.  For
-    a field that is not constant and each value v below the column's max,
-    the set of elements whose count there is at most v is one C-level
+    a field that is not constant and each value v in its column below the
+    max, the set of elements whose count there is at most v is one C-level
     parse, int(column.translate(table_v), 2), table_v sending the bytes
-    0..v to "1" and the rest to "0"; at the max it is every element.  Row
-    j is one reduce: the AND of those sets at element j's counts, without
-    bit j.
+    0..v to "1" and the rest to "0"; at the max it is every element.
+
+    Consecutive varying fields are packed into groups, and each element's
+    values on a group's fields become one byte code.  A group's column of
+    codes takes a field with values up to top in one big-int step,
+    codes (top + 1) + column over the two columns as ints, which carries
+    no byte while the codes stay below 256, and one `bytes.translate`
+    renumbers the codes that occur as 0, 1, ...; so a group takes one more
+    field while (codes that occur) (top + 1) <= 256.  Only a code that
+    occurs keeps a mask, the AND of its fields' sets: rook n=5 packs its
+    25 varying fields into 3 groups with 191 masks, and renner-sp n=8 its
+    64 into 7 with 600, where a mask for every possible code would hold
+    256 per group.  Row j is one reduce: the AND of the masks at element
+    j's codes, group by group in field order, without bit j.
     """
     m = len(elems)
     n = len(elems[0]) if m else 0
     size = n * n
-    counts = [c.to_bytes(size, "little") for c in rank_counts(elems)]
-    blob = b"".join(reversed(counts))
+    blob = b"".join(reversed([c.to_bytes(size, "little") for c in rank_counts(elems)]))
     full = (1 << m) - 1
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n)]
-    fields, masks = [], []
+    groups = []  # (column of codes, mask of each code) of each full group
+    codes, masks = bytes(m), [full]  # the group being filled: no field yet
     for f in range(size):
         column = blob[f::size]
         top = max(column)
         if min(column) == top:
             continue  # a constant column: every element passes this field
-        fields.append(f)
-        masks.append([int(column.translate(table), 2) for table in tables[:top]] + [full])
-    pick = gather(fields)
-    return [reduce(and_, map(getitem, masks, pick(c)), full ^ 1 << j) for j, c in enumerate(counts)]
+        wide = top + 1
+        if len(masks) * wide > 256:
+            groups.append((codes, masks))
+            codes, masks = bytes(m), [full]
+        codes = (int.from_bytes(codes, "big") * wide + int.from_bytes(column, "big")).to_bytes(m, "big")
+        present = bytes(sorted(set(codes)))
+        passing = {v: int(column.translate(tables[v]), 2) if v < top else full for v in set(column)}
+        masks = [masks[c // wide] & passing[c % wide] for c in present]
+        codes = codes.translate(bytes.maketrans(present, bytes(range(len(present)))))
+    groups.append((codes, masks))
+    table = [masks for _, masks in groups]
+    element_codes = zip(*(column[::-1] for column, _ in groups))  # element 0 first
+    return [reduce(and_, map(getitem, table, c), full ^ 1 << j) for j, c in enumerate(element_codes)]
 
 
 def _bits(mask: int):
@@ -389,10 +413,13 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
     from the top, so it is the length of a longest chain from a minimal
     element up to it.  The elements of its row on the layer just below are
     covers: anything strictly between would sit on a layer in between, and
-    nothing below them is a cover.  What is left of the row holds everything
-    strictly between its own elements and j, so its covers are those below
-    none of the rest.  It is empty on every element exactly when the poset
-    is graded.
+    nothing below them is a cover.  They are read off that part of the row
+    by its top bit, i = near.bit_length() - 1, each found bit cleared, so a
+    step costs the length of what is left of it, not the m bits that
+    near & -near takes.  What is left of the row holds everything strictly
+    between its own elements and j, so its covers are those below none of
+    the rest (`_bits`, lowest bit first).  It is empty on every element
+    exactly when the poset is graded.
 
     Index order is the lexicographic order of the elements, so the
     minimals and maximals come out in it as found, and the covers are
@@ -403,7 +430,7 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
     covers = []
     graded = True
     layers = []  # layers[k]: the elements of rank k placed so far
-    for j in sorted(range(m), key=lambda j: down[j].bit_count()):
+    for j in sorted(range(m), key=[row.bit_count() for row in down].__getitem__):
         row = down[j]
         level = len(layers)
         while level and not row & layers[level - 1]:
@@ -416,7 +443,9 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
             continue
         near = row & layers[level - 1]
         reached = near
-        for i in _bits(near):
+        while near:  # each cover by the top bit, so near shrinks as it goes
+            i = near.bit_length() - 1
+            near ^= 1 << i
             covers.append((i, j))
             reached |= down[i]
         skipped = row & ~reached

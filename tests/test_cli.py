@@ -482,6 +482,15 @@ def test_a_listing_gives_the_writer_one_item_per_block(monkeypatch, fmt, other_i
         {"covers": ((0, 1), (0, 2)), "ints": (3, 1, 2), "strs": ["(0,1)", "x"]},
         # covers across two chunk boundaries, the last chunk part full
         pytest.param({"covers": tuple((i, i + 1) for i in range(600))}, id="600 covers"),
+        # the same through the writer's path for `IntPairs`, and none
+        pytest.param({"covers": cli.IntPairs((i, i + 1) for i in range(600))}, id="600 int pairs"),
+        pytest.param({"covers": cli.IntPairs(), "b": [cli.IntPairs([(2, 10**40)])]}, id="no int pairs"),
+        # the scalars that the writer writes without the json package
+        [0, -7, 10**40, -(10**40), [None, [True, False]], {"t": True, "f": False, "z": None}],
+        {'"\\': 'a"b\\c', "\x00\t\x1f\x7f": "\x01\n\r\u2028", "\u00e9\u4e2d": "\U0001f600 \u00fc"},
+        ["\u00e9", 'q"', "\\", "\x1b"],
+        # a float goes to json.dumps
+        {"x": 0.1, "y": [-2.5e-300, 1e300]},
     ],
     ids=repr,
 )
@@ -489,11 +498,29 @@ def test_json_lines_matches_json_dumps(value):
     assert "\n".join(cli.json_lines(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_strings_are_quoted_by_json_encoder_without_the_c_module(monkeypatch):
+    # an interpreter built without `_json` quotes with `json.encoder`
+    monkeypatch.setitem(sys.modules, "_json", None)
+    value = {"\u00e9\"": ["a\\", "\x00"], "k": "\u4e2d\n"}
+    assert "\n".join(cli.json_lines(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_covers_are_written_in_chunks():
-    # no item of the writer holds more than CHUNK_LINES covers
+    # no item of the writer holds more than CHUNK_LINES covers; `hasse`
+    # hands its covers over as `IntPairs`, which the writer takes as pairs
+    # of ints without checking them
     m = 2 * cli.CHUNK_LINES + 88
-    items = list(cli.json_lines({"covers": tuple((i, i + 1) for i in range(m))}))
+    items = list(cli.json_lines({"covers": cli.IntPairs((i, i + 1) for i in range(m))}))
     assert [item.count("[") for item in items[2:-2]] == [cli.CHUNK_LINES] * 2 + [88]
+
+
+def test_hasse_json_hands_its_covers_over_as_int_pairs(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "json_lines", seen.append)
+    monkeypatch.setattr(cli, "_emit_lines", lambda lines, out: None)
+    assert cli.main(["hasse", "--n", "3", "--family", "rook", "--format", "json"]) == 0
+    [report] = seen
+    assert type(report["covers"]) is cli.IntPairs and len(report["covers"]) == 79
 
 
 @pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", "x", "xy"], ["x"] * 300])

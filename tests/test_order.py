@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import sys
 from functools import cache
@@ -580,11 +581,55 @@ def test_rank_rows_hold_counts_up_to_255_in_one_byte():
         rank_rows([(0,) * 256])
 
 
+# SHA-256 of pickle.dumps(rank_rows(elements), protocol=4), computed with
+# the rows of one AND per varying field, before the fields were grouped
+RANK_ROWS_DIGESTS = {
+    ("rook", 5): "b17cec32cb5a24a41be11f03c9edf8b40ba3e168e099429551acabcf9e72eb42",
+    ("rook", 6): "fd957d1bca79997fb638adcac4f2096c603534795a96b4a88d0e7f7fee988f6a",
+    ("borel", 8): "68bfbd2325d1eb3a2d63240942296d282ff81a2e1bf462af124656bf2ac2a3a7",
+    ("renner-sp", 8): "5c362819a14e764f7acc645984e37f019f2f137ece28222fb32307b59a310263",
+}
+
+
+@pytest.mark.parametrize("family, n", list(RANK_ROWS_DIGESTS))
+def test_rank_rows_match_their_pinned_digests(family, n):
+    rows = rank_rows(enum_family(FamilySpec(n, family)))
+    assert hashlib.sha256(pickle.dumps(rows, protocol=4)).hexdigest() == RANK_ROWS_DIGESTS[family, n]
+
+
+@pytest.mark.parametrize(
+    "elems, rows",
+    [([], []), ([(0,)], [0]), ([(0,), (1,)], [0, 0b1]), ([(1, 2), (0, 0)], [0b10, 0])],
+)
+def test_rank_rows_of_at_most_two_elements(elems, rows):
+    assert rank_rows(elems) == rows == profile_rows(elems)
+
+
+def test_rank_rows_take_one_and_per_group_of_fields(monkeypatch):
+    # rook n=5 has 25 varying count fields, packed into 3 groups of byte
+    # codes; one AND per field and row would be 25 per row (38,650 in all)
+    calls = 0
+
+    def counted_and(a, b):
+        nonlocal calls
+        calls += 1
+        return a & b
+
+    elems = all_rooks(5)
+    monkeypatch.setattr(order, "and_", counted_and)
+    rows = rank_rows(elems)
+    monkeypatch.undo()
+    assert varying_count_fields(elems) == 25
+    assert 0 < calls <= 3 * len(elems)
+    assert hashlib.sha256(pickle.dumps(rows, protocol=4)).hexdigest() == RANK_ROWS_DIGESTS["rook", 5]
+
+
 def test_rank_rows_take_no_python_step_per_element_and_field():
     # counted in line events: one Python step per element and field, as a
     # loop over the n^2 fields of each element takes, is m n^2 = 31,572
-    # events here (103,177 read with such a loop); the counts, masks and
-    # reduces take about 5 per element (4,713 read)
+    # events here (103,177 read with such a loop); the counts, the masks of
+    # the codes that occur and the reduces take about 4 per element (3,567
+    # read, of which some 900 are per field and code)
     elems = enum_family(FamilySpec(6, "borel"))
     m, n = len(elems), 6
     events = 0
@@ -639,10 +684,10 @@ def test_build_poset_holds_one_row_per_element():
 
 def test_rank_rows_hold_one_count_row_per_element():
     # the rows take at most m^2/8 bytes; next to them are the m n^2 count
-    # bytes, one copy of them joined last element first, and about
-    # (n+1) m/8 bytes of masks per field (0.90 x m^2/8 read in a fresh
-    # interpreter); a list of n^2 count ints per element takes the peak to
-    # 2.3 x m^2/8
+    # bytes, one copy of them joined last element first, a column of codes
+    # per group of fields and m/8 bytes of mask per code that occurs
+    # (0.78 x m^2/8 read in a fresh interpreter); a list of n^2 count ints
+    # per element takes the peak to 2.3 x m^2/8
     m = 4140
     peak, _ = fresh_peak(BOREL_7, "rank_rows(elements)")
     assert peak < 1.8 * m * m / 8
@@ -688,6 +733,27 @@ def test_layer_reduction_matches_per_pair_reduction(family, n):
     elements = enum_family(FamilySpec(n, family))
     expected = per_pair_poset(elements, rank_rows(elements))
     assert poset_fields(build_poset(elements)) == poset_fields(expected)
+
+
+def test_graded_posets_read_their_covers_without_bits(monkeypatch):
+    # every cover of a graded poset is on the layer just below, read off
+    # by its top bit; `_bits` only walks the covers that skip a layer
+    calls = 0
+    bits = order._bits
+
+    def counted_bits(mask):
+        nonlocal calls
+        calls += 1
+        return bits(mask)
+
+    monkeypatch.setattr(order, "_bits", counted_bits)
+    for family in FAMILIES:
+        assert build_poset(enum_family(FamilySpec(4, family))).graded, family
+    assert calls == 0
+    elems = sorted(random.Random(7).sample(all_rooks(4), 40))
+    poset = build_poset(elems)
+    assert not poset.graded and calls > 0
+    assert poset_fields(poset) == poset_fields(per_pair_poset(elems, profile_rows(elems)))
 
 
 @st.composite

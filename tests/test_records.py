@@ -22,7 +22,8 @@ from rooks.weyl import SYMMETRIC, group_context, parabolic_data
 # the machine's `site` from loading any of these modules first.  The command
 # table needs `rooks.verify` (the check names), which loads
 # `rooks.counting`, `rooks.rook` and `rooks.symplectic`; every other module
-# of the package, and `json`, loads only for a command that runs it.
+# of the package loads only for a command that runs it.  `--format json`
+# loads `_json` for its quoting function, and no command loads `json`.
 # `build_parser` loads argparse, which a plain command line never does.
 STARTUP_CHECK = (
     "import sys, rooks.cli; rooks.cli.build_parser(); "
@@ -66,8 +67,14 @@ def test_cli_startup_loads_no_dataclasses_inspect_or_fractions():
             {"json", "rooks.weyl", "rooks.folding", "rooks.nilpotent", "rooks.partitions"},
         ),
         ("verify --check triangular --n 3", set(), {"rooks.order", "rooks.weyl"}),
+        # JSON output quotes its strings with `_json` alone
+        (
+            "hasse --n 3 --family rook --format json",
+            {"rooks.order", "_json"},
+            {"json", "json.encoder", "rooks.weyl"},
+        ),
     ],
-    ids=["enum", "hasse", "verify"],
+    ids=["enum", "hasse", "verify", "hasse json"],
 )
 def test_a_command_loads_only_the_modules_it_runs(command, loads, refuses):
     result = fresh_python(COMMAND_CHECK, *command.split())
