@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .order import build_poset
+from .order import poset_ranks
 from .rook import Rook, format_one_line, gather, right_product
 from .symplectic import FAMILIES, FamilySpec, enum_family
 
@@ -90,9 +90,14 @@ def _closed_under_product(elements) -> bool:
     return walk(used, 0, set(map(gather((0,) + used), ((0,) + x for x in elements))))
 
 
-def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
+def nilpotent_analysis(spec: FamilySpec, elements=None) -> NilpotentReport:
     """Enumerate a nilpotent family, check product closure, and locate its
-    maximal elements and longest chain inside the ambient order.
+    maximal elements and longest chain inside the ambient order.  A caller
+    that has listed the family already passes its members as `elements`.
+
+    The maximal elements and their ranks come from the ranks pass of the
+    order (`poset_ranks`) alone: the longest chain from zero ends at a
+    maximal element, and no cover of the poset is read.
 
     The closure test forms every distinct product x y, but not pair by
     pair.  Entry j of x y is x_{y_j}, or 0 when y_j = 0, so x y depends on x
@@ -117,13 +122,14 @@ def nilpotent_analysis(spec: FamilySpec) -> NilpotentReport:
         raise ValueError(f"family {spec.family!r} is not a nilpotent family")
     if spec.rank is not None:
         raise ValueError(f"nilpotent analysis needs the whole family, got rank {spec.rank}")
-    elements = enum_family(spec)
+    if elements is None:
+        elements = enum_family(spec)
     closed = _closed_under_product(elements)
-    poset = build_poset(elements)
-    if not poset.maximals:
+    ranks = poset_ranks(elements)
+    if not ranks.maximals:
         raise RuntimeError(f"the {spec.family} poset of size {spec.n} has no maximal element")
-    maximals = tuple(poset.elements[i] for i in poset.maximals)
-    longest = max(poset.rank_of[i] for i in poset.maximals)
+    maximals = tuple(ranks.elements[i] for i in ranks.maximals)
+    longest = max(ranks.rank_of[i] for i in ranks.maximals)
     return NilpotentReport(
         family=spec.family,
         n=spec.n,

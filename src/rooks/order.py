@@ -41,25 +41,32 @@ as a e = x b, one gather per b.
 below x are the intersection, over the n^2 fields (i, k), of the elements
 whose count is at most c_x(i, k).  It builds one order row per element from
 those sets, an integer bitset of the elements below it: m rows of m bits,
-m^2/8 bytes for m elements.  Each step of `rank_rows` over the elements is
-one C-level call over a whole element, a whole column or a whole row: an
-element's count int, each set one parse of its column of count bytes, each
-group of fields one column of byte codes, one per element, made by big-int
-steps on whole columns, and each row one reduce of ANDs over the groups,
-one mask per group at the element's code.  So it takes O(m + n^3) Python
-steps and at most 256 more per field, one per code, none per element and
-field, and a row takes a few ANDs (3 at rook n=5, 7 at renner-sp n=8), not
-one per varying field (25 and 64).  The
-tests check the rows against the pair test and its oracle.  `build_poset`
-sorts its elements once, so an index is its element's lexicographic
-ordinal, and reads the Hasse diagram off the rows in one pass over the
-elements in order of row size: an element's rank is one more than the
-highest rank layer its row meets, and its covers are its row on the layer
-just below, read off by their top bits; only a cover that skips a layer,
-which a graded poset has none of, takes a further bitset step.  The verify
-check of the two routes sets these rows, built on the members in the order
-`standard_form_rows` makes them from their slots, against route two's
-rows, row by row.
+m^2/8 bytes for m elements.  `rank_rows` takes the counts from the
+members' one-line columns, not element by element, so `rank_counts` is
+the pair test's per-element step alone: each step of `rank_rows` over the
+elements is one C-level call over a whole column or a whole row.  Each
+field's column of counts is one `translate` of a column of entries added to
+a running int, each set one parse of that column, each group of fields one
+column of byte codes, one per element, made by big-int steps on whole
+columns, and each row one reduce of ANDs over the groups, one mask per
+group at the element's code.  So it takes O(n^2) steps over columns, O(m)
+over rows and at most 256 more per field, one per code, none per element
+and field, and a row takes a few ANDs (3 at rook n=5, 7 at renner-sp n=8),
+not one per varying field (25 and 64).  The tests check the rows against
+the pair test and its oracle.
+
+`build_poset` sorts its elements once, so an index is its element's
+lexicographic ordinal, and reads the Hasse diagram off the rows in two
+passes.  The ranks pass (`poset_ranks`) visits the elements in order of
+row size: an element's rank is one more than the highest rank layer its
+row meets, the minimals are the empty rows and the maximals the bits in no
+row.  The covers pass (`_hasse_from_rows`) reads each element's covers off
+its row on the layer just below, by their top bits; only a cover that
+skips a layer, which a graded poset has none of, takes a further bitset
+step.  A reader of ranks and extrema alone, such as `nilpotent_analysis`,
+takes the ranks pass and no covers.  The verify check of the two routes
+sets the rows, built on the members in the order `standard_form_rows`
+makes them from their slots, against route two's rows, row by row.
 
 Route two's `_dominance` and `_coset_data` import `rooks.weyl` where they
 run, so `build_poset` and route one load no Weyl group code.
@@ -68,7 +75,8 @@ run, so `build_poset` and route one load no Weyl group code.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import and_, eq, getitem, lshift
+from itertools import compress
+from operator import and_, eq, getitem, lshift, not_, or_
 from typing import TYPE_CHECKING, NamedTuple
 
 from .rook import (
@@ -85,6 +93,15 @@ if TYPE_CHECKING:
     from .weyl import GroupContext
 
 
+def _count_size(elems) -> int:
+    """The size n of the rooks in elems, whose rank counts each take one
+    byte: a ValueError past n = 255."""
+    n = len(elems[0]) if elems else 0
+    if n > 255:
+        raise ValueError(f"rank counts of rooks of size {n} do not fit in one byte (n <= 255)")
+    return n
+
+
 def rank_counts(elems) -> list[int]:
     """Each element's n^2 rank counts c(i, k) = #{j <= i : x_j >= k} as the
     bytes of one int, field (i, k) at byte (i - 1) n + k - 1: the
@@ -99,9 +116,7 @@ def rank_counts(elems) -> list[int]:
     with the shift and the sum folded in would hold about n^4/2 bytes, 2 GB
     at n = 255.
     """
-    n = len(elems[0]) if elems else 0
-    if n > 255:
-        raise ValueError(f"rank counts of rooks of size {n} do not fit in one byte (n <= 255)")
+    n = _count_size(elems)
     ones = [((1 << 8 * v) - 1) // 255 for v in range(n + 1)]  # a 1 in bytes 0..v-1
     shifts = [8 * n * i for i in range(n)]
     prefix = sum(1 << s for s in shifts)
@@ -345,13 +360,18 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     """The one-line order as bitset rows: bit i of down[j] is set iff
     elems[i] < elems[j].
 
-    An element's n^2 rank counts are the bytes of its `rank_counts` int.
-    The elements' count bytes are joined last to first, so each field's
-    column is one strided slice with element j at its j-th last byte.  For
-    a field that is not constant and each value v in its column below the
-    max, the set of elements whose count there is at most v is one C-level
-    parse, int(column.translate(table_v), 2), table_v sending the bytes
-    0..v to "1" and the rest to "0"; at the max it is every element.
+    The counts are taken field by field, not element by element.  Position
+    i of every element is one bytes object, element 0 last, and one
+    `translate` makes it the 0/1 column of x_i >= k.  A running int per k
+    adds that column at each position, so after position i its bytes are
+    the counts c(i, k) = #{j <= i : x_j >= k}, element j at the j-th last
+    byte, with no carry while n <= 255 (a ValueError past it).
+    The fields come in the order of the `rank_counts` bytes, (i, k) with k
+    inner.  For a field that is not constant and each value v in its column
+    below the max, the set of elements whose count there is at most v is
+    one C-level parse, int(column.translate(table_v), 2), table_v sending
+    the bytes 0..v to "1" and the rest to "0"; at the max it is every
+    element.
 
     Consecutive varying fields are packed into groups, and each element's
     values on a group's fields become one byte code.  A group's column of
@@ -366,28 +386,31 @@ def rank_rows(elems: list[Rook]) -> list[int]:
     256 per group.  Row j is one reduce: the AND of the masks at element
     j's codes, group by group in field order, without bit j.
     """
+    n = _count_size(elems)
     m = len(elems)
-    n = len(elems[0]) if m else 0
-    size = n * n
-    blob = b"".join(reversed([c.to_bytes(size, "little") for c in rank_counts(elems)]))
     full = (1 << m) - 1
+    at_least = [bytes(k) + b"\1" * (256 - k) for k in range(1, n + 1)]
     tables = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n)]
+    counts = [0] * n  # counts[k - 1]: the column of c(i, k) so far, as an int
     groups = []  # (column of codes, mask of each code) of each full group
     codes, masks = bytes(m), [full]  # the group being filled: no field yet
-    for f in range(size):
-        column = blob[f::size]
-        top = max(column)
-        if min(column) == top:
-            continue  # a constant column: every element passes this field
-        wide = top + 1
-        if len(masks) * wide > 256:
-            groups.append((codes, masks))
-            codes, masks = bytes(m), [full]
-        codes = (int.from_bytes(codes, "big") * wide + int.from_bytes(column, "big")).to_bytes(m, "big")
-        present = bytes(sorted(set(codes)))
-        passing = {v: int(column.translate(tables[v]), 2) if v < top else full for v in set(column)}
-        masks = [masks[c // wide] & passing[c % wide] for c in present]
-        codes = codes.translate(bytes.maketrans(present, bytes(range(len(present)))))
+    for entry in map(bytes, zip(*reversed(elems))):
+        for k, table in enumerate(at_least):
+            counts[k] += int.from_bytes(entry.translate(table), "big")
+            column = counts[k].to_bytes(m, "big")
+            values = set(column)
+            if len(values) == 1:
+                continue  # a constant column: every element passes this field
+            top = max(values)
+            wide = top + 1
+            if len(masks) * wide > 256:
+                groups.append((codes, masks))
+                codes, masks = bytes(m), [full]
+            codes = (int.from_bytes(codes, "big") * wide + counts[k]).to_bytes(m, "big")
+            present = bytes(sorted(set(codes)))
+            passing = {v: int(column.translate(tables[v]), 2) if v < top else full for v in values}
+            masks = [masks[c // wide] & passing[c % wide] for c in present]
+            codes = codes.translate(bytes.maketrans(present, bytes(range(len(present)))))
     groups.append((codes, masks))
     table = [masks for _, masks in groups]
     element_codes = zip(*(column[::-1] for column, _ in groups))  # element 0 first
@@ -401,34 +424,35 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
-    """Reduce strict order rows (bit i of down[j] iff elems[i] < elems[j])
-    on sorted distinct elements to a Hasse diagram, in one pass over the
-    elements in order of the size of their rows.
+class Ranks(NamedTuple):
+    """The ranks pass over strict order rows on sorted distinct elements:
+    the rows (bit i of down[j] iff elements[i] < elements[j]), each
+    element's longest-chain rank from the minimal elements, the bitset of
+    each rank's elements, and the extrema in the order of their indices.
+    `_hasse_from_rows` reads the covers off it."""
+
+    elements: tuple[Rook, ...]
+    down: list[int]
+    rank_of: tuple[int, ...]
+    layers: list[int]
+    minimals: tuple[int, ...]
+    maximals: tuple[int, ...]
+
+
+def _ranks(elems: list[Rook], down: list[int]) -> Ranks:
+    """Rank strict order rows on sorted distinct elements in one pass over
+    the elements in order of the size of their rows.
 
     If i < j, down[i] is a proper subset of down[j], so that order is a
     linear extension, and each element comes after everything below it.
     layers[k] holds the elements of rank k placed so far; an element's rank
     is one more than the highest layer its row meets, found by scanning down
     from the top, so it is the length of a longest chain from a minimal
-    element up to it.  The elements of its row on the layer just below are
-    covers: anything strictly between would sit on a layer in between, and
-    nothing below them is a cover.  They are read off that part of the row
-    by its top bit, i = near.bit_length() - 1, each found bit cleared, so a
-    step costs the length of what is left of it, not the m bits that
-    near & -near takes.  What is left of the row holds everything strictly
-    between its own elements and j, so its covers are those below none of
-    the rest (`_bits`, lowest bit first).  It is empty on every element
-    exactly when the poset is graded.
-
-    Index order is the lexicographic order of the elements, so the
-    minimals and maximals come out in it as found, and the covers are
-    sorted by the one int i m + j, not by pairs of rooks.
+    element up to it.  The minimals are the empty rows, and the maximals
+    the bits in no row.
     """
     m = len(elems)
     rank_of = [0] * m
-    covers = []
-    graded = True
     layers = []  # layers[k]: the elements of rank k placed so far
     for j in sorted(range(m), key=[row.bit_count() for row in down].__getitem__):
         row = down[j]
@@ -439,8 +463,44 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
         if level == len(layers):
             layers.append(0)
         layers[level] |= 1 << j
+    below_some = f"{reduce(or_, down, 0):0{m}b}"[::-1]  # "1" at i iff i is in a row
+    return Ranks(
+        tuple(elems),
+        down,
+        tuple(rank_of),
+        layers,
+        tuple(compress(range(m), map(not_, down))),
+        tuple(compress(range(m), map("0".__eq__, below_some))),
+    )
+
+
+def _hasse_from_rows(ranks: Ranks) -> HasseDiagram:
+    """The Hasse diagram of ranked order rows (`_ranks`): each element's
+    covers are read off its row.
+
+    The elements of its row on the layer just below are covers: anything
+    strictly between would sit on a layer in between, and nothing below
+    them is a cover.  The layers are final here, and they meet a row as the
+    layers placed before it did, since a row holds only elements with
+    smaller rows.  The covers are read off that part of the row by its top
+    bit, i = near.bit_length() - 1, each found bit cleared, so a step costs
+    the length of what is left of it, not the m bits that near & -near
+    takes.  What is left of the row holds everything strictly between its
+    own elements and j, so its covers are those below none of the rest
+    (`_bits`, lowest bit first).  It is empty on every element exactly when
+    the poset is graded.
+
+    Index order is the lexicographic order of the elements, so the covers
+    are sorted by the one int i m + j, not by pairs of rooks.
+    """
+    elems, down, rank_of, layers, minimals, maximals = ranks
+    m = len(elems)
+    covers = []
+    graded = True
+    for j, level in enumerate(rank_of):
         if not level:
             continue
+        row = down[j]
         near = row & layers[level - 1]
         reached = near
         while near:  # each cover by the top bit, so near shrinks as it goes
@@ -455,29 +515,35 @@ def _hasse_from_rows(elems: list[Rook], down: list[int]) -> HasseDiagram:
             for k in _bits(skipped):
                 beneath |= down[k]
             covers.extend((i, j) for i in _bits(skipped & ~beneath))
-
-    lower_ends = {i for i, _ in covers}
     covers.sort(key=lambda ij: ij[0] * m + ij[1])
-    return HasseDiagram(
-        tuple(elems),
-        tuple(covers),
-        tuple(rank_of),
-        tuple(i for i in range(m) if not down[i]),
-        tuple(i for i in range(m) if i not in lower_ends),
-        graded,
-    )
+    return HasseDiagram(elems, tuple(covers), rank_of, minimals, maximals, graded)
 
 
-def build_poset(elements) -> HasseDiagram:
-    """The Hasse diagram of the one-line order on distinct rooks of one
-    size, on the elements sorted once, so each index is its element's
+def poset_ranks(elements) -> Ranks:
+    """The ranks pass of the one-line order on distinct rooks of one size,
+    on the elements sorted once, so each index is its element's
     lexicographic ordinal: order rows from rank-count bitsets
-    (`rank_rows`), then ranks and covers in one pass (`_hasse_from_rows`).
-    Ranks are longest-chain lengths from the minimal elements, and
-    everything is a deterministic function of the rows."""
+    (`rank_rows`), then each element's rank and the extrema (`_ranks`), and
+    no covers.
+
+    >>> from rooks.symplectic import FamilySpec, enum_family
+    >>> ranks = poset_ranks(enum_family(FamilySpec(3, "borel-nil")))
+    >>> ranks.elements
+    ((0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 2))
+    >>> ranks.rank_of, ranks.minimals, ranks.maximals
+    ((0, 1, 2, 2, 3), (0,), (4,))
+    """
     elems = sorted(map(tuple, elements))
     if any(map(eq, elems, elems[1:])):
         raise ValueError("duplicate elements")
     if elems and len({len(x) for x in elems}) != 1:
         raise ValueError("elements must share one size")
-    return _hasse_from_rows(elems, rank_rows(elems))
+    return _ranks(elems, rank_rows(elems))
+
+
+def build_poset(elements) -> HasseDiagram:
+    """The Hasse diagram of the one-line order on distinct rooks of one
+    size: the ranks pass (`poset_ranks`), then the covers read off the rows
+    (`_hasse_from_rows`).  Ranks are longest-chain lengths from the minimal
+    elements, and everything is a deterministic function of the rows."""
+    return _hasse_from_rows(poset_ranks(elements))

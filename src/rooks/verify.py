@@ -281,7 +281,9 @@ def _check_nilpotent(n) -> list:
 
     reports: list = []
     for ni in range(3, n + 1):
-        rep = nilpotent_analysis(FamilySpec(ni, "borel-nil"))
+        spec = FamilySpec(ni, "borel-nil")
+        members = enum_family(spec)
+        rep = nilpotent_analysis(spec, members)
         reports.append(rep)
         params = (("n", ni),)
         reports.append(CountReport(params, int(rep.closed_under_product), proof_form=1, label="closed"))
@@ -290,7 +292,7 @@ def _check_nilpotent(n) -> list:
         reports.append(CountReport(params, int(rep.maximals == (r0,)), proof_form=1, label="maximum is r0"))
         reports.append(CountReport(params, rep.longest_chain, proof_form=comb(ni, 2), label="longest chain"))
         le = rank_count_le(ni)
-        top, *counts = rank_counts([r0, *iter_family(FamilySpec(ni, "borel-nil"))])
+        top, *counts = rank_counts([r0, *members])
         dominated = sum(1 for c in counts if not le(c, top))
         reports.append(_zero_row(params, dominated, "elements above r0"))
     rep = nilpotent_analysis(FamilySpec(4, "borel-sp-nil"))

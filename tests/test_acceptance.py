@@ -13,7 +13,7 @@ from poset_oracles import bcr_le_ppr_on, ehresmann_le, pairwise_rows
 from rooks.counting import bell, stirling2, triangular_census
 from rooks.folding import fold, fold_images, to_rook, unfold_preimages
 from rooks.nilpotent import nilpotent_analysis
-from rooks.order import _hasse_from_rows, bcr_le, build_poset, standard_form
+from rooks.order import _hasse_from_rows, _ranks, bcr_le, build_poset, standard_form
 from rooks.partitions import enum_partitions, partition_to_rook, rook_to_partition
 from rooks.rook import (
     diagonal_idempotent,
@@ -190,7 +190,7 @@ def test_criterion_5_figure_reproduction():
     # the standard-form route: rows from bcr_le_ppr on every pair, through
     # the same reduction
     poset_ppr = _hasse_from_rows(
-        elements, pairwise_rows(elements, bcr_le_ppr_on(elements, group_context(SYMPLECTIC, 4)))
+        _ranks(elements, pairwise_rows(elements, bcr_le_ppr_on(elements, group_context(SYMPLECTIC, 4))))
     )
     edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.covers}
     assert edges_ppr == edges

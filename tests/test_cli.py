@@ -951,17 +951,19 @@ def dropping_one_image_of_each(fold_images):
     return lambda l: {a: preimages[:-1] for a, preimages in fold_images(l).items()}
 
 
-def losing_a_maximal(build_poset):
+# each breaks `build_poset` or `poset_ranks`, whose records both hold the
+# ranks and the extrema
+def losing_a_maximal(poset_of):
     def broken(elements):
-        poset = build_poset(elements)
+        poset = poset_of(elements)
         return poset._replace(maximals=poset.maximals[:-1])
 
     return broken
 
 
-def ranks_one_higher(build_poset):
+def ranks_one_higher(poset_of):
     def broken(elements):
-        poset = build_poset(elements)
+        poset = poset_of(elements)
         return poset._replace(rank_of=tuple(r + 1 for r in poset.rank_of))
 
     return broken
@@ -990,7 +992,7 @@ BROKEN_ROUTES = [
     ("folding", "--l", 1, counting, "preimage_weight", one_more),
     ("stirling-borel", "--n", 1, partitions, "rook_to_partition", dropping_last),
     ("maxelements", "--l", 2, order, "build_poset", losing_a_maximal),
-    ("nilpotent", "--n", 3, order, "build_poset", ranks_one_higher),
+    ("nilpotent", "--n", 3, order, "poset_ranks", ranks_one_higher),
 ]
 
 
@@ -1043,12 +1045,30 @@ def test_a_broken_route_is_a_proof_mismatch(capsys, monkeypatch, check, flag, si
 def test_a_poset_without_a_maximal_element_is_an_internal_error(capsys, monkeypatch):
     # borel-nil n = 3 has one maximal element; a poset that loses it is a
     # fault of the library, not of the command line
-    original = order.build_poset
+    original = order.poset_ranks
     patch_everywhere(monkeypatch, original, losing_a_maximal(original))
     assert cli.main(["verify", "--check", "nilpotent", "--n", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: the borel-nil poset of size 3 has no maximal element\n"
+
+
+def test_the_nilpotent_check_reads_no_covers(capsys, monkeypatch):
+    # the maximal elements and the longest chain come from the ranks pass;
+    # the covers pass belongs to `build_poset` alone
+    calls = 0
+    covers_pass = order._hasse_from_rows
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return covers_pass(*args)
+
+    monkeypatch.setattr(order, "_hasse_from_rows", counted)
+    code, out = run(capsys, "verify", "--check", "nilpotent", "--n", "5")
+    assert (code, out.splitlines()[-1], calls) == (0, "result: ok", 0)
+    order.build_poset([(0, 0), (0, 1)])
+    assert calls == 1
 
 
 def test_check_sizes_bound_each_check(capsys):

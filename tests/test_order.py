@@ -26,6 +26,7 @@ from rooks.order import (
     _dominance,
     bcr_le,
     build_poset,
+    poset_ranks,
     rank_count_le,
     rank_counts,
     rank_rows,
@@ -624,12 +625,29 @@ def test_rank_rows_take_one_and_per_group_of_fields(monkeypatch):
     assert hashlib.sha256(pickle.dumps(rows, protocol=4)).hexdigest() == RANK_ROWS_DIGESTS["rook", 5]
 
 
+def test_rank_rows_take_no_rank_counts(monkeypatch):
+    # the rows take the counts column by column from the entries; the
+    # count int of each element is the pair test's encoding alone
+    calls = 0
+    counts = order.rank_counts
+
+    def counted_counts(elems):
+        nonlocal calls
+        calls += 1
+        return counts(elems)
+
+    monkeypatch.setattr(order, "rank_counts", counted_counts)
+    rows = rank_rows(all_rooks(5))
+    assert calls == 0
+    assert hashlib.sha256(pickle.dumps(rows, protocol=4)).hexdigest() == RANK_ROWS_DIGESTS["rook", 5]
+
+
 def test_rank_rows_take_no_python_step_per_element_and_field():
     # counted in line events: one Python step per element and field, as a
     # loop over the n^2 fields of each element takes, is m n^2 = 31,572
-    # events here (103,177 read with such a loop); the counts, the masks of
-    # the codes that occur and the reduces take about 4 per element (3,567
-    # read, of which some 900 are per field and code)
+    # events here (103,177 read with such a loop); the columns of counts,
+    # the masks of the codes that occur and the reduces take about 2 per
+    # element (1,862 read, of which some 900 are per field and code)
     elems = enum_family(FamilySpec(6, "borel"))
     m, n = len(elems), 6
     events = 0
@@ -675,7 +693,7 @@ assert len(elements) == 4140"""
 
 def test_build_poset_holds_one_row_per_element():
     # m rows of m bits each take m^2/8 bytes; a second set of rows (the
-    # transpose) would take the peak past that bound (2.32 x m^2/8 read in
+    # transpose) would take the peak past that bound (1.97 x m^2/8 read in
     # a fresh interpreter)
     m = 4140
     peak, _ = fresh_peak(BOREL_7, "build_poset(elements)")
@@ -683,11 +701,11 @@ def test_build_poset_holds_one_row_per_element():
 
 
 def test_rank_rows_hold_one_count_row_per_element():
-    # the rows take at most m^2/8 bytes; next to them are the m n^2 count
-    # bytes, one copy of them joined last element first, a column of codes
-    # per group of fields and m/8 bytes of mask per code that occurs
-    # (0.78 x m^2/8 read in a fresh interpreter); a list of n^2 count ints
-    # per element takes the peak to 2.3 x m^2/8
+    # the rows take at most m^2/8 bytes; next to them are n columns of m
+    # count bytes, one per threshold, a column of codes per group of fields
+    # and m/8 bytes of mask per code that occurs (0.71 x m^2/8 read in a
+    # fresh interpreter); a list of n^2 count ints per element takes the
+    # peak to 2.3 x m^2/8
     m = 4140
     peak, _ = fresh_peak(BOREL_7, "rank_rows(elements)")
     assert peak < 1.8 * m * m / 8
@@ -771,6 +789,32 @@ def test_layer_reduction_matches_per_pair_on_random_subsets(elems):
     elems = sorted(elems)
     expected = per_pair_poset(elems, profile_rows(elems))
     assert poset_fields(build_poset(elems)) == poset_fields(expected)
+
+
+def ranks_fields(record):
+    return record.elements, record.rank_of, record.minimals, record.maximals
+
+
+@pytest.mark.parametrize(
+    "family, n", [(f, n) for f in FAMILIES for n in range(1, 6) if f not in SP_FAMILIES or n % 2 == 0]
+)
+def test_the_ranks_pass_gives_the_ranks_and_extrema_of_build_poset(family, n):
+    # on the whole family and on each rank slice
+    for k in (None, *range(n + 1)):
+        elements = enum_family(FamilySpec(n, family, rank=k))
+        ranks = poset_ranks(elements)
+        assert ranks_fields(ranks) == ranks_fields(build_poset(elements)), k
+        assert ranks.down == rank_rows(list(ranks.elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rook_subsets())
+def test_the_ranks_pass_matches_the_per_pair_poset_on_random_subsets(elems):
+    # ungraded subsets included: a rank is the longest chain, not the
+    # layer of a cover
+    expected = per_pair_poset(sorted(elems), profile_rows(sorted(elems)))
+    ranks = poset_ranks(elems)
+    assert ranks_fields(ranks) == ranks_fields(build_poset(elems)) == ranks_fields(expected)
 
 
 def test_build_poset_of_a_shuffled_list_is_that_of_the_sorted_list():
