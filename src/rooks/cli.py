@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -73,9 +73,10 @@ if TYPE_CHECKING:
 # twice, so a family that is refused costs a few milliseconds (rook n=8 in
 # 3-5 ms).  At this bound every family at n <= 8 runs except rook n >= 7
 # (130,922 and 1,441,729 elements).  On one 2-CPU Xeon with Python 3.11,
-# writing the DOT text to /dev/null, rook n = 6 (13,327 elements) takes
-# about 0.28 s and 41 MB resident, and borel n = 8 (21,147) about 0.5 s and
-# 68 MB (medians of 7 runs, start-up included).
+# writing the DOT text to /dev/null, rook n = 6 (13,327 elements, 87,415
+# covers) takes about 0.28 s and 32 MB resident, and borel n = 8 (21,147
+# and 126,320) about 0.46 s and 53 MB: medians of 7 runs of the whole
+# process, start-up included, the resident size its peak (ru_maxrss).
 HASSE_ROW_BYTES = 78_125_000
 HASSE_LIMIT = math.isqrt(8 * HASSE_ROW_BYTES)  # 25,000 elements
 
@@ -96,9 +97,11 @@ def dot_export(h: HasseDiagram):
     `_emit_lines`: one node statement per element, one edge per cover
     (lower -> upper), in items of at most CHUNK_LINES lines, each formatted
     and joined in one call, so the writer counts the lines once per item.
-    The lines come in the order of the diagram, which is the order of the
-    names: `build_poset` sorts the elements once and the covers by their
-    pairs of indices, which sort as their pairs of elements, and with
+    Each item of edges takes its pairs of indices from CHUNK_LINES cover
+    ints i m + j by `divmod`, so no pair outlives its item.  The lines come
+    in the order of the diagram, which is the order of the names:
+    `build_poset` sorts the elements once and the cover ints, which sort
+    as their pairs of indices and so as their pairs of elements, and with
     one-digit entries (n <= DESK_LIMIT = 8) the names sort as the rooks
     do."""
     names = [format_one_line(x) for x in h.elements]
@@ -106,9 +109,9 @@ def dot_export(h: HasseDiagram):
     yield "digraph hasse {"
     for start in range(0, len(names), CHUNK_LINES):
         yield '  "' + '";\n  "'.join(names[start : start + CHUNK_LINES]) + '";'
-    covers = h.covers
+    covers, m = h.covers, repeat(len(names))
     for start in range(0, len(covers), CHUNK_LINES):
-        lower, upper = zip(*covers[start : start + CHUNK_LINES])
+        lower, upper = zip(*map(divmod, covers[start : start + CHUNK_LINES], m))
         edges = map('" -> "'.join, zip(map(name, lower), map(name, upper)))
         yield '  "' + '";\n  "'.join(edges) + '";'
     yield "}"
@@ -160,12 +163,18 @@ def _emit_lines(lines, out: str | None) -> None:
             stream.close()
 
 
-class IntPairs(tuple):
-    """A tuple of pairs of ints, such as the covers of a Hasse diagram,
-    which `json_lines` writes as they are, one item per CHUNK_LINES pairs,
-    without checking the type of each pair and entry."""
+class PairKeys:
+    """A list of pairs (i, j) of ints with 0 <= j < m, held as the ints
+    i m + j, such as the covers of a Hasse diagram: `json_lines` writes it
+    as the list of its pairs, in the order of `keys`, making the pairs of
+    CHUNK_LINES keys at a time by `divmod`, without checking the type of
+    each key."""
 
-    __slots__ = ()
+    __slots__ = ("keys", "m")
+
+    def __init__(self, keys, m: int):
+        self.keys = keys
+        self.m = m
 
 
 class JsonStream(NamedTuple):
@@ -187,19 +196,20 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
     """The text of `json.dumps(value, indent=2, sort_keys=True)` as items
     for `_emit_lines`, the first after `head` and the last before `tail`,
     at the depth of `indent`.  `value` holds dicts with str keys, lists,
-    tuples, `IntPairs`, `JsonStream`s and scalars.
+    tuples, `PairKeys`, `JsonStream`s and scalars.
 
-    A list of ints or of strs is one item, formatted by one join, and an
-    `IntPairs` one item per CHUNK_LINES pairs, each formatted in one step
-    from a template of as many pairs, so no item grows with the covers;
-    only other lists and dicts recurse.  A `JsonStream` gives one item per
+    A list of ints or of strs is one item, formatted by one join, and a
+    `PairKeys` one item per CHUNK_LINES pairs, each formatted in one step
+    from a template of as many pairs on the pairs of that many keys, so no
+    item grows with the covers and no pair outlives its item; only other
+    lists and dicts recurse.  A `JsonStream` gives one item per
     block.  Strings are quoted by `_json.encode_basestring_ascii`, the C
     function of `json.encoder`, and None, booleans and ints are written
     directly, so the `json` package loads only for a value of another type
     (a float), which no command writes.
 
     >>> stream = JsonStream(2, [("(0,", ["0)", "1)"])])
-    >>> for item in json_lines({"b": IntPairs([(0, 1)]), "a": stream}):
+    >>> for item in json_lines({"b": PairKeys((1,), 2), "a": stream}):
     ...     print(item)
     {
       "a": [
@@ -244,18 +254,24 @@ def json_lines(value, head: str = "", indent: str = "", tail: str = ""):
         for key in keys:
             yield from json_lines(value[key], f"{inner}{quote(key)}: ", inner, "," if key != last else "")
         yield indent + "}" + tail
+    elif isinstance(value, PairKeys):
+        keys, m = value.keys, repeat(value.m)
+        if not keys:
+            yield head + "[]" + tail
+            return
+        yield head + "["
+        pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+        for start in range(0, len(keys), CHUNK_LINES):
+            chunk = keys[start : start + CHUNK_LINES]
+            comma = "," if start + CHUNK_LINES < len(keys) else ""
+            yield ",\n".join([pair] * len(chunk)) % tuple(chain.from_iterable(map(divmod, chunk, m))) + comma
+        yield indent + "]" + tail
     elif isinstance(value, (list, tuple)):
         if not value:
             yield head + "[]" + tail
             return
         yield head + "["
-        if isinstance(value, IntPairs):
-            pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-            for start in range(0, len(value), CHUNK_LINES):
-                chunk = value[start : start + CHUNK_LINES]
-                comma = "," if start + CHUNK_LINES < len(value) else ""
-                yield ",\n".join([pair] * len(chunk)) % tuple(chain.from_iterable(chunk)) + comma
-        elif (types := set(map(type, value))) == {int} or types == {str}:
+        if (types := set(map(type, value))) == {int} or types == {str}:
             yield inner + f",\n{inner}".join(map(str if types == {int} else quote, value))
         else:
             last = len(value) - 1
@@ -356,7 +372,7 @@ def _cmd_hasse(args):
         "family": args.family,
         "rank": args.rank,
         "elements": [format_one_line(x) for x in poset.elements],
-        "covers": IntPairs(poset.covers),
+        "covers": PairKeys(poset.covers, len(poset.elements)),
         "rank_of": poset.rank_of,
         "minimals": poset.minimals,
         "maximals": poset.maximals,

@@ -11,8 +11,9 @@ row index, the column set is the domain and the row set is the range of the
 underlying injective partial map, and ``multiply`` is the 0/1 matrix product.
 
 Everything here is integer tuple work.  The exact-rational matrices of a rook
-and the symplectic-monoid membership test live in `rooks.exact`, which
-nothing on the CLI's import path loads.
+and the symplectic-monoid membership test live beside the tests
+(`tests/exact.py`), which alone call them, so the library loads no
+`fractions`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 `msp_membership` decides whether a square matrix A lies in the symplectic
 monoid MSp_n: whether A^T J A and A J A^T are one scalar multiple c J of the
 symplectic form J, in exact rational arithmetic.  Only the tests call this
-module so far; it is kept off `rooks/__init__.py` and `rooks.cli`, whose
-start-up would otherwise load `fractions` and `decimal` for every command.
+module, so it lives beside them and not in the library, whose start-up
+would otherwise load `fractions` and `decimal`; an exact linear-algebra
+module of the library behind a verify check can start from it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .rook import Rook
+from rooks.rook import Rook
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 

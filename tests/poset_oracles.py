@@ -102,7 +102,8 @@ def per_pair_poset(elems, down) -> HasseDiagram:
     """The Hasse diagram of strict order rows, j covering i iff j is in
     up[i] (the transpose of down) and nothing of up[i] is below j; a rank is
     the longest chain of covers down to a minimal element, taken in order of
-    the size of down."""
+    the size of down.  The covers are sorted by their pairs of elements and
+    handed over as the ints i m + j that `HasseDiagram` holds."""
     m = len(elems)
     up = [sum(1 << j for j in range(m) if down[j] >> i & 1) for i in range(m)]
     covers = []
@@ -127,7 +128,7 @@ def per_pair_poset(elems, down) -> HasseDiagram:
     covers.sort(key=lambda ij: (elems[ij[0]], elems[ij[1]]))
     return HasseDiagram(
         tuple(elems),
-        tuple(covers),
+        tuple(i * m + j for i, j in covers),
         tuple(rank_of),
         tuple(minimals),
         tuple(maximals),

@@ -184,7 +184,7 @@ def test_criterion_5_figure_reproduction():
     assert len(poset.elements) == 25
     assert [poset.elements[i] for i in poset.minimals] == [(0,) * 4]
     assert [poset.elements[i] for i in poset.maximals] == [identity_rook(4)]
-    edges = {(poset.elements[i], poset.elements[j]) for i, j in poset.covers}
+    edges = {(poset.elements[i], poset.elements[j]) for i, j in poset.cover_pairs()}
     assert len(edges) == 49
     assert edges == BSP4_COVER_EDGES
     # the standard-form route: rows from bcr_le_ppr on every pair, through
@@ -192,13 +192,13 @@ def test_criterion_5_figure_reproduction():
     poset_ppr = _hasse_from_rows(
         _ranks(elements, pairwise_rows(elements, bcr_le_ppr_on(elements, group_context(SYMPLECTIC, 4))))
     )
-    edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.covers}
+    edges_ppr = {(poset_ppr.elements[i], poset_ppr.elements[j]) for i, j in poset_ppr.cover_pairs()}
     assert edges_ppr == edges
 
     nil = build_poset(enum_family(FamilySpec(4, "borel-sp-nil")))
     assert len(nil.elements) == 12
     assert [nil.elements[i] for i in nil.maximals] == [(0, 0, 2, 1), (0, 1, 0, 3)]
-    nil_edges = {(nil.elements[i], nil.elements[j]) for i, j in nil.covers}
+    nil_edges = {(nil.elements[i], nil.elements[j]) for i, j in nil.cover_pairs()}
     assert nil_edges == BSP4_NIL_COVER_EDGES
     announce(5, "figure reproduction at n = 4")
 

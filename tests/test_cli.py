@@ -482,9 +482,6 @@ def test_a_listing_gives_the_writer_one_item_per_block(monkeypatch, fmt, other_i
         {"covers": ((0, 1), (0, 2)), "ints": (3, 1, 2), "strs": ["(0,1)", "x"]},
         # covers across two chunk boundaries, the last chunk part full
         pytest.param({"covers": tuple((i, i + 1) for i in range(600))}, id="600 covers"),
-        # the same through the writer's path for `IntPairs`, and none
-        pytest.param({"covers": cli.IntPairs((i, i + 1) for i in range(600))}, id="600 int pairs"),
-        pytest.param({"covers": cli.IntPairs(), "b": [cli.IntPairs([(2, 10**40)])]}, id="no int pairs"),
         # the scalars that the writer writes without the json package
         [0, -7, 10**40, -(10**40), [None, [True, False]], {"t": True, "f": False, "z": None}],
         {'"\\': 'a"b\\c', "\x00\t\x1f\x7f": "\x01\n\r\u2028", "\u00e9\u4e2d": "\U0001f600 \u00fc"},
@@ -498,6 +495,25 @@ def test_json_lines_matches_json_dumps(value):
     assert "\n".join(cli.json_lines(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "pairs, m",
+    [
+        # across two chunk boundaries, the last chunk part full
+        pytest.param([(i, i + 1) for i in range(600)], 601, id="600 pairs"),
+        pytest.param([], 1, id="no pairs"),
+        # a key past one machine word, and one whose j is 0
+        pytest.param([(2, 10**40), (3, 0)], 10**40 + 1, id="big keys"),
+    ],
+)
+def test_pair_keys_are_written_as_json_dumps_writes_their_pairs(pairs, m):
+    # the writer takes the keys i m + j of the pairs, and `json.dumps` the
+    # pairs themselves
+    keys = tuple(i * m + j for i, j in pairs)
+    value = {"covers": cli.PairKeys(keys, m), "b": [cli.PairKeys(keys[:1], m)]}
+    expected = {"covers": pairs, "b": [pairs[:1]]}
+    assert "\n".join(cli.json_lines(value)) == json.dumps(expected, indent=2, sort_keys=True)
+
+
 def test_strings_are_quoted_by_json_encoder_without_the_c_module(monkeypatch):
     # an interpreter built without `_json` quotes with `json.encoder`
     monkeypatch.setitem(sys.modules, "_json", None)
@@ -507,20 +523,23 @@ def test_strings_are_quoted_by_json_encoder_without_the_c_module(monkeypatch):
 
 def test_covers_are_written_in_chunks():
     # no item of the writer holds more than CHUNK_LINES covers; `hasse`
-    # hands its covers over as `IntPairs`, which the writer takes as pairs
-    # of ints without checking them
-    m = 2 * cli.CHUNK_LINES + 88
-    items = list(cli.json_lines({"covers": cli.IntPairs((i, i + 1) for i in range(m))}))
+    # hands its covers over as `PairKeys`, whose pairs the writer makes
+    # one item at a time
+    count = 2 * cli.CHUNK_LINES + 88
+    keys = tuple(i * (count + 1) + i + 1 for i in range(count))  # the pairs (i, i + 1)
+    items = list(cli.json_lines({"covers": cli.PairKeys(keys, count + 1)}))
     assert [item.count("[") for item in items[2:-2]] == [cli.CHUNK_LINES] * 2 + [88]
 
 
-def test_hasse_json_hands_its_covers_over_as_int_pairs(monkeypatch):
+def test_hasse_json_hands_its_covers_over_as_pair_keys(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "json_lines", seen.append)
     monkeypatch.setattr(cli, "_emit_lines", lambda lines, out: None)
     assert cli.main(["hasse", "--n", "3", "--family", "rook", "--format", "json"]) == 0
     [report] = seen
-    assert type(report["covers"]) is cli.IntPairs and len(report["covers"]) == 79
+    covers = report["covers"]
+    assert type(covers) is cli.PairKeys and len(covers.keys) == 79 and covers.m == 34
+    assert type(covers.keys) is tuple and set(map(type, covers.keys)) == {int}
 
 
 @pytest.mark.parametrize("items", [[], ["(0)"], ["(0,1)", "(1,0)", "x", "xy"], ["x"] * 300])
@@ -592,7 +611,7 @@ def test_dot_export_joins_at_most_chunk_lines_per_item():
     poset = order.build_poset(enum_family(FamilySpec(5, "rook")))
     items = list(cli.dot_export(poset))
     names = [format_one_line(x) for x in poset.elements]
-    covers = sorted((names[i], names[j]) for i, j in poset.covers)
+    covers = sorted((names[i], names[j]) for i, j in poset.cover_pairs())
     lines = ["digraph hasse {", *(f'  "{x}";' for x in sorted(names))]
     lines += [f'  "{x}" -> "{y}";' for x, y in covers] + ["}"]
     assert "\n".join(items) == "\n".join(lines)

@@ -1,7 +1,7 @@
 """The library holds only what it runs: every top-level function and class in
 `rooks` is referenced by some module of the library other than through its
 own body.  Reference routes that only the tests call live beside the tests,
-in `rook_oracles.py` and `poset_oracles.py`.  The package's namespace gives
+in `rook_oracles.py`, `poset_oracles.py` and `exact.py`.  The package's namespace gives
 the same objects as when `import rooks` loaded every module, though it now
 loads each on first use."""
 
@@ -18,10 +18,6 @@ import pytest
 
 import rooks
 
-# The exact-rational module.  ROADMAP item 4 turns it into the exact
-# linear-algebra module behind a verify check; until then only the tests
-# call it.
-FRACTION_BLOCK = {"exact.rational_matrix", "exact.rook_matrix", "exact.msp_membership"}
 # Hooks that the interpreter calls, not the library: the package's PEP 562
 # `__getattr__`, which imports a public name's module when it is first used.
 INTERPRETER_HOOKS = {"__init__.__getattr__"}
@@ -70,7 +66,7 @@ def unreferenced_definitions(package: Path) -> set[str]:
 
 def test_every_library_definition_is_used_by_the_library():
     unused = unreferenced_definitions(Path(rooks.__file__).parent)
-    assert sorted(unused - FRACTION_BLOCK - INTERPRETER_HOOKS) == []
+    assert sorted(unused - INTERPRETER_HOOKS) == []
 
 
 def top_level_homes(package: Path) -> dict[str, list[str]]:

@@ -447,7 +447,8 @@ def test_build_poset_covers_are_reduced():
         for j in range(len(elements))
         if i != j and bcr_le(elements[i], elements[j])
     }
-    for i, j in poset.covers:
+    pairs = list(poset.cover_pairs())
+    for i, j in pairs:
         assert (i, j) in less
         assert not any(
             (i, k) in less and (k, j) in less for k in range(len(elements))
@@ -457,7 +458,7 @@ def test_build_poset_covers_are_reduced():
     changed = True
     while changed:
         changed = False
-        for i, j in poset.covers:
+        for i, j in pairs:
             new = reach[j] - reach[i]
             if new:
                 reach[i] |= new
@@ -473,7 +474,7 @@ def profile_rows(elems):
 
 
 def poset_covers(poset):
-    return sorted((poset.elements[i], poset.elements[j]) for i, j in poset.covers)
+    return sorted((poset.elements[i], poset.elements[j]) for i, j in poset.cover_pairs())
 
 
 def bcr_le_covers(elems):
@@ -692,12 +693,13 @@ assert len(elements) == 4140"""
 
 
 def test_build_poset_holds_one_row_per_element():
-    # m rows of m bits each take m^2/8 bytes; a second set of rows (the
-    # transpose) would take the peak past that bound (1.97 x m^2/8 read in
-    # a fresh interpreter)
+    # m rows of m bits each take m^2/8 bytes, and each of the 20,484
+    # covers one int i m + j; 1.10 x m^2/8 read in a fresh interpreter.
+    # Covers held as (i, j) tuples read 1.97 x, and a second set of rows
+    # (the transpose) would add another m^2/8
     m = 4140
     peak, _ = fresh_peak(BOREL_7, "build_poset(elements)")
-    assert peak < 2.8 * m * m / 8
+    assert peak < 1.4 * m * m / 8
 
 
 def test_rank_rows_hold_one_count_row_per_element():
@@ -835,7 +837,7 @@ def test_layer_reduction_scans_past_a_layer_the_row_misses():
     poset = build_poset(elements)
     assert [row.bit_count() for row in rank_rows(elements)] == [0, 0, 1, 0, 3, 2]
     assert poset.rank_of == (0, 0, 1, 0, 1, 2)
-    assert poset.covers == ((0, 2), (0, 4), (1, 4), (2, 5), (3, 4))
+    assert tuple(poset.cover_pairs()) == ((0, 2), (0, 4), (1, 4), (2, 5), (3, 4))
     assert poset.graded
     expected = per_pair_poset(elements, profile_rows(elements))
     assert poset_fields(poset) == poset_fields(expected)
@@ -847,7 +849,7 @@ def test_layer_reduction_finds_a_cover_that_skips_a_layer():
     elements = [(0, 0, 2), (0, 0, 3), (0, 1, 0), (0, 1, 3)]
     poset = build_poset(elements)
     assert poset.rank_of == (0, 1, 0, 2)
-    assert poset.covers == ((0, 1), (1, 3), (2, 3))
+    assert tuple(poset.cover_pairs()) == ((0, 1), (1, 3), (2, 3))
     assert not poset.graded
     expected = per_pair_poset(elements, profile_rows(elements))
     assert poset_fields(poset) == poset_fields(expected)

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from exact import msp_membership, rational_matrix, rook_matrix
 from rook_oracles import power, rank_by_entries, triangular_decompose
-from rooks.exact import msp_membership, rational_matrix, rook_matrix
 from rooks.rook import (
     check_rook,
     diagonal_idempotent,
