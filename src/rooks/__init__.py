@@ -4,12 +4,12 @@ Bruhat-Chevalley-Renner order.
 `import rooks` loads none of the package's modules.  A public name is
 imported from the module that defines it when it is first used, through the
 module `__getattr__` of PEP 562 (https://peps.python.org/pep-0562/):
-`rooks.count_family` loads `rooks.symplectic` and `rooks.rook`, and
-`rooks.build_poset` loads `rooks.order`, which loads `rooks.weyl` only when
-its standard-form route runs.  So `from rooks import X` and `rooks.X` give
-the object that X's module defines, as do `rooks.order` and the other
-modules named in `_EXPORTS`, and `rooks.cli` loads, command by command,
-only the modules it runs.
+`rooks.count_family` loads `rooks.symplectic` and `rooks.rook`,
+`rooks.build_poset` loads `rooks.order`, which loads no Weyl group code,
+and `rooks.standard_form` loads `rooks.standard` and `rooks.weyl`.  So
+`from rooks import X` and `rooks.X` give the object that X's module
+defines, as do `rooks.order` and the other modules named in `_EXPORTS`,
+and `rooks.cli` loads, command by command, only the modules it runs.
 """
 
 # module -> the public names it defines
@@ -25,14 +25,7 @@ _EXPORTS = {
     ),
     "folding": ("PartialMatrix", "fold", "unfold_preimages"),
     "nilpotent": ("NilpotentReport", "nilpotent_analysis"),
-    "order": (
-        "HasseDiagram",
-        "StandardForm",
-        "bcr_le",
-        "build_poset",
-        "standard_form",
-        "standard_form_rows",
-    ),
+    "order": ("HasseDiagram", "bcr_le", "build_poset"),
     "partitions": (
         "SetPartition",
         "parse_partition",
@@ -48,6 +41,7 @@ _EXPORTS = {
         "parse_one_line",
         "rank",
     ),
+    "standard": ("StandardForm", "standard_form", "standard_form_rows"),
     "symplectic": (
         "FamilySpec",
         "ResourceLimitError",

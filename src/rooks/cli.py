@@ -17,9 +17,11 @@ loads `rooks.verify` with `rooks.counting`, `rooks.rook` and
 `rooks.symplectic`, which is all that `enum` and `count` run.  `order` and
 `hasse` import `rooks.order` when they run, `fold` and `unfold`
 `rooks.folding`, `partition` `rooks.partitions`, and each verify check the
-modules it uses (see `rooks.verify`).  `--format json` loads only `_json`,
-the C module whose quoting function `json.encoder` uses, and no command
-loads the `json` package (`json_lines`).
+modules it uses (see `rooks.verify`): the inrsn and standard-form checks
+load `rooks.standard`, the standard-form route of the order, and
+`rooks.weyl`.  `--format json` loads only `_json`, the C module whose
+quoting function `json.encoder` uses, and no command loads the `json`
+package (`json_lines`).
 
 Output depends only on the command line: identical invocations print
 identical bytes.

@@ -56,11 +56,6 @@ from .rook import (
 
 DESK_LIMIT = 8
 
-# The kind of the symplectic Weyl group, as `rooks.weyl` names it (it takes
-# the name from here), so that `rooks.order` tests it on every standard form
-# without loading `weyl`.
-SYMPLECTIC = "symplectic"
-
 
 class Family(NamedTuple):
     """Column j takes rows 1..j-lag (lag 0: Borel, 1: nilpotent), or 1..n

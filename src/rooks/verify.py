@@ -10,10 +10,11 @@ logged.
 `rooks.counting`, `rooks.rook` and `rooks.symplectic` load with this
 module, which is all that `count` and the admissible, rank-counts,
 triangular and formula checks run.  Each other check imports the rest of
-what it uses when it runs: stirling-borel `rooks.partitions`, inrsn and
-standard-form `rooks.order` and `rooks.weyl`, maxelements `rooks.order`,
-folding `rooks.folding`, nilpotent `rooks.nilpotent` and `rooks.order`,
-and parabolic `rooks.weyl`.
+what it uses when it runs: stirling-borel `rooks.partitions`, inrsn
+`rooks.order`, `rooks.standard` and `rooks.weyl`, standard-form
+`rooks.standard` and `rooks.weyl`, maxelements `rooks.order`, folding
+`rooks.folding`, nilpotent `rooks.nilpotent` and `rooks.order`, and
+parabolic `rooks.weyl`.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def _check_inrsn(ni) -> list:
     each member's own bit set (every member is below itself).  The
     disagreements are the popcount of the XOR of the two rows, summed over
     the members."""
-    from .order import rank_rows, standard_form_rows
+    from .order import rank_rows
+    from .standard import standard_form_rows
     from .weyl import SYMMETRIC, SYMPLECTIC, group_context
 
     routes = [("rook", "one-line vs standard-form disagreements")]
@@ -350,7 +352,7 @@ def _check_parabolic(l) -> list:
 
 
 def _check_standard_form(ni) -> list:
-    from .order import _dominance, standard_form
+    from .standard import _dominance, standard_form
     from .weyl import SYMMETRIC, SYMPLECTIC, group_context
 
     reports = []

@@ -18,11 +18,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .rook import Rook, diagonal_idempotent, identity_rook, multiply
-from .symplectic import SYMPLECTIC
 
 Perm = Rook
 
 SYMMETRIC = "symmetric"
+SYMPLECTIC = "symplectic"
 
 
 def simple_transposition(n: int, j: int) -> Perm:

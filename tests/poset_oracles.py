@@ -1,17 +1,18 @@
-"""Slow reference routes for `rooks.order`: the one-line criterion on
-sorted prefixes, pair by pair (the oracle of `rank_count_le` and of
-`rank_rows`), the Bruhat order of permutations by sorted prefixes (the
-oracle of the group's table, `_dominance`), the standard-form criterion on
-one pair (the oracle of `standard_form_rows`), order rows from a comparator
-on every ordered pair, and the transitive reduction that tests every
-comparable pair on its own, with ranks by longest chains (the oracle of
-`build_poset`)."""
+"""Slow reference routes for `rooks.order` and `rooks.standard`: the
+one-line criterion on sorted prefixes, pair by pair (the oracle of
+`rank_count_le` and of `rank_rows`), the Bruhat order of permutations by
+sorted prefixes (the oracle of the group's table, `_dominance`), the
+standard-form criterion on one pair (the oracle of `standard_form_rows`),
+order rows from a comparator on every ordered pair, and the transitive
+reduction that tests every comparable pair on its own, with ranks by
+longest chains (the oracle of `build_poset`)."""
 
 from functools import cache
 from itertools import chain
 from operator import le
 
-from rooks.order import HasseDiagram, _dominance, standard_form
+from rooks.order import HasseDiagram
+from rooks.standard import _dominance, standard_form
 from rooks.rook import multiply, transpose
 from rooks.weyl import group_context, parabolic_data
 

@@ -13,7 +13,7 @@ from poset_oracles import bcr_le_ppr_on, ehresmann_le, pairwise_rows
 from rooks.counting import bell, stirling2, triangular_census
 from rooks.folding import fold, fold_images, to_rook, unfold_preimages
 from rooks.nilpotent import nilpotent_analysis
-from rooks.order import _hasse_from_rows, _ranks, bcr_le, build_poset, standard_form
+from rooks.order import _hasse_from_rows, _ranks, bcr_le, build_poset
 from rooks.partitions import enum_partitions, partition_to_rook, rook_to_partition
 from rooks.rook import (
     diagonal_idempotent,
@@ -25,6 +25,7 @@ from rooks.rook import (
     transpose,
     triangular_ranks,
 )
+from rooks.standard import standard_form
 from rooks.symplectic import (
     FamilySpec,
     enum_admissible,

@@ -17,6 +17,7 @@ import rooks.folding as folding
 import rooks.nilpotent as nilpotent
 import rooks.order as order
 import rooks.partitions as partitions
+import rooks.standard as standard
 import rooks.symplectic as symplectic
 import rooks.verify as verify
 import rooks.weyl as weyl
@@ -850,7 +851,7 @@ def test_inrsn_counts_a_flipped_pair(monkeypatch, builder):
     # one wrong bit in the rows of either route must show as one
     # disagreement, so the check cannot be comparing a route with itself;
     # only the first rows built, the rook route's, are changed
-    original = getattr(order, builder)
+    original = {"rank_rows": order.rank_rows, "standard_form_rows": standard.standard_form_rows}[builder]
     built = []
 
     def flip_first(*args):
@@ -915,7 +916,7 @@ def weak_order(dominance):
     # the group's table with `below` closed over the simple reflections
     # alone: the weak order, which is the Bruhat order on S_2 and Sp_2 and
     # strictly inside it from S_3 on.  A cache of its own, so that
-    # `clear_order_caches` can empty it while it is patched in
+    # `clear_standard_caches` can empty it while it is patched in
     @lru_cache(maxsize=None)
     def broken(kind, n):
         table = dominance(kind, n)
@@ -996,17 +997,17 @@ BROKEN_ROUTES = [
     ("folding", "--l", 1, folding, "unfold_preimages", dropping_last_preimage),
     ("triangular", "--n", 1, counting, "rank_count_rook", one_more_at_rank_0),
     ("rank-counts", "--n", 1, symplectic, "iter_family_ranks", dropping_last_member),
-    ("standard-form", "--n", 3, order, "_dominance", weak_order),
+    ("standard-form", "--n", 3, standard, "_dominance", weak_order),
     ("admissible", "--l", 1, counting, "admissible_count", one_more_at_k_1),
     ("admissible", "--l", 1, symplectic, "enum_admissible", dropping_last),
     ("formula", "--l", 1, symplectic, "count_family", one_more),
     ("stirling-borel", "--n", 1, counting, "stirling2", one_more_at_k_1),
     ("maxelements", "--l", 2, symplectic, "rank_slice_minimum", reversed_result),
     ("parabolic", "--l", 2, weyl, "generated_subgroup", dropping_last),
-    ("inrsn", "--n", 1, order, "standard_form_rows", complemented_form_rows),
+    ("inrsn", "--n", 1, standard, "standard_form_rows", complemented_form_rows),
     ("inrsn", "--n", 1, order, "rank_rows", complemented_rank_rows),
     ("standard-form", "--n", 2, weyl, "min_coset_reps", dropping_last),
-    ("inrsn", "--n", 3, order, "_dominance", weak_order),
+    ("inrsn", "--n", 3, standard, "_dominance", weak_order),
     ("folding", "--l", 1, folding, "fold_images", dropping_one_image_of_each),
     ("folding", "--l", 1, counting, "preimage_weight", one_more),
     ("stirling-borel", "--n", 1, partitions, "rook_to_partition", dropping_last),
@@ -1019,10 +1020,10 @@ def test_every_check_has_a_broken_route():
     assert set(verify.CHECKS) - {row[0] for row in BROKEN_ROUTES} == set()
 
 
-def clear_order_caches():
+def clear_standard_caches():
     for cached in (
-        order._dominance,
-        order._coset_data,
+        standard._dominance,
+        standard._coset_data,
     ):
         cached.cache_clear()
 
@@ -1034,29 +1035,29 @@ def test_route_two_keeps_no_table_between_calls(monkeypatch):
     # Bruhat table back they are the first call's again
     ctx = weyl.group_context(weyl.SYMMETRIC, 3)
     elems = enum_family(FamilySpec(3, "rook"))
-    members, rows = order.standard_form_rows(elems, ctx)
+    members, rows = standard.standard_form_rows(elems, ctx)
     with monkeypatch.context() as patch:
-        patch.setattr(order, "_dominance", weak_order(order._dominance))
-        weak_members, weak_rows = order.standard_form_rows(elems, ctx)
+        patch.setattr(standard, "_dominance", weak_order(standard._dominance))
+        weak_members, weak_rows = standard.standard_form_rows(elems, ctx)
     assert weak_members == members
     assert all(weak & ~row == 0 for weak, row in zip(weak_rows, rows))
     assert sum((row ^ weak).bit_count() for row, weak in zip(rows, weak_rows)) == 42
-    assert order.standard_form_rows(elems, ctx) == (members, rows)
+    assert standard.standard_form_rows(elems, ctx) == (members, rows)
 
 
 @pytest.mark.parametrize("check,flag,size,module,name,breaker", BROKEN_ROUTES)
 def test_a_broken_route_is_a_proof_mismatch(capsys, monkeypatch, check, flag, size, module, name, breaker):
     # the break is patched under every name a module holds the function by,
-    # and the caches of `order` are emptied on both sides of it, so no result
-    # of the unbroken route is read during the run, nor one of the broken
-    # route after it
+    # and the caches of `standard` are emptied on both sides of it, so no
+    # result of the unbroken route is read during the run, nor one of the
+    # broken route after it
     original = getattr(module, name)
     patch_everywhere(monkeypatch, original, breaker(original))
-    clear_order_caches()
+    clear_standard_caches()
     try:
         code, out = run(capsys, "verify", "--check", check, flag, str(size))
     finally:
-        clear_order_caches()
+        clear_standard_caches()
     assert code == 1
     assert out.splitlines()[-1] == "result: PROOF MISMATCH"
 

@@ -108,7 +108,9 @@ def test_the_modules_the_package_loaded_resolve_on_first_use():
         "assert not {f'rooks.{name}' for name in names} & set(sys.modules); "
         "assert all(getattr(rooks, name) is sys.modules[f'rooks.{name}'] for name in names)"
     )
-    modules = ["counting", "folding", "nilpotent", "order", "partitions", "rook", "symplectic", "weyl"]
+    modules = [
+        "counting", "folding", "nilpotent", "order", "partitions", "rook", "standard", "symplectic", "weyl",
+    ]
     result = subprocess.run(
         [sys.executable, "-S", "-c", check, *modules],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -116,6 +118,46 @@ def test_the_modules_the_package_loaded_resolve_on_first_use():
         text=True,
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def imported_modules(module: str) -> set[str]:
+    """The modules of the package that `rooks.<module>` reaches through its
+    imports, at the top of a module or inside a function, read off the
+    source: `from .weyl import x` and `from . import weyl` both reach
+    `rooks.weyl`."""
+    package = Path(rooks.__file__).parent
+    reached, todo = set(), [f"rooks.{module}"]
+    while todo:
+        name = todo.pop()
+        path = package / f"{name.removeprefix('rooks.')}.py"
+        if name in reached or not name.startswith("rooks.") or not path.exists():
+            continue  # seen, outside the package, or a name, not a module
+        reached.add(name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                todo.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["rooks" if node.level else "", node.module]))
+                todo.append(base)
+                todo.extend(f"{base}.{alias.name}" for alias in node.names)
+    return reached - {f"rooks.{module}"}
+
+
+@pytest.mark.parametrize(
+    "module,reaches,refuses",
+    [
+        ("order", {"rooks.rook"}, {"rooks.standard", "rooks.weyl"}),
+        ("standard", {"rooks.rook", "rooks.weyl"}, {"rooks.order"}),
+    ],
+    ids=["order", "standard"],
+)
+def test_the_two_order_routes_import_nothing_of_each_other(module, reaches, refuses):
+    # the one-line route (`order`) and the standard-form route (`standard`)
+    # are checked against each other by `verify --check inrsn`, so neither
+    # may reach the other's code, nor the one-line route the Weyl groups
+    imported = imported_modules(module)
+    assert reaches <= imported
+    assert imported & refuses == set()
 
 
 def test_the_only_caches_are_keyed_by_group_or_rank():
@@ -131,6 +173,6 @@ def test_the_only_caches_are_keyed_by_group_or_rank():
                 caches[f"{path.stem}.{name}"] = list(inspect.signature(value).parameters)
     assert caches == {
         "weyl.group_context": ["kind", "n"],
-        "order._dominance": ["kind", "n"],
-        "order._coset_data": ["kind", "n", "r"],
+        "standard._dominance": ["kind", "n"],
+        "standard._coset_data": ["kind", "n", "r"],
     }

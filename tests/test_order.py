@@ -21,19 +21,10 @@ from poset_oracles import (
     prefix_profile,
     profile_le,
 )
-from rooks import order, rook, verify
-from rooks.order import (
-    _dominance,
-    bcr_le,
-    build_poset,
-    poset_ranks,
-    rank_count_le,
-    rank_counts,
-    rank_rows,
-    standard_form,
-    standard_form_rows,
-)
+from rooks import order, rook, standard, verify
+from rooks.order import bcr_le, build_poset, poset_ranks, rank_count_le, rank_counts, rank_rows
 from rooks.rook import identity_rook, is_upper_triangular, multiply, rank, transpose
+from rooks.standard import _dominance, standard_form, standard_form_rows
 from rooks.symplectic import FAMILIES, FamilySpec, enum_family, rank_slice_minimum
 from rooks.weyl import SYMMETRIC, SYMPLECTIC, group_context, min_coset_reps, parabolic_data
 
@@ -324,13 +315,13 @@ def test_one_member_in_two_slots_raises(monkeypatch):
     # coset data of rank 1 that lists its last b twice makes the members of
     # that b twice: 34 + 3 slots give 34 distinct members
     ctx = group_context(SYMMETRIC, 3)
-    original = order._coset_data
+    original = standard._coset_data
 
     def repeating(kind, n, r):
         e, left_of, right, centralizer = original(kind, n, r)
         return e, left_of, (right + right[-1:] if r == 1 else right), centralizer
 
-    monkeypatch.setattr(order, "_coset_data", repeating)
+    monkeypatch.setattr(standard, "_coset_data", repeating)
     with pytest.raises(RuntimeError, match="the 37 standard-form slots .* give 34 distinct members"):
         standard_form_rows(all_rooks(3), ctx)
 
@@ -395,7 +386,7 @@ def test_a_standard_form_gathers_once_per_right_representative(monkeypatch):
         standard_form(x, ctx)  # the per-rank coset data, built once
     expected = sum(len(coset_representatives(SYMMETRIC, 4, rank(x))[2]) for x in elems)
     assert expected == 905
-    order._dominance.cache_clear()
+    standard._dominance.cache_clear()
     made = count_right_products(monkeypatch)
     for x in elems:
         standard_form(x, ctx)
@@ -714,7 +705,7 @@ def test_rank_rows_hold_one_count_row_per_element():
 
 
 ROOK_6_BELOW_RANK_3 = """\
-from rooks.order import _coset_data, _dominance, standard_form_rows
+from rooks.standard import _coset_data, _dominance, standard_form_rows
 from rooks.rook import rank
 from rooks.symplectic import FamilySpec, enum_family
 from rooks.weyl import group_context

@@ -14,7 +14,8 @@ import rooks
 from rooks.counting import CountReport
 from rooks.folding import PartialMatrix
 from rooks.nilpotent import nilpotent_analysis
-from rooks.order import build_poset, standard_form
+from rooks.order import build_poset
+from rooks.standard import standard_form
 from rooks.symplectic import FamilySpec, ResourceLimitError, enum_family
 from rooks.weyl import SYMMETRIC, group_context, parabolic_data
 
@@ -27,8 +28,8 @@ from rooks.weyl import SYMMETRIC, group_context, parabolic_data
 # `build_parser` loads argparse, which a plain command line never does.
 STARTUP_CHECK = (
     "import sys, rooks.cli; rooks.cli.build_parser(); "
-    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'rooks.order', 'rooks.weyl', "
-    "'rooks.folding', 'rooks.nilpotent', 'rooks.partitions'} & set(sys.modules); "
+    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'rooks.order', 'rooks.standard', "
+    "'rooks.weyl', 'rooks.folding', 'rooks.nilpotent', 'rooks.partitions'} & set(sys.modules); "
     "sys.exit(f'loaded at start-up: {sorted(heavy)}' if heavy else 0)"
 )
 # Runs the command of its arguments and writes the names of the modules
@@ -64,17 +65,23 @@ def test_cli_startup_loads_no_dataclasses_inspect_or_fractions():
         (
             "hasse --n 3 --family rook --format dot",
             {"rooks.order"},
-            {"json", "rooks.weyl", "rooks.folding", "rooks.nilpotent", "rooks.partitions"},
+            {"json", "rooks.standard", "rooks.weyl", "rooks.folding", "rooks.nilpotent", "rooks.partitions"},
         ),
         ("verify --check triangular --n 3", set(), {"rooks.order", "rooks.weyl"}),
         # JSON output quotes its strings with `_json` alone
         (
             "hasse --n 3 --family rook --format json",
             {"rooks.order", "_json"},
-            {"json", "json.encoder", "rooks.weyl"},
+            {"json", "json.encoder", "rooks.standard", "rooks.weyl"},
         ),
+        # the one-line route and the Hasse stage load no Weyl group code;
+        # the standard-form route loads only for the checks that run it
+        ("order --n 2 --x (1,0) --y (0,1)", {"rooks.order"}, {"rooks.standard", "rooks.weyl"}),
+        ("verify --check nilpotent --n 3", {"rooks.order"}, {"rooks.standard", "rooks.weyl"}),
+        ("verify --check maxelements --l 2", {"rooks.order"}, {"rooks.standard", "rooks.weyl"}),
+        ("verify --check inrsn --n 2", {"rooks.order", "rooks.standard", "rooks.weyl"}, set()),
     ],
-    ids=["enum", "hasse", "verify", "hasse json"],
+    ids=["enum", "hasse", "verify", "hasse json", "order", "nilpotent", "maxelements", "inrsn"],
 )
 def test_a_command_loads_only_the_modules_it_runs(command, loads, refuses):
     result = fresh_python(COMMAND_CHECK, *command.split())

@@ -18,7 +18,7 @@ from rooks.rook import (
     transpose,
     triangular_ranks,
 )
-from rooks.symplectic import FamilySpec, enum_family
+from rooks.symplectic import FamilySpec, enum_family, is_symplectic_rook
 
 
 def all_rooks(n):
@@ -228,6 +228,32 @@ def test_singular_symplectic_rooks_have_zero_scalar():
     for x in enum_family(FamilySpec(4, "renner-sp")):
         if rank(x) < 4:
             assert msp_membership(rook_matrix(x)) == Fraction(0)
+
+
+def signed_lifts(x):
+    """Every matrix with one entry +-1 at each nonzero cell (x_j, j) of the
+    rook x, and 0 elsewhere."""
+    n = len(x)
+    cells = [(v - 1, j) for j, v in enumerate(x) if v]
+    for signs in product((1, -1), repeat=len(cells)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), sign in zip(cells, signs):
+            rows[i][j] = sign
+        yield rational_matrix(rows)
+
+
+@pytest.mark.parametrize("n,unsigned_misses", [(2, 0), (4, 4)])
+def test_symplectic_rooks_are_the_rooks_with_a_signed_lift_in_msp(n, unsigned_misses):
+    # the matrix definition of MSp_n, A^T J A = A J A^T = c J, holds for some
+    # signing of x's 0/1 matrix exactly when `is_symplectic_rook` says x is a
+    # member; the 0/1 matrix alone misses the theta-fixed permutations that
+    # need signs, 4 of the 8 at n = 4
+    misses = 0
+    for x in all_rooks(n):
+        lifted = any(msp_membership(a) is not None for a in signed_lifts(x))
+        assert is_symplectic_rook(x) == lifted, x
+        misses += lifted and msp_membership(rook_matrix(x)) is None
+    assert misses == unsigned_misses
 
 
 def test_check_rook_rejects_empty():
